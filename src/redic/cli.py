@@ -53,10 +53,11 @@ def _kind(args) -> CodeKind:
     return CodeKind.RED_IC if args.kind == "red-ic" else CodeKind.IC
 
 
-def _budget(args) -> Budget | None:
-    if getattr(args, "budget_nodes", None) or getattr(args, "budget_seconds", None):
-        return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
-    return None
+def _budget(args) -> Budget:
+    if args.budget_seconds is not None and args.deterministic:
+        print("warning: --budget-seconds is ignored under --deterministic;"
+              " pass --no-deterministic to enforce it", file=sys.stderr)
+    return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 
 def _digest(*parts) -> str:

@@ -53,10 +53,11 @@ class Violation:
 
 
 def _smask(g: Graph, detectors: Iterable[int] | int) -> int:
-    if isinstance(detectors, int):
-        return detectors
-    m = mask_of(detectors)
-    if m >> g.n:
+    try:
+        m = detectors if isinstance(detectors, int) else mask_of(detectors)
+    except ValueError:  # a negative index: negative shift count
+        m = -1
+    if m < 0 or m.bit_length() > g.n:
         raise ValueError("detector index out of range")
     return m
 

@@ -10,6 +10,14 @@ maximal encoding of a connected graph never contains an empty column, and
 prefixes of maximal encodings are maximal for the induced subgraph -- so
 every isomorphism class is emitted exactly once, with no explicit
 duplicate store.
+
+The maximality test (``_is_canonical``) tries each start vertex and
+extends relabelings position by position.  It classifies all unplaced
+vertices against the target column at once with bitmask operations over
+the placed prefix, so a search node costs O(depth) integer operations and
+no per-vertex loop.  A start other than 0 that completes a relabeling with
+an equal encoding has found an automorphism onto start 0, whose search
+already failed, so that start is abandoned.
 """
 
 from __future__ import annotations
@@ -59,52 +67,84 @@ def _column_value(nbr_mask: int, order: list[int]) -> int:
     return c
 
 
+_BEATEN, _AUTOMORPHISM = 1, 2
+
+
 def _is_canonical(adj: list[int], cols: list[int]) -> bool:
     """Is the current labeling's encoding the lexicographic maximum?
 
-    Searches for a relabeling that produces a strictly larger column
-    sequence, pruning branches as soon as they fall below the current one.
-    Column values are maintained incrementally: placing vertex p shifts
-    every candidate's running column left and appends its adjacency bit
-    with p.
+    ``cols[j-1]`` is the column of the vertex at position j: its adjacency
+    to positions 0..j-1, position 0 in the most significant bit.  The
+    search places vertices one position at a time and looks for a
+    relabeling whose column sequence is strictly larger, abandoning a
+    branch as soon as it falls below the current one.
+
+    Classification is bit-parallel.  At depth d the unplaced vertices are
+    compared with the target column ``cols[d-1]`` over the placed prefix
+    ``order``, most significant position first, as vertex masks: ``eq``
+    holds the vertices still equal to the target; where the target bit is
+    1, ``eq &= adj[p]``; where it is 0, the neighbours of ``p`` in ``eq``
+    are larger (the labeling is beaten) and the rest stay in ``eq``.  The
+    vertices left in ``eq`` are the ties to branch on.  When the target
+    extends the parent's (``cols[d-1] >> 1 == cols[d-2]``), the parent's
+    ties minus the chosen vertex are already the equal class over the old
+    prefix, so only the newest position is compared.
+
+    Automorphism cut: a complete relabeling with an equal encoding is an
+    automorphism.  Found from start ``s > 0``, it maps ``s`` to position
+    0, and it carries every relabeling that starts at ``s`` to one that
+    starts at 0 with the same encoding.  Start 0 was searched in full and
+    found nothing larger, so nothing under ``s`` is larger either, and
+    the search of ``s`` stops there.
     """
     k = len(adj)
     if k <= 2:
         return True
-    target = cols  # cols[j-1] is the column of the vertex at position j
-    used = [False] * k
-    vrange = range(k)
+    order = [0] * k
+    leaf = 0  # what a complete relabeling reports: _AUTOMORPHISM once start > 0
 
-    def extend(depth: int, run: list[int]) -> bool:
-        # True = some relabeling beats the current encoding
+    def extend(depth: int, free: int, ties: int) -> int:
+        # order[:depth] is placed; free holds the unplaced vertices and ties
+        # those of them equal to cols[depth-2] over order[:depth-1]
         if depth == k:
-            return False
-        col_target = target[depth - 1]
-        ties = []
-        for v in vrange:
-            if used[v]:
-                continue
-            c = run[v]
-            if c > col_target:
-                return True
-            if c == col_target:
-                ties.append(v)
-        for v in ties:
-            used[v] = True
-            av = adj[v]
-            if extend(depth + 1, [run[u] << 1 | (av >> u & 1) for u in vrange]):
-                used[v] = False
-                return True
-            used[v] = False
-        return False
+            return leaf
+        target = cols[depth - 1]
+        if depth >= 2 and target >> 1 == cols[depth - 2]:
+            a = adj[order[depth - 1]]
+            if target & 1:
+                eq = ties & a
+            elif ties & a:
+                return _BEATEN
+            else:
+                eq = ties
+        else:
+            eq = free
+            bit = 1 << depth
+            for p in order[:depth]:
+                bit >>= 1
+                a = adj[p]
+                if target & bit:
+                    eq &= a
+                elif eq & a:
+                    return _BEATEN
+                if not eq:
+                    return 0
+        rest = eq
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            order[depth] = low.bit_length() - 1
+            r = extend(depth + 1, free ^ low, eq ^ low)
+            if r:
+                return r
+        return 0
 
+    full = (1 << k) - 1
     for start in range(k):
-        used[start] = True
-        a = adj[start]
-        if extend(1, [a >> u & 1 for u in vrange]):
-            used[start] = False
+        order[0] = start
+        if extend(1, full ^ 1 << start, 0) == _BEATEN:
             return False
-        used[start] = False
+        leaf = _AUTOMORPHISM
     return True
 
 

@@ -80,8 +80,7 @@ def _solve_one(g6: bytes, budget_nodes: int | None) -> int | None:
     g = parse_graph6(g6)
     if exists_red_ic(g) is not None:
         return None
-    budget = Budget(max_nodes=budget_nodes) if budget_nodes else None
-    out = solve_min(g, CodeKind.RED_IC, budget=budget)
+    out = solve_min(g, CodeKind.RED_IC, budget=Budget(max_nodes=budget_nodes))
     return out.k if out.is_optimal else -1  # -1 marks a budget miss
 
 

@@ -99,3 +99,24 @@ def test_file_inputs(capsys, tmp_path):
     el.write_text("4 3\n0 1\n0 2\n0 3\n")
     code, out, _ = run(capsys, "solve", "--edgelist-file", str(el))
     assert code == 0 and "k=4" in out
+
+
+def test_zero_node_budget_caps_the_search(capsys):
+    code, out, _ = run(capsys, "solve", "--family", "cycle", "--params", "7")
+    assert code == 0 and out.startswith("optimal")
+    code, out, _ = run(capsys, "solve", "--family", "cycle", "--params", "7", "--budget-nodes", "0")
+    assert code == 0 and out.startswith("bounded")
+    code, out, _ = run(capsys, "feasible", "--graph6", "Cl", "--k", "4", "--budget-nodes", "0")
+    assert code == 1 and "budget exhausted" in out
+    code, out, _ = run(capsys, "table2", "--max-n", "8", "--budget-nodes", "0")
+    assert code == 1 and "partial" in out
+
+
+def test_ignored_wall_clock_budget_warns(capsys):
+    for cmd in (["solve"], ["feasible", "--k", "4"]):
+        code, _, err = run(capsys, *cmd, "--graph6", "Cl", "--budget-seconds", "5")
+        assert code == 0 and "--budget-seconds is ignored" in err
+        code, _, err = run(capsys, *cmd, "--graph6", "Cl", "--budget-seconds", "5", "--no-deterministic")
+        assert code == 0 and err == ""
+        code, _, err = run(capsys, *cmd, "--graph6", "Cl", "--budget-nodes", "1000")
+        assert code == 0 and err == ""

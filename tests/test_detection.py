@@ -136,3 +136,21 @@ def test_near_pairs_agree_with_all_pairs():
 def test_is_valid_code():
     assert is_valid_code(star_graph(3), range(4), CodeKind.RED_IC)
     assert not is_valid_code(star_graph(3), [0], CodeKind.RED_IC)
+
+
+@pytest.mark.parametrize("detectors", [-1, -16, 1 << 4, 0b10001, 1 << 64, [0, 4], [-1, 0]])
+def test_detectors_outside_the_graph_are_rejected(detectors):
+    c4 = cycle_graph(4)
+    with pytest.raises(ValueError, match="detector index out of range"):
+        verify(c4, detectors, CodeKind.IC)
+    with pytest.raises(ValueError, match="detector index out of range"):
+        robustness_check(c4, detectors)
+    with pytest.raises(ValueError, match="detector index out of range"):
+        share(c4, detectors, 0)
+
+
+def test_masks_inside_the_graph_are_accepted():
+    c4 = cycle_graph(4)
+    assert verify(c4, 0b1111, CodeKind.RED_IC) is None
+    assert robustness_check(c4, 0b1111) is None
+    assert verify(c4, 0, CodeKind.IC) == Violation("undominated", 0, count=0)

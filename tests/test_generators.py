@@ -1,8 +1,19 @@
+import hashlib
 import io
+import random
+from itertools import permutations
 
 import pytest
 
-from redic.generators import are_isomorphic, canonical_key, enum_cubic, enum_trees, read_graph6_stream
+from redic.generators import (
+    _column_value,
+    _is_canonical,
+    are_isomorphic,
+    canonical_key,
+    enum_cubic,
+    enum_trees,
+    read_graph6_stream,
+)
 from redic.graphs import Graph6Error, build_graph, cycle_graph, write_graph6
 
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551, 13: 1301}
@@ -75,3 +86,105 @@ def test_read_graph6_stream_reports_line_numbers(tmp_path):
         list(read_graph6_stream(path))
     kept = list(read_graph6_stream(path, strict=False))
     assert len(kept) == 3
+
+
+# sha256 (first 16 hex digits) of the newline-terminated graph6 stream
+CUBIC_STREAM_DIGESTS = {
+    4: "62073900de6d9451",
+    6: "49a7391d96ad84fd",
+    8: "6946d13a0aec8538",
+    10: "b46e70b9578943cb",
+    12: "ba8840f3f3c1135e",
+}
+
+
+@pytest.mark.parametrize("n,digest", sorted(CUBIC_STREAM_DIGESTS.items()))
+def test_cubic_stream_is_pinned(n, digest):
+    # the order is part of the contract: g14_gadget_search reports parent indices
+    stream = b"".join(write_graph6(g) + b"\n" for g in enum_cubic(n))
+    assert hashlib.sha256(stream).hexdigest()[:16] == digest
+
+
+def _columns(adj: list[int]) -> list[int]:
+    """cols[j-1] = column of vertex j against vertices 0..j-1."""
+    return [_column_value(adj[j], list(range(j))) for j in range(1, len(adj))]
+
+
+def _relabel(adj: list[int], order: tuple[int, ...]) -> list[int]:
+    """Adjacency masks after moving vertex order[i] to position i."""
+    pos = {v: i for i, v in enumerate(order)}
+    out = []
+    for v in order:
+        m = 0
+        for u in range(len(adj)):
+            if adj[v] >> u & 1:
+                m |= 1 << pos[u]
+        out.append(m)
+    return out
+
+
+def _max_columns(adj: list[int]) -> tuple[list[int], list[int]]:
+    """Brute force over all k! relabelings: the largest column sequence and
+    an adjacency that realizes it."""
+    best, best_adj = None, None
+    for order in permutations(range(len(adj))):
+        r = _relabel(adj, order)
+        c = _columns(r)
+        if best is None or c > best:
+            best, best_adj = c, r
+    return best, best_adj
+
+
+def _adj(k: int, edges) -> list[int]:
+    return list(build_graph(k, list(edges)).adj)
+
+
+SYMMETRIC = {
+    "C6": _adj(6, [(i, (i + 1) % 6) for i in range(6)]),
+    "K4": _adj(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "K3,3": _adj(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "prism": _adj(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]),
+}
+
+
+def test_is_canonical_matches_brute_force():
+    rng = random.Random(23)
+    graphs = list(SYMMETRIC.values())
+    for _ in range(60):
+        k = rng.randint(1, 7)
+        p = rng.choice((0.3, 0.5, 0.7))
+        graphs.append(_adj(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p]))
+    seen = {True: 0, False: 0}
+    for adj in graphs:
+        k = len(adj)
+        best, best_adj = _max_columns(adj)
+        labelings = [adj, best_adj]
+        for _ in range(4):
+            order = list(range(k))
+            rng.shuffle(order)
+            labelings.append(_relabel(adj, tuple(order)))
+        for lab in labelings:
+            cols = _columns(lab)
+            # canonical iff no relabeling gives a larger column sequence
+            expected = cols == best
+            assert _is_canonical(lab, cols) == expected, (lab, cols, best)
+            seen[expected] += 1
+    assert seen[True] >= len(graphs) and seen[False] > 100
+
+
+def test_symmetric_canonical_labelings_pass():
+    # every labeling with the maximal columns is accepted, also when the
+    # automorphism group is large (the cut fires on every start)
+    for name, adj in SYMMETRIC.items():
+        best, _ = _max_columns(adj)
+        for order in permutations(range(len(adj))):
+            lab = _relabel(adj, order)
+            cols = _columns(lab)
+            assert _is_canonical(lab, cols) == (cols == best), name
+
+
+def test_emitted_labelings_are_canonical_forms():
+    # ties the orderly generator's test to the independent canonical_key search
+    for n in range(4, 13, 2):
+        for g in enum_cubic(n):
+            assert canonical_key(g) == (n, *_columns(list(g.adj)))

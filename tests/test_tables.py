@@ -26,5 +26,10 @@ def test_budget_marks_partial():
     assert not all(ok for _, _, _, ok in diff_row(row))
 
 
+def test_zero_budget_is_a_cap_not_unlimited():
+    assert cubic_row(8, budget_nodes=0).partial
+    assert not cubic_row(8, budget_nodes=None).partial
+
+
 def test_threads_give_identical_rows():
     assert tree_row(8, threads=2) == tree_row(8, threads=1)
