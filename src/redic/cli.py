@@ -17,7 +17,7 @@ from . import constructions, reduction, tables
 from .detection import CodeKind, verify
 from .existence import exists_red_ic
 from .graphs import Graph, named_builder, parse_edge_list, parse_graph6, write_graph6
-from .solver import Budget, feasible_at, lower_bound, solve_min
+from .solver import Budget, SolverStats, feasible_at, lower_bound, solve_min
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -104,13 +104,17 @@ def cmd_verify(args) -> int:
     return 1
 
 
+def _stats(st: SolverStats) -> dict:
+    return {"nodes": st.nodes, "seconds": round(st.elapsed, 4), "forced": st.forced, "pruned": st.pruned}
+
+
 def cmd_solve(args) -> int:
     g = _load_graph(args)
     kind = _kind(args)
     out = solve_min(g, kind, budget=_budget(args), deterministic=args.deterministic)
     digest = _digest(write_graph6(g), kind.value)
     bounds = {"lower": out.lower, "upper": out.upper}
-    stats = {"nodes": out.stats.nodes, "seconds": round(out.stats.elapsed, 4)}
+    stats = _stats(out.stats)
     if out.status == "infeasible":
         _emit(args, _report("solve", digest, f"infeasible: {out.reason}", stats=stats),
               f"no {kind.value} code exists: {out.reason}")
@@ -140,7 +144,7 @@ def cmd_feasible(args) -> int:
     kind = _kind(args)
     res = feasible_at(g, kind, args.k, budget=_budget(args), deterministic=args.deterministic)
     digest = _digest(write_graph6(g), kind.value, args.k)
-    stats = {"nodes": res.stats.nodes, "seconds": round(res.stats.elapsed, 4)}
+    stats = _stats(res.stats)
     if res.witness is not None:
         _emit(args, _report("feasible", digest, "witness", k=len(res.witness),
                             witness=res.witness, stats=stats),

@@ -6,20 +6,34 @@ N[u] symdiff N[v] (intersecting with S distributes over the symmetric
 difference).  Pairs at distance >= 3 are implied by the domination
 constraints and are not tracked.
 
-The search branches on a vertex drawn from the most-constrained unresolved
+Propagation is incremental, after the counter-and-trail scheme of Chaff
+(Moskewicz et al., DAC 2001).  ``inc[v]`` lists the constraints whose mask
+contains v; for each constraint i, ``res[i]`` is its threshold minus its
+included members (the residual requirement, met once <= 0) and ``cnt[i]``
+its number of free members; the constraints with ``res > 0`` form the
+active set.  Assigning a vertex walks only its incidence list, and a trail
+of assignments lets backtracking restore every counter.
+
+Including a vertex lowers ``res`` and ``cnt`` of each of its constraints
+together, so it never changes a slack ``cnt - res`` and can neither force
+a vertex nor cause a conflict.  Only an exclusion lowers slacks, and only
+on the constraints of the excluded vertex: a constraint whose slack reaches
+0 forces all its free members, one below 0 is a conflict.  Forcing is
+itself inclusion, so a single walk over ``inc[x]`` reaches the fixpoint.
+
+The search branches on a vertex drawn from the most-constrained active
 constraint, include branch first, with ties broken toward the lowest vertex
-index; unit propagation forces constraints whose remaining candidates are
-all required.  Nothing is randomized, so runs are reproducible node for
-node.
+index.  Nothing is randomized, so runs are reproducible node for node.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import sub
 
 from . import existence
-from .detection import CodeKind, verify
+from .detection import CodeKind, _reach2, verify
 from .graphs import Graph, bits
 
 __all__ = [
@@ -49,8 +63,13 @@ class Budget:
 
 @dataclass
 class SolverStats:
+    """Search counters: nodes visited, seconds, vertices included by
+    propagation and nodes cut by the lower bound."""
+
     nodes: int = 0
     elapsed: float = 0.0
+    forced: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,15 +200,23 @@ class _BudgetExhausted(Exception):
 
 
 class _Search:
-    """Shared branch-and-bound core for minimization and K-feasibility."""
+    """Shared branch-and-bound core for minimization and K-feasibility.
+
+    The current assignment lives in ``chosen`` (included vertices), ``free``
+    (unassigned ones) and the per-constraint counters ``res`` and ``cnt``;
+    ``trail`` lists the assignments in order (x for an inclusion, ~x for an
+    exclusion) so that ``_undo`` can restore every counter.  ``greedy``,
+    ``root_lower`` and ``run`` each start from ``_reset``.
+    """
 
     def __init__(self, g: Graph, kind: CodeKind, budget: Budget | None, deterministic: bool):
         self.g = g
-        self.full = g.full_mask()
         self.kind = kind
         self.budget = budget or Budget()
         self.deterministic = deterministic
         self.nodes = 0
+        self.forced = 0
+        self.pruned = 0
         self.t0 = time.perf_counter()
         self.best: int | None = None  # incumbent mask
         self.cap = g.n + 1  # solutions must have size < cap
@@ -197,31 +224,40 @@ class _Search:
         self.done = False
 
         closed = g._closed
-        masks = list(closed)  # domination constraints, one per vertex
-        thr = [kind.dom_req] * g.n
-        dist_req = kind.dist_req
-        pair_masks = set()
-        for u in range(g.n):
-            reach = closed[u]
-            for w in bits(g.adj[u]):
-                reach |= g.adj[w]
-            for v in bits(reach & ~((1 << (u + 1)) - 1)):
-                pair_masks.add(closed[u] ^ closed[v])
-        for d in sorted(pair_masks):
-            masks.append(d)
-            thr.append(dist_req)
-        self.masks = masks
-        self.thr = thr
+        pair_masks = {closed[u] ^ closed[v] for u in range(g.n)
+                      for v in bits(_reach2(g, u) & ~((1 << (u + 1)) - 1))}
+        # domination constraints first, one per vertex, then the pairs
+        self.masks = masks = [*closed, *sorted(pair_masks)]
+        self.thr = [kind.dom_req] * g.n + [kind.dist_req] * len(pair_masks)
         self.n_dom = g.n
         self.max_cover = max((c.bit_count() for c in closed), default=1)
+        inc: list[list[int]] = [[] for _ in range(g.n)]  # constraints containing each vertex
+        for i, m in enumerate(masks):
+            while m:
+                low = m & -m
+                inc[low.bit_length() - 1].append(i)
+                m ^= low
+        self.inc = inc
+        self._reset(0)
+
+    def _reset(self, chosen: int):
+        """Set every counter for the assignment that includes exactly chosen."""
+        self.chosen = chosen
+        self.free = free = self.g.full_mask() & ~chosen
+        self.trail: list[int] = []
+        # requirement minus included members (<= 0 once met), and free members
+        self.res = res = [t - (m & chosen).bit_count() for m, t in zip(self.masks, self.thr)]
+        self.cnt = [(m & free).bit_count() for m in self.masks]
+        self.active = {i for i, r in enumerate(res) if r > 0}
+        self.dom_deficit = sum(r for r in res[: self.n_dom] if r > 0)  # over active domination constraints
 
     # -- budget ----------------------------------------------------------
 
     def _tick(self):
-        self.nodes += 1
         b = self.budget
-        if b.max_nodes is not None and self.nodes > b.max_nodes:
+        if b.max_nodes is not None and self.nodes >= b.max_nodes:
             raise _BudgetExhausted
+        self.nodes += 1
         if (
             not self.deterministic
             and b.max_seconds is not None
@@ -230,66 +266,129 @@ class _Search:
         ):
             raise _BudgetExhausted
 
-    # -- constraint propagation -------------------------------------------
+    # -- assignment, propagation and undo ----------------------------------
 
-    def _propagate(self, in_mask: int, out_mask: int):
-        """Force all unit constraints; return (in_mask, unresolved) or None.
+    def _include(self, x: int):
+        self.trail.append(x)
+        self.free ^= 1 << x
+        self.chosen |= 1 << x
+        res, cnt, active, n_dom = self.res, self.cnt, self.active, self.n_dom
+        deficit = self.dom_deficit
+        for i in self.inc[x]:
+            cnt[i] -= 1
+            r = res[i]
+            res[i] = r - 1
+            if r > 0:
+                if r == 1:
+                    active.remove(i)
+                if i < n_dom:
+                    deficit -= 1
+        self.dom_deficit = deficit
 
-        unresolved entries are (candidates, residual, constraint index).
+    def _exclude(self, x: int) -> int:
+        """Exclude x and propagate; the number of vertices forced, or -1."""
+        self.trail.append(~x)
+        self.free ^= 1 << x
+        cnt = self.cnt
+        inc = self.inc[x]
+        for i in inc:
+            cnt[i] -= 1
+        return self._force(inc)
+
+    def _force(self, cons) -> int:
+        """Include the free members of every tight constraint among cons.
+
+        A constraint is tight when its free members are exactly as many as
+        it still requires.  Returns the number of vertices forced, or -1
+        when some constraint can no longer be met.  Inclusions leave every
+        slack ``cnt - res`` unchanged, so one pass reaches the fixpoint.
         """
-        masks, thr = self.masks, self.thr
-        while True:
-            avail = self.full & ~in_mask & ~out_mask
-            unresolved = []
-            forced = 0
-            for i in range(len(masks)):
-                m = masks[i]
-                r = thr[i] - (m & in_mask).bit_count()
-                if r <= 0:
-                    continue
-                cand = m & avail
-                c = cand.bit_count()
-                if c < r:
-                    return None
-                if c == r:
-                    forced |= cand
-                else:
-                    unresolved.append((cand, r, i))
-            if forced:
-                in_mask |= forced
-                continue
-            return in_mask, unresolved
+        res, cnt, masks = self.res, self.cnt, self.masks
+        forced = 0
+        for i in cons:
+            r = res[i]
+            if r > 0 and cnt[i] <= r:
+                if cnt[i] < r:
+                    return -1
+                forced |= masks[i]
+        forced &= self.free
+        for x in bits(forced):
+            self._include(x)
+        return forced.bit_count()
+
+    def _undo(self, mark: int):
+        """Take back the assignments made since the trail had length mark."""
+        trail, inc, res, cnt, active, n_dom = self.trail, self.inc, self.res, self.cnt, self.active, self.n_dom
+        deficit = self.dom_deficit
+        while len(trail) > mark:
+            x = trail.pop()
+            if x < 0:
+                x = ~x
+                for i in inc[x]:
+                    cnt[i] += 1
+            else:
+                self.chosen ^= 1 << x
+                for i in inc[x]:
+                    cnt[i] += 1
+                    r = res[i] + 1
+                    res[i] = r
+                    if r > 0:
+                        if r == 1:
+                            active.add(i)
+                        if i < n_dom:
+                            deficit += 1
+            self.free |= 1 << x
+        self.dom_deficit = deficit
+
+    def _start(self, seed_mask: int) -> int:
+        """Reset to the seed and propagate; as ``_force``."""
+        self._reset(seed_mask)
+        return self._force(self.active)
 
     # -- bounding ----------------------------------------------------------
 
-    def _need(self, unresolved, in_mask: int) -> int:
-        # disjoint packing: constraints with pairwise disjoint candidate sets
-        # each require their own detectors
-        entries = sorted(unresolved, key=lambda e: (e[0].bit_count(), e[2]))
-        used = 0
+    def _order(self) -> list[int]:
+        """The active constraints by (free members, index)."""
+        order = sorted(self.active)
+        order.sort(key=self.cnt.__getitem__)
+        return order
+
+    def _need(self, order: list[int], gap: int) -> int:
+        """Lower bound on the detectors still to add, exact below gap.
+
+        The larger of a disjoint packing (constraints with pairwise disjoint
+        free members each need their own detectors) and the domination
+        deficit over the largest closed neighbourhood.  Stops as soon as the
+        bound reaches gap.
+        """
+        ratio = -(-self.dom_deficit // self.max_cover)
+        if ratio >= gap:
+            return ratio
+        masks, res, free = self.masks, self.res, self.free
+        used = 0  # a subset of free, so m & used == (m & free) & used
         packed = 0
-        dom_deficit = 0
-        for cand, r, i in entries:
-            if i < self.n_dom:
-                dom_deficit += r
-            if cand & used == 0:
-                packed += r
-                used |= cand
-        ratio = -(-dom_deficit // self.max_cover)
+        for i in order:
+            m = masks[i]
+            if not m & used:
+                packed += res[i]
+                if packed >= gap:
+                    return packed
+                used |= m & free
         return packed if packed >= ratio else ratio
 
     # -- branching -----------------------------------------------------------
 
-    def _branch_vertex(self, unresolved) -> int:
-        best = min(unresolved, key=lambda e: (e[0].bit_count() - e[1], e[0].bit_count(), e[2]))
-        cand = best[0]
+    def _branch_vertex(self, order: list[int]) -> int:
+        """A free member of the constraint with the least (slack, cnt, index),
+        the one in the most active constraints, lowest index on ties."""
+        cnt, res = self.cnt, self.res
+        slack = list(map(sub, map(cnt.__getitem__, order), map(res.__getitem__, order)))
+        i = order[slack.index(min(slack))]
+        in_active = self.active.__contains__
         best_x = -1
         best_score = -1
-        for x in bits(cand):
-            score = 0
-            for c2, _, _ in unresolved:
-                if c2 >> x & 1:
-                    score += 1
+        for x in bits(self.masks[i] & self.free):
+            score = sum(map(in_active, self.inc[x]))
             if score > best_score:
                 best_score = score
                 best_x = x
@@ -297,62 +396,74 @@ class _Search:
 
     # -- search ------------------------------------------------------------
 
-    def _dfs(self, in_mask: int, out_mask: int):
-        self._tick()
-        prop = self._propagate(in_mask, out_mask)
-        if prop is None:
-            return
-        in_mask, unresolved = prop
-        size = in_mask.bit_count()
-        if not unresolved:
+    def _node(self):
+        """Search below the current assignment, which propagation has closed."""
+        if not self.active:
+            size = self.chosen.bit_count()
             if size < self.cap:
-                self.best = in_mask
+                self.best = self.chosen
                 self.cap = size
                 if self.stop_at_first:
                     self.done = True
             return
-        if size + self._need(unresolved, in_mask) >= self.cap:
+        order = self._order()
+        gap = self.cap - self.chosen.bit_count()
+        if self._need(order, gap) >= gap:
+            self.pruned += 1
             return
-        x = self._branch_vertex(unresolved)
-        bit = 1 << x
-        self._dfs(in_mask | bit, out_mask)
+        x = self._branch_vertex(order)
+        mark = len(self.trail)
+        self._tick()
+        self._include(x)
+        self._node()
+        self._undo(mark)
         if self.done:
             return
-        self._dfs(in_mask, out_mask | bit)
+        self._tick()
+        forced = self._exclude(x)
+        if forced >= 0:
+            self.forced += forced
+            self._node()
+        self._undo(mark)
 
     def root_lower(self) -> int:
-        prop = self._propagate(0, 0)
-        if prop is None:
+        if self._start(0) < 0:
             return self.g.n + 1  # contradictory constraints: nothing feasible
-        in_mask, unresolved = prop
-        return in_mask.bit_count() + (self._need(unresolved, in_mask) if unresolved else 0)
+        size = self.chosen.bit_count()
+        return size + (self._need(self._order(), self.g.n + 1) if self.active else 0)
 
     def greedy(self, seed_mask: int = 0) -> int | None:
         """Deterministic greedy cover used as the initial incumbent."""
-        in_mask = seed_mask
-        while True:
-            prop = self._propagate(in_mask, 0)
-            if prop is None:
-                return None
-            in_mask, unresolved = prop
-            if not unresolved:
-                return in_mask
-            scores: dict[int, int] = {}
-            for cand, r, _ in unresolved:
-                for x in bits(cand):
-                    scores[x] = scores.get(x, 0) + r
-            best_x = max(scores, key=lambda x: (scores[x], -x))
-            in_mask |= 1 << best_x
+        if self._start(seed_mask) < 0:
+            return None
+        masks, res = self.masks, self.res
+        while self.active:
+            scores = [0] * self.g.n
+            for i in self.active:
+                r = res[i]
+                for x in bits(masks[i] & self.free):
+                    scores[x] += r
+            self._include(scores.index(max(scores)))  # lowest index on ties
+        return self.chosen
 
     def run(self, seed_mask: int, cap: int, stop_at_first: bool) -> bool:
-        """Explore from the seed; returns False when the budget ran out."""
+        """Explore from the seed; returns False when the budget ran out.
+
+        Either way the trail is unwound, leaving the counters at the seed.
+        """
         self.cap = cap
         self.stop_at_first = stop_at_first
+        forced = self._start(seed_mask)
         try:
-            self._dfs(seed_mask, 0)
+            self._tick()
+            if forced >= 0:
+                self.forced += forced
+                self._node()
             return True
         except _BudgetExhausted:
             return False
+        finally:
+            self._undo(0)
 
 
 def _existence_failure(g: Graph, kind: CodeKind) -> existence.NoCode | None:
@@ -391,19 +502,16 @@ def solve_min(
         seed |= 1 << v
     incumbent = search.greedy(seed)
     assert incumbent is not None, "existence passed but no code found greedily"
-    root_lb = max(lower_bound(g, kind).value, search.root_lower())
     completed = search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
     best = search.best if search.best is not None else incumbent
     k = best.bit_count()
-    stats = SolverStats(search.nodes, time.perf_counter() - t0)
+    lower = k if completed else min(max(lower_bound(g, kind).value, search.root_lower()), k)
+    stats = SolverStats(search.nodes, time.perf_counter() - t0, search.forced, search.pruned)
     bad = verify(g, best, kind)
     if bad is not None:
         raise RuntimeError(f"solver produced an invalid witness: {bad}")
-    if completed:
-        return SolveOutcome("optimal", g.n, k=k, witness=_witness_tuple(best),
-                            lower=k, upper=k, stats=stats)
-    return SolveOutcome("bounded", g.n, k=k, witness=_witness_tuple(best),
-                        lower=min(root_lb, k), upper=k, stats=stats)
+    return SolveOutcome("optimal" if completed else "bounded", g.n, k=k,
+                        witness=_witness_tuple(best), lower=lower, upper=k, stats=stats)
 
 
 def feasible_at(
@@ -430,7 +538,7 @@ def feasible_at(
     for v in forced_detectors(g, kind):
         seed |= 1 << v
     completed = search.run(seed, cap=min(k, g.n) + 1, stop_at_first=True)
-    stats = SolverStats(search.nodes, time.perf_counter() - t0)
+    stats = SolverStats(search.nodes, time.perf_counter() - t0, search.forced, search.pruned)
     if search.best is not None:
         witness = search.best
         bad = verify(g, witness, kind)

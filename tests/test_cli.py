@@ -105,11 +105,20 @@ def test_zero_node_budget_caps_the_search(capsys):
     code, out, _ = run(capsys, "solve", "--family", "cycle", "--params", "7")
     assert code == 0 and out.startswith("optimal")
     code, out, _ = run(capsys, "solve", "--family", "cycle", "--params", "7", "--budget-nodes", "0")
-    assert code == 0 and out.startswith("bounded")
+    assert code == 0 and out.startswith("bounded") and out.rstrip().endswith("nodes=0")
     code, out, _ = run(capsys, "feasible", "--graph6", "Cl", "--k", "4", "--budget-nodes", "0")
     assert code == 1 and "budget exhausted" in out
     code, out, _ = run(capsys, "table2", "--max-n", "8", "--budget-nodes", "0")
     assert code == 1 and "partial" in out
+
+
+def test_json_stats_show_search_counters(capsys):
+    for argv, exit_code in ((["solve"], 0), (["feasible", "--k", "9"], 1)):
+        code, out, _ = run(capsys, *argv, "--family", "hypercube", "--params", "4", "--json")
+        stats = json.loads(out)["stats"]
+        assert code == exit_code
+        assert list(stats) == ["nodes", "seconds", "forced", "pruned"]
+        assert stats["forced"] > 0 and 0 < stats["pruned"] < stats["nodes"]
 
 
 def test_ignored_wall_clock_budget_warns(capsys):

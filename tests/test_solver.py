@@ -4,19 +4,22 @@ from itertools import combinations
 import pytest
 
 from redic.detection import CodeKind, verify
-from redic.existence import closed_twins, exists_red_ic
+from redic.existence import closed_twins, exists_ic, exists_red_ic
 from redic.generators import enum_cubic
 from redic.graphs import (
+    bits,
     build_graph,
     cartesian_product,
     complete_multipartite,
     cycle_graph,
+    honeycomb_torus,
     hypercube,
+    mask_of,
     path_graph,
     star_graph,
     torus,
 )
-from redic.solver import Budget, feasible_at, forced_detectors, lower_bound, solve_min
+from redic.solver import Budget, _Search, feasible_at, forced_detectors, lower_bound, solve_min
 
 
 def random_graph(rng, n, p=0.5):
@@ -168,6 +171,7 @@ def test_feasibility_boundary_matches_minimum():
 
 def test_feasibility_budget_flags_unknown():
     res = feasible_at(hypercube(4), CodeKind.RED_IC, 8, budget=Budget(max_nodes=2))
+    assert res.stats.nodes <= 2
     if res.witness is None:
         assert not res.exhaustive
 
@@ -176,6 +180,8 @@ def test_budget_returns_bounds():
     g = hypercube(4)
     out = solve_min(g, budget=Budget(max_nodes=3))
     assert out.status == "bounded"
+    for cap in range(6):  # a capped run never reports more nodes than its cap
+        assert solve_min(g, budget=Budget(max_nodes=cap)).stats.nodes == cap
     assert out.lower <= out.upper == len(out.witness)
     assert verify(g, out.witness, CodeKind.RED_IC) is None
     full = solve_min(g)
@@ -189,3 +195,198 @@ def test_empty_and_tiny_graphs():
     single = build_graph(1, [])
     assert solve_min(single, CodeKind.IC).k == 1
     assert solve_min(single, CodeKind.RED_IC).status == "infeasible"
+
+
+def test_pinned_node_counts():
+    # the search is deterministic, so these counts are exact on every machine;
+    # a change to them is a change to the search and must be re-baselined
+    red, ic = CodeKind.RED_IC, CodeKind.IC
+    for g, kind, k, nodes in [
+        (torus(4, 4), red, 10, 1_907),
+        (honeycomb_torus(4, 4), red, 11, 257),
+        (hypercube(4), ic, 7, 1_237),
+        (hypercube(4), red, 10, 1_881),
+        (hypercube(5), red, 12, 2_465),
+    ]:
+        out = solve_min(g, kind)
+        assert (out.k, out.stats.nodes) == (k, nodes), (g.meta, kind)
+    for d, k, nodes in [(4, 9, 1_881), (5, 11, 2_451)]:
+        res = feasible_at(hypercube(d), red, k)
+        assert res.witness is None and res.exhaustive
+        assert res.stats.nodes == nodes, d
+
+
+def test_search_counters_in_stats():
+    out = solve_min(hypercube(4))
+    assert out.stats.forced > 0 and out.stats.pruned > 0
+    assert out.stats.pruned < out.stats.nodes
+    assert feasible_at(hypercube(4), CodeKind.RED_IC, 9).stats.pruned > 0
+
+
+# -- incremental propagation against a full-rescan reference ---------------------
+
+
+class RescanSearch:
+    """The search with propagation by a full rescan of every constraint at
+    every node, kept as the reference that the incremental counters must
+    reproduce node for node.  It shares only the constraint list."""
+
+    def __init__(self, search: _Search):
+        self.masks, self.thr = search.masks, search.thr
+        self.n_dom, self.max_cover = search.n_dom, search.max_cover
+        self.full = search.g.full_mask()
+        self.nodes = 0
+        self.best = None
+        self.cap = search.g.n + 1
+        self.stop_at_first = False
+        self.done = False
+
+    def propagate(self, in_mask, out_mask):
+        while True:
+            avail = self.full & ~in_mask & ~out_mask
+            unresolved = []
+            forced = 0
+            for i, m in enumerate(self.masks):
+                r = self.thr[i] - (m & in_mask).bit_count()
+                if r <= 0:
+                    continue
+                cand = m & avail
+                c = cand.bit_count()
+                if c < r:
+                    return None
+                if c == r:
+                    forced |= cand
+                else:
+                    unresolved.append((cand, r, i))
+            if not forced:
+                return in_mask, unresolved
+            in_mask |= forced
+
+    def need(self, unresolved):
+        used = packed = dom_deficit = 0
+        for cand, r, i in sorted(unresolved, key=lambda e: (e[0].bit_count(), e[2])):
+            if i < self.n_dom:
+                dom_deficit += r
+            if cand & used == 0:
+                packed += r
+                used |= cand
+        return max(packed, -(-dom_deficit // self.max_cover))
+
+    def branch_vertex(self, unresolved):
+        cand = min(unresolved, key=lambda e: (e[0].bit_count() - e[1], e[0].bit_count(), e[2]))[0]
+        scores = {x: sum(c2 >> x & 1 for c2, _, _ in unresolved) for x in bits(cand)}
+        return max(scores, key=lambda x: (scores[x], -x))
+
+    def dfs(self, in_mask, out_mask):
+        self.nodes += 1
+        prop = self.propagate(in_mask, out_mask)
+        if prop is None:
+            return
+        in_mask, unresolved = prop
+        size = in_mask.bit_count()
+        if not unresolved:
+            if size < self.cap:
+                self.best, self.cap = in_mask, size
+                self.done = self.stop_at_first
+            return
+        if size + self.need(unresolved) >= self.cap:
+            return
+        bit = 1 << self.branch_vertex(unresolved)
+        self.dfs(in_mask | bit, out_mask)
+        if not self.done:
+            self.dfs(in_mask, out_mask | bit)
+
+    def root_lower(self):
+        prop = self.propagate(0, 0)
+        if prop is None:
+            return self.full.bit_length() + 1
+        in_mask, unresolved = prop
+        return in_mask.bit_count() + (self.need(unresolved) if unresolved else 0)
+
+    def greedy(self, in_mask):
+        while True:
+            prop = self.propagate(in_mask, 0)
+            if prop is None:
+                return None
+            in_mask, unresolved = prop
+            if not unresolved:
+                return in_mask
+            scores = {}
+            for cand, r, _ in unresolved:
+                for x in bits(cand):
+                    scores[x] = scores.get(x, 0) + r
+            in_mask |= 1 << max(scores, key=lambda x: (scores[x], -x))
+
+
+def rescanned_counters(search):
+    chosen, free = search.chosen, search.free
+    res = [t - (m & chosen).bit_count() for m, t in zip(search.masks, search.thr)]
+    return {
+        "res": res,
+        "cnt": [(m & free).bit_count() for m in search.masks],
+        "active": {i for i, r in enumerate(res) if r > 0},
+        "dom_deficit": sum(r for r in res[: search.n_dom] if r > 0),
+    }
+
+
+def maintained_counters(search):
+    return {"res": search.res, "cnt": search.cnt, "active": search.active,
+            "dom_deficit": search.dom_deficit}
+
+
+class CheckedSearch(_Search):
+    """Recomputes every counter from the in and out masks at each node."""
+
+    checked = 0
+
+    def _node(self):
+        assert self.chosen & self.free == 0
+        included = mask_of(x for x in self.trail if x >= 0)
+        excluded = mask_of(~x for x in self.trail if x < 0)
+        assert self.chosen & included == included and excluded & (self.chosen | self.free) == 0
+        assert maintained_counters(self) == rescanned_counters(self)
+        self.checked += 1
+        super()._node()
+
+
+def test_incremental_counters_match_rescan():
+    rng = random.Random(113)
+    seen = 0
+    while seen < 50:
+        g = random_graph(rng, rng.randint(6, 14), rng.uniform(0.2, 0.7))
+        kind = CodeKind.IC if seen % 2 else CodeKind.RED_IC
+        if (exists_red_ic(g) if kind is CodeKind.RED_IC else exists_ic(g)) is not None:
+            continue
+        seen += 1
+        seed = mask_of(forced_detectors(g, kind))
+        search = CheckedSearch(g, kind, None, True)
+        ref = RescanSearch(search)
+        incumbent = search.greedy(seed)
+        assert incumbent == ref.greedy(seed)
+        assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
+        assert search.checked > 0
+        # the trail is unwound and every counter is back at its root value
+        assert search.trail == [] and search.chosen == seed
+        assert search.free == g.full_mask() & ~seed
+        assert maintained_counters(search) == rescanned_counters(search)
+        ref.cap = incumbent.bit_count()
+        ref.dfs(seed, 0)
+        best = ref.best if ref.best is not None else incumbent
+        out = solve_min(g, kind)
+        assert (out.witness, out.stats.nodes) == (tuple(bits(best)), ref.nodes)
+        assert search.nodes == ref.nodes
+        assert search.root_lower() == ref.root_lower()
+        below = feasible_at(g, kind, out.k - 1)
+        ref_below = RescanSearch(search)
+        ref_below.cap, ref_below.stop_at_first = out.k, True
+        ref_below.dfs(seed, 0)
+        assert below.witness is None and below.stats.nodes == ref_below.nodes
+
+
+def test_interrupted_run_unwinds_the_trail():
+    g = hypercube(4)
+    search = CheckedSearch(g, CodeKind.RED_IC, Budget(max_nodes=200), True)
+    assert not search.run(0, cap=g.n, stop_at_first=False)
+    assert search.nodes == search.checked == 200
+    assert search.trail == [] and search.chosen == 0 and search.free == g.full_mask()
+    assert maintained_counters(search) == rescanned_counters(search)
