@@ -108,36 +108,3 @@ def exists_ic(g: Graph) -> NoCode | None:
         return NoCode("closed-twins", twin)
     return None
 
-
-def exists_red_ic_triangle_free(g: Graph) -> NoCode | None:
-    """Fast path for triangle-free graphs: twins and support degrees only.
-
-    Runs in O(n * maxdeg) using a hash of closed neighborhoods; rejects
-    inputs that do contain a triangle.
-    """
-    if g.triangles():
-        raise ValueError("graph has a triangle; use exists_red_ic")
-    if g.n < 4:
-        return NoCode("too-small", tuple(range(g.n)))
-    for comp in g.components():
-        if comp.bit_count() < 4:
-            return NoCode("too-small", tuple(bits(comp)))
-    twin = _first_twin(g)
-    if twin is not None:
-        return NoCode("closed-twins", twin)
-    for s, leaf in _supports(g):
-        if g.degree(s) < 3:
-            return NoCode("support-degree", (s, leaf))
-    return None
-
-
-def exists_red_ic_tree(t: Graph) -> NoCode | None:
-    """Fast path for trees: a single O(n) pass over support degrees."""
-    if not t.is_tree():
-        raise ValueError("input is not a tree")
-    if t.n < 4:
-        return NoCode("too-small", tuple(range(t.n)))
-    for s, leaf in _supports(t):
-        if t.degree(s) < 3:
-            return NoCode("support-degree", (s, leaf))
-    return None

@@ -30,7 +30,7 @@ from typing import IO, Iterable, Iterator
 
 import networkx as nx
 
-from .graphs import Graph, Graph6Error, bits, build_graph, parse_graph6
+from .graphs import Graph, Graph6Error, build_graph, mask_of, parse_graph6
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +49,10 @@ def enum_trees(n: int) -> Iterator[Graph]:
         yield build_graph(2, [(0, 1)])
         return
     for t in nx.nonisomorphic_trees(n):
-        yield build_graph(n, list(t.edges()))
+        adj = [0] * n
+        for v, nbrs in t.adjacency():
+            adj[v] = mask_of(nbrs)
+        yield Graph(n, adj)
 
 
 # -- connected cubic graphs ------------------------------------------------
@@ -170,7 +173,7 @@ def cubic_graphs_cached(n: int) -> tuple[Graph, ...]:
 def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
     k = len(adj)
     if k == n:
-        yield build_graph(n, _adj_edges(adj))
+        yield Graph(n, adj)
         return
     rem = n - k  # vertices still to be placed, including the new one
     deficits = [3 - a.bit_count() for a in adj]
@@ -221,14 +224,6 @@ def _extension_feasible(adj, deficits, mask, size, k, rem) -> bool:
     if 3 * future - total > future * (future - 1):
         return False
     return True
-
-
-def _adj_edges(adj: list[int]) -> list[tuple[int, int]]:
-    out = []
-    for u, m in enumerate(adj):
-        for v in bits(m >> (u + 1)):
-            out.append((u, u + 1 + v))
-    return out
 
 
 # -- canonical certificates (for tests and de-duplication) -----------------

@@ -34,6 +34,37 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_adjacency(n: int, adj: tuple[int, ...]) -> None:
+    """Raise ValueError unless ``adj`` is a loopless symmetric adjacency on
+    vertices 0..n-1.
+
+    Each bit above the diagonal (v in row u, u < v) is looked up in row v.
+    When all of them have their mirror there and they are half of all bits,
+    the bits below the diagonal are exactly those mirrors, so the check is
+    O(n + m) and walks each edge once.
+    """
+    if len(adj) != n:
+        raise ValueError(f"adjacency has {len(adj)} masks for {n} vertices")
+    upper = 0
+    for u, a in enumerate(adj):
+        if a < 0 or a >> n:
+            raise ValueError(f"neighbors of vertex {u} lie outside 0..{n - 1}")
+        if a >> u & 1:
+            raise ValueError(f"loop at vertex {u}")
+        rest = a >> u
+        while rest > 1:  # the neighbors above u, highest first
+            k = rest.bit_length() - 1
+            rest ^= 1 << k
+            if not adj[u + k] >> u & 1:
+                raise ValueError(f"edge ({u}, {u + k}) has no reverse ({u + k}, {u})")
+            upper += 1
+    if 2 * upper != sum(map(int.bit_count, adj)):  # a bit below the diagonal has no mirror
+        for v, a in enumerate(adj):
+            for u in bits(a & ((1 << v) - 1)):
+                if not adj[u] >> v & 1:
+                    raise ValueError(f"edge ({v}, {u}) has no reverse ({u}, {v})")
+
+
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
@@ -51,11 +82,13 @@ class Graph:
         labels: Sequence[str] | None = None,
         meta: Mapping | None = None,
     ):
+        adj = tuple(adj)
+        _check_adjacency(n, adj)
         self.n = n
-        self.adj = tuple(adj)
+        self.adj = adj
         self.labels = tuple(labels) if labels is not None else None
         self.meta = dict(meta) if meta is not None else None
-        self._closed = tuple(a | (1 << v) for v, a in enumerate(self.adj))
+        self._closed = tuple(a | (1 << v) for v, a in enumerate(adj))
 
     # -- basic queries -------------------------------------------------
 
@@ -180,15 +213,14 @@ def build_graph(
     labels: Sequence[str] | None = None,
     meta: Mapping | None = None,
 ) -> Graph:
-    """Build a simple graph; duplicate edges collapse, loops are rejected."""
+    """Build a simple graph; duplicate edges collapse, loops are rejected
+    (by ``Graph``)."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if labels is not None and len(labels) != n:
         raise ValueError("labels length must equal vertex count")
     adj = [0] * n
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop edge ({u}, {v}) not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         adj[u] |= 1 << v
@@ -345,6 +377,8 @@ def named_builder(family: str, *params: int) -> Graph:
 # (1,2), (0,3), ... -- six bits per byte, each byte offset by 63.
 
 _G6_HEADER = b">>graph6<<"
+_G6_BYTES = bytes(range(63, 127))
+_G6_BITS = {63 + x: format(x, "06b") for x in range(64)}  # byte -> its six bits
 
 
 def _g6_size_field(n: int) -> bytes:
@@ -385,9 +419,9 @@ def parse_graph6(data: bytes | str) -> Graph:
         data = data[len(_G6_HEADER):]
     if not data:
         raise Graph6Error("empty graph6 data")
-    for b in data:
-        if b < 63 or b > 126:
-            raise Graph6Error(f"byte value {b} outside graph6 range 63..126")
+    bad = data.translate(None, _G6_BYTES)  # the bytes outside 63..126, in order
+    if bad:
+        raise Graph6Error(f"byte value {bad[0]} outside graph6 range 63..126")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             if len(data) < 8:
@@ -411,15 +445,18 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise Graph6Error(f"truncated bit stream: need {need} bytes, have {len(body)}")
     if len(body) > need:
         raise Graph6Error(f"trailing bytes after graph body: {len(body) - need}")
+    # the upper triangle column by column: character u of column v says
+    # whether uv is an edge, so the reversed column is v's lower neighbor mask
+    stream = "".join(map(_G6_BITS.__getitem__, body))
     adj = [0] * n
     idx = 0
     for v in range(1, n):
-        for u in range(v):
-            b = body[idx // 6] - 63
-            if b >> (5 - idx % 6) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            idx += 1
+        adj[v] = col = int(stream[idx:idx + v][::-1], 2)
+        idx += v
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= 1 << v
+            col ^= low
     return Graph(n, adj)
 
 

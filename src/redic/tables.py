@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .detection import CodeKind
 from .existence import exists_red_ic
 from .generators import cubic_graphs_cached, enum_trees
-from .graphs import parse_graph6, write_graph6
+from .graphs import Graph, parse_graph6, write_graph6
 from .solver import Budget, solve_min
 
 # n -> (trees, with code, minimum = n-2, = n-1, = n)
@@ -75,21 +75,26 @@ class CubicRow:
         return (self.count, self.with_code, self.lowest, self.highest)
 
 
-def _solve_one(g6: bytes, budget_nodes: int | None) -> int | None:
-    """Minimum code size of one graph, or None when infeasible or unsolved."""
-    g = parse_graph6(g6)
+def _solve_one(g: Graph, budget_nodes: int | None) -> int | None:
+    """Minimum code size of one graph, or None when it admits no code; -1
+    when the budget ran out first."""
     if exists_red_ic(g) is not None:
         return None
     out = solve_min(g, CodeKind.RED_IC, budget=Budget(max_nodes=budget_nodes))
     return out.k if out.is_optimal else -1  # -1 marks a budget miss
 
 
+def _solve_g6(g6: bytes, budget_nodes: int | None) -> int | None:
+    """``_solve_one`` on a graph sent to a worker process as graph6."""
+    return _solve_one(parse_graph6(g6), budget_nodes)
+
+
 def _solve_stream(graphs, threads: int, budget_nodes: int | None):
-    g6s = [write_graph6(g) for g in graphs]
     if threads <= 1:
-        return [_solve_one(b, budget_nodes) for b in g6s]
+        return [_solve_one(g, budget_nodes) for g in graphs]
+    g6s = [write_graph6(g) for g in graphs]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_solve_one, g6s, [budget_nodes] * len(g6s), chunksize=16))
+        return list(pool.map(_solve_g6, g6s, [budget_nodes] * len(g6s), chunksize=16))
 
 
 def tree_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> TreeRow:

@@ -15,7 +15,9 @@ from redic.detection import (
     share,
     verify,
 )
-from redic.graphs import build_graph, cycle_graph, star_graph
+from redic.constructions import double_hypercube_code, extremal_tree, q5_code_search
+from redic.graphs import bits, build_graph, cycle_graph, mask_of, star_graph, torus
+from redic.solver import solve_min
 
 
 def random_graph(rng, n, p=0.5):
@@ -106,6 +108,75 @@ def test_robustness_equals_doubled_thresholds():
         strong = verify(g, s, CodeKind.RED_IC) is None
         robust = robustness_check(g, s) is None
         assert strong == robust
+
+
+def literal_robustness_check(g, detectors):
+    """Reference: the literal |S| + 1 verifications, first failure reported."""
+    s = mask_of(detectors)
+    base = verify(g, s, CodeKind.IC)
+    if base is not None:
+        return RobustnessFailure(None, base)
+    for x in bits(s):
+        v = verify(g, s & ~(1 << x), CodeKind.IC)
+        if v is not None:
+            return RobustnessFailure(x, v)
+    return None
+
+
+def test_robustness_failure_matches_literal_check():
+    rng = random.Random(41)
+    kinds = []
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        s = [v for v in range(n) if rng.random() < rng.uniform(0.4, 1.0)]
+        got = robustness_check(g, s)
+        assert got == literal_robustness_check(g, s), (g.adj, s)
+        if got is not None and got.removed is not None:
+            kinds.append(got.violation.kind)
+    # failures after a removal, of both kinds, are what the local check is for
+    assert kinds.count("undominated") >= 30 and kinds.count("undistinguished") >= 30
+
+
+def _q6_code():
+    return double_hypercube_code(5, q5_code_search().witness)
+
+
+def _torus_code():
+    g = torus(4, 4)
+    return g, solve_min(g, CodeKind.RED_IC).witness
+
+
+def _tree_code():
+    t = extremal_tree(24)
+    return t.graph, t.witness
+
+
+@pytest.mark.parametrize("make, first", [
+    (_q6_code, RobustnessFailure(32, Violation("undistinguished", 1, 33, delta=frozenset()))),
+    (_torus_code, RobustnessFailure(1, Violation("undistinguished", 12, 13, delta=frozenset()))),
+    (_tree_code, RobustnessFailure(1, Violation("undominated", 1, count=0))),
+])
+def test_robustness_of_codes_with_one_detector_removed(make, first):
+    g, code = make()
+    assert robustness_check(g, code) is None
+    assert code[0] == 0 and robustness_check(g, code[1:]) == first
+    for y in code:
+        smaller = [v for v in code if v != y]
+        got = robustness_check(g, smaller)
+        assert got == literal_robustness_check(g, smaller)
+        # S - y is still an IC, so the failure comes at a second removal
+        assert got is not None and got.removed is not None and got.removed != y
+
+
+def test_doubled_q8_code_is_robust():
+    q5 = q5_code_search()
+    q, w = q5.graph, q5.witness
+    for d in (5, 6, 7):
+        q, w = double_hypercube_code(d, w)
+    assert q.n == 256
+    assert robustness_check(q, w) is None
+    assert literal_robustness_check(q, w) is None
 
 
 def test_monotonicity():

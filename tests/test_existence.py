@@ -1,18 +1,13 @@
 import random
 
-import pytest
-
 from redic.detection import CodeKind, verify
 from redic.existence import (
     closed_twins,
     exists_ic,
     exists_red_ic,
-    exists_red_ic_tree,
-    exists_red_ic_triangle_free,
     has_red_ic,
 )
 from redic.graphs import build_graph, complete_graph, cycle_graph, path_graph, star_graph
-from redic.generators import enum_trees
 
 
 def random_graph(rng, n, p=0.5):
@@ -24,11 +19,6 @@ def random_connected(rng, n):
         g = random_graph(rng, n, rng.uniform(0.2, 0.7))
         if g.is_connected():
             return g
-
-
-def random_tree(rng, n):
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    return build_graph(n, edges)
 
 
 def test_closed_twins_examples():
@@ -55,47 +45,12 @@ def test_triangle_rule():
     assert res is not None and res.why == "triangle"
 
 
-def test_fast_path_triangle_free():
-    c6 = cycle_graph(6)
-    assert exists_red_ic_triangle_free(c6) is None
-    assert exists_red_ic_triangle_free(star_graph(2)).why == "too-small"
-    assert exists_red_ic_triangle_free(path_graph(5)).why == "support-degree"
-    with pytest.raises(ValueError, match="triangle"):
-        exists_red_ic_triangle_free(complete_graph(3))
-
-
-def test_fast_path_tree():
-    assert exists_red_ic_tree(star_graph(3)) is None
-    spider = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    assert exists_red_ic_tree(spider) == exists_red_ic(spider)
-    assert exists_red_ic_tree(path_graph(6)).why == "support-degree"
-    with pytest.raises(ValueError, match="tree"):
-        exists_red_ic_tree(cycle_graph(4))
-
-
 def test_exists_matches_full_vertex_set_oracle():
     rng = random.Random(23)
     for _ in range(500):
         g = random_connected(rng, rng.randint(4, 12))
         expected = verify(g, range(g.n), CodeKind.RED_IC, all_pairs=True) is None
         assert has_red_ic(g) == expected
-
-
-def test_fast_paths_agree_with_general():
-    rng = random.Random(29)
-    seen_tf = 0
-    while seen_tf < 300:
-        g = random_graph(rng, rng.randint(1, 11), rng.uniform(0.1, 0.5))
-        if g.triangles():
-            continue
-        assert (exists_red_ic_triangle_free(g) is None) == (exists_red_ic(g) is None)
-        seen_tf += 1
-    for _ in range(150):
-        t = random_tree(rng, rng.randint(2, 12))
-        assert (exists_red_ic_tree(t) is None) == (exists_red_ic(t) is None)
-    for n in range(2, 10):
-        for t in enum_trees(n):
-            assert (exists_red_ic_tree(t) is None) == (exists_red_ic(t) is None)
 
 
 def test_disconnected_decided_per_component():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from redic.graphs import (
+    Graph,
     Graph6Error,
     bits,
     build_graph,
@@ -41,6 +42,22 @@ def test_build_rejects_loops_and_range():
         build_graph(3, [(0, 0)])
     with pytest.raises(ValueError, match="out of range"):
         build_graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (3, [0b011, 0, 0b100], "loop at vertex 0"),  # also asymmetric
+    (3, [0b010, 0b001], "2 masks for 3 vertices"),
+    (2, [0b010, 0b001, 0], "3 masks for 2 vertices"),
+    (2, [-1, 0b001], "vertex 0 lie outside 0..1"),
+    (2, [0b110, 0b001], "vertex 0 lie outside 0..1"),
+    (3, [0b010, 0b011, 0], "loop at vertex 1"),
+    (3, [0b110, 0b001, 0], r"edge \(0, 2\) has no reverse"),  # missing bit below the diagonal
+    (3, [0, 0b001, 0], r"edge \(1, 0\) has no reverse"),  # extra bit below the diagonal
+    (4, [0b0100, 0b1000, 0b0001, 0], r"edge \(1, 3\) has no reverse"),
+])
+def test_graph_rejects_malformed_adjacency(n, adj, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, adj)
 
 
 def test_duplicate_edges_collapse():

@@ -32,4 +32,7 @@ def test_zero_budget_is_a_cap_not_unlimited():
 
 
 def test_threads_give_identical_rows():
+    # one process solves the Graph objects, the pool their graph6 round trip
     assert tree_row(8, threads=2) == tree_row(8, threads=1)
+    assert tree_row(9, threads=2) == tree_row(9, threads=1)
+    assert cubic_row(10, threads=2) == cubic_row(10, threads=1)
