@@ -12,6 +12,7 @@ Plain ICs exist iff there are no closed twins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import Graph, bits
 
@@ -34,17 +35,13 @@ class NoCode:
 
 
 def closed_twins(g: Graph) -> list[tuple[int, int]]:
-    """All unordered pairs with identical closed neighborhoods."""
+    """All unordered pairs with identical closed neighborhoods, ascending."""
+    if len(set(g._closed)) == g.n:
+        return []
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.closed_nbhd(v), []).append(v)
-    out = []
-    for vs in groups.values():
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                out.append((vs[i], vs[j]))
-    out.sort()
-    return out
+    for v, key in enumerate(g._closed):
+        groups.setdefault(key, []).append(v)
+    return sorted(pair for vs in groups.values() for pair in combinations(vs, 2))
 
 
 def _supports(g: Graph) -> list[tuple[int, int]]:
@@ -56,20 +53,6 @@ def _supports(g: Graph) -> list[tuple[int, int]]:
             if s not in out or v < out[s]:
                 out[s] = v
     return sorted(out.items())
-
-
-def _first_twin(g: Graph) -> tuple[int, int] | None:
-    seen: dict[int, int] = {}
-    best = None
-    for v in range(g.n):
-        key = g.closed_nbhd(v)
-        if key in seen:
-            pair = (seen[key], v)
-            if best is None or pair < best:
-                best = pair
-        else:
-            seen[key] = v
-    return best
 
 
 def exists_red_ic(g: Graph) -> NoCode | None:
@@ -84,9 +67,9 @@ def exists_red_ic(g: Graph) -> NoCode | None:
     for comp in g.components():
         if comp.bit_count() < 4:
             return NoCode("too-small", tuple(bits(comp)))
-    twin = _first_twin(g)
-    if twin is not None:
-        return NoCode("closed-twins", twin)
+    twins = closed_twins(g)
+    if twins:
+        return NoCode("closed-twins", twins[0])
     for s, leaf in _supports(g):
         if g.degree(s) < 3:
             return NoCode("support-degree", (s, leaf))
@@ -103,8 +86,6 @@ def has_red_ic(g: Graph) -> bool:
 
 def exists_ic(g: Graph) -> NoCode | None:
     """ICs exist exactly when the graph has no closed twins."""
-    twin = _first_twin(g)
-    if twin is not None:
-        return NoCode("closed-twins", twin)
-    return None
+    twins = closed_twins(g)
+    return NoCode("closed-twins", twins[0]) if twins else None
 

@@ -1,7 +1,9 @@
 """Isomorphism-free enumeration: free trees, connected cubic graphs, corpora.
 
-Trees come from networkx's level-sequence generator (one representative per
-isomorphism class, constant amortized time).  Cubic graphs are generated
+Trees are level sequences (the depth of each vertex in preorder, rooted at
+a centre), stepped through one per isomorphism class by the algorithm of
+Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15, 1986) in constant
+amortized time; vertex i is entry i.  Cubic graphs are generated
 natively by an orderly algorithm: graphs are grown one vertex at a time and
 a partial graph survives only if its column-major upper-triangle encoding
 is the lexicographic maximum over all relabelings.  Restricting each new
@@ -28,9 +30,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-import networkx as nx
-
-from .graphs import Graph, Graph6Error, build_graph, mask_of, parse_graph6
+from .graphs import Graph, Graph6Error, parse_graph6
 
 log = logging.getLogger(__name__)
 
@@ -39,20 +39,52 @@ log = logging.getLogger(__name__)
 
 
 def enum_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of free trees on n vertices."""
+    """One representative per isomorphism class of free trees on n vertices.
+
+    The stream starts at the path rooted at its centre.  A level sequence
+    is canonical for its free tree when the root's first subtree, set
+    against the rest of the tree, is lower, or as high and smaller, or of
+    equal height and size and no greater as a sequence.  Each step takes
+    the Beyer-Hedetniemi successor of rooted trees, and a non-canonical
+    sequence jumps straight to the next canonical one.  The parent of
+    vertex i is the latest earlier vertex one level up.
+    """
     if n < 1:
         raise ValueError("trees need n >= 1")
-    if n == 1:
-        yield build_graph(1, [])
-        return
-    if n == 2:
-        yield build_graph(2, [(0, 1)])
-        return
-    for t in nx.nonisomorphic_trees(n):
+    lev = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = next((i for i in range(2, n) if lev[i] == 1), n)  # the root's second child
+        left = [h - 1 for h in lev[1:m]]
+        rest = [0, *lev[m:]]
+        if (max(left, default=0), len(left), left) > (max(rest), len(rest), rest):
+            deep = lev[m - 1] > 2
+            _next_rooted(lev, m - 1)
+            if deep:
+                # the root has one child now: regrow the rest as a path one level taller
+                h = max(lev)
+                lev[n - h:] = range(1, h + 1)
         adj = [0] * n
-        for v, nbrs in t.adjacency():
-            adj[v] = mask_of(nbrs)
+        last = [0] * n  # last[h]: the latest vertex seen at level h
+        for v in range(1, n):
+            u = last[lev[v] - 1]
+            adj[u] |= 1 << v
+            adj[v] = 1 << u
+            last[lev[v]] = v
         yield Graph(n, adj)
+        p = max((i for i in range(n) if lev[i] > 1), default=0)
+        if p == 0:  # the star is the last tree
+            return
+        _next_rooted(lev, p)
+
+
+def _next_rooted(lev: list[int], p: int) -> None:
+    """Beyer-Hedetniemi successor in place: the levels from p's parent up
+    to p are repeated periodically over positions p onwards."""
+    q = p - 1
+    while lev[q] != lev[p] - 1:
+        q -= 1
+    for i in range(p, len(lev)):
+        lev[i] = lev[i - p + q]
 
 
 # -- connected cubic graphs ------------------------------------------------

@@ -92,10 +92,6 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def open_nbhd(self, v: int) -> int:
-        """Bitmask of N(v)."""
-        return self.adj[v]
-
     def closed_nbhd(self, v: int) -> int:
         """Bitmask of N[v] = N(v) | {v}."""
         return self._closed[v]
@@ -191,17 +187,6 @@ class Graph:
         fam = self.meta.get("family") if self.meta else None
         tag = f" {fam}" if fam else ""
         return f"<Graph{tag} n={self.n} m={self.num_edges()}>"
-
-
-def structure_queries(g: Graph) -> dict:
-    """Summary dict used by dispatch code and the CLI."""
-    return {
-        "is_connected": g.is_connected(),
-        "is_tree": g.is_tree(),
-        "is_cubic": g.is_cubic(),
-        "degrees": g.degrees(),
-        "triangles": g.triangles(),
-    }
 
 
 # -- construction ------------------------------------------------------

@@ -89,41 +89,42 @@ def _solve_g6(g6: bytes, budget_nodes: int | None) -> int | None:
     return _solve_one(parse_graph6(g6), budget_nodes)
 
 
-def _solve_stream(graphs, threads: int, budget_nodes: int | None):
+def _solve_stream(graphs, threads: int, budget_nodes: int | None) -> tuple[int, list[int], bool]:
+    """Solve a census: (graphs admitting a code, their solved minima,
+    whether a budget ran out)."""
     if threads <= 1:
-        return [_solve_one(g, budget_nodes) for g in graphs]
-    g6s = [write_graph6(g) for g in graphs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_solve_g6, g6s, [budget_nodes] * len(g6s), chunksize=16))
+        results = [_solve_one(g, budget_nodes) for g in graphs]
+    else:
+        g6s = [write_graph6(g) for g in graphs]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_solve_g6, g6s, [budget_nodes] * len(g6s), chunksize=16))
+    solved = [k for k in results if k is not None and k != -1]
+    return sum(1 for k in results if k is not None), solved, -1 in results
 
 
 def tree_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> TreeRow:
     graphs = list(enum_trees(n))
-    results = _solve_stream(graphs, threads, budget_nodes)
-    partial = any(k == -1 for k in results)
-    solved = [k for k in results if k is not None and k != -1]
+    with_code, solved, partial = _solve_stream(graphs, threads, budget_nodes)
     return TreeRow(
         n,
         trees=len(graphs),
-        with_code=sum(1 for k in results if k is not None),
-        at_n_minus_2=sum(1 for k in solved if k == n - 2),
-        at_n_minus_1=sum(1 for k in solved if k == n - 1),
-        at_n=sum(1 for k in solved if k == n),
+        with_code=with_code,
+        at_n_minus_2=solved.count(n - 2),
+        at_n_minus_1=solved.count(n - 1),
+        at_n=solved.count(n),
         partial=partial,
     )
 
 
 def cubic_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> CubicRow:
     graphs = cubic_graphs_cached(n)
-    results = _solve_stream(graphs, threads, budget_nodes)
-    partial = any(k == -1 for k in results)
-    solved = [k for k in results if k is not None and k != -1]
+    with_code, solved, partial = _solve_stream(graphs, threads, budget_nodes)
     return CubicRow(
         n,
         count=len(graphs),
-        with_code=sum(1 for k in results if k is not None),
-        lowest=min(solved) if solved else None,
-        highest=max(solved) if solved else None,
+        with_code=with_code,
+        lowest=min(solved, default=None),
+        highest=max(solved, default=None),
         partial=partial,
     )
 

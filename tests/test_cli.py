@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import redic
 from redic.cli import main
 
 
@@ -129,3 +134,22 @@ def test_ignored_wall_clock_budget_warns(capsys):
         assert code == 0 and err == ""
         code, _, err = run(capsys, *cmd, "--graph6", "Cl", "--budget-nodes", "1000")
         assert code == 0 and err == ""
+
+
+def test_runs_without_networkx():
+    # networkx is a test reference only: with it unimportable, every module
+    # still imports and the tree census still runs
+    script = """
+import importlib, pkgutil, sys
+sys.modules["networkx"] = None
+import redic
+for m in pkgutil.iter_modules(redic.__path__):
+    importlib.import_module("redic." + m.name)
+from redic.cli import main
+sys.exit(main(["table1", "--max-n", "10"]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(redic.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 7

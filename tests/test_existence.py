@@ -2,6 +2,7 @@ import random
 
 from redic.detection import CodeKind, verify
 from redic.existence import (
+    NoCode,
     closed_twins,
     exists_ic,
     exists_red_ic,
@@ -70,4 +71,8 @@ def test_exists_ic_is_twin_freeness():
     rng = random.Random(31)
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 10))
-        assert (exists_ic(g) is None) == (len(closed_twins(g)) == 0)
+        twins = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                 if g.closed_nbhd(u) == g.closed_nbhd(v)]
+        assert closed_twins(g) == twins
+        # the witness is the lexicographically least pair
+        assert exists_ic(g) == (NoCode("closed-twins", twins[0]) if twins else None)

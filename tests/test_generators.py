@@ -1,6 +1,8 @@
 import hashlib
 import io
+import os
 import random
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -14,15 +16,72 @@ from redic.generators import (
     enum_trees,
     read_graph6_stream,
 )
-from redic.graphs import Graph6Error, build_graph, cycle_graph, write_graph6
+from redic.graphs import Graph6Error, bits, build_graph, cycle_graph, write_graph6
 
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551, 13: 1301}
+# OEIS A000055
+TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
+    13: 1301, 14: 3159, 15: 7741, 16: 19320,
+}
 CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+
+STRETCH = bool(os.environ.get("REDIC_STRETCH"))
+
+
+@cache
+def tree_stream(n: int) -> bytes:
+    """The newline-terminated graph6 stream of ``enum_trees(n)``, built once."""
+    return b"".join(write_graph6(t) + b"\n" for t in enum_trees(n))
 
 
 @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))
 def test_tree_counts(n, count):
-    assert sum(1 for _ in enum_trees(n)) == count
+    assert tree_stream(n).count(b"\n") == count
+
+
+def tree_code(t) -> str:
+    """AHU code of a free tree rooted at its centre (Aho, Hopcroft, Ullman
+    1974); the lesser of the two codes when there are two centres.  Two
+    trees get the same code exactly when they are isomorphic."""
+    deg = [a.bit_count() for a in t.adj]
+    centre = [v for v in range(t.n) if deg[v] <= 1]
+    remaining = t.n
+    while remaining > 2:  # strip the leaves, layer by layer
+        remaining -= len(centre)
+        inner = []
+        for v in centre:
+            for u in bits(t.adj[v]):
+                deg[u] -= 1
+                if deg[u] == 1:
+                    inner.append(u)
+        centre = inner
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(u, v) for u in bits(t.adj[v]) if u != parent)) + ")"
+
+    return min(code(c, -1) for c in centre)
+
+
+def test_tree_code_separates_isomorphism_classes():
+    path = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    relabeled = build_graph(5, [(3, 0), (0, 4), (4, 1), (1, 2)])
+    spider = build_graph(5, [(0, 1), (1, 2), (0, 3), (0, 4)])
+    assert tree_code(path) == tree_code(relabeled) == "((())(()))"
+    assert tree_code(spider) == "((()())())" != tree_code(path)  # two centres: the lesser code
+    bicentral = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert tree_code(bicentral) == tree_code(build_graph(4, [(2, 0), (0, 3), (3, 1)]))
+
+
+@pytest.mark.parametrize("n", [
+    *range(1, 15),
+    *(pytest.param(n, marks=pytest.mark.skipif(not STRETCH, reason="set REDIC_STRETCH=1"))
+      for n in (15, 16)),
+])
+def test_trees_are_pairwise_non_isomorphic(n):
+    trees = list(enum_trees(n))
+    assert all(t.is_tree() for t in trees)
+    codes = {tree_code(t) for t in trees}
+    assert len(codes) == len(trees) == TREE_COUNTS[n]
 
 
 @pytest.mark.parametrize("n,count", sorted(CUBIC_COUNTS.items()))
@@ -33,9 +92,6 @@ def test_cubic_counts(n, count):
 
 
 def test_no_isomorphic_duplicates():
-    for n in range(1, 10):
-        keys = [canonical_key(t) for t in enum_trees(n)]
-        assert len(keys) == len(set(keys))
     for n in (4, 6, 8, 10):
         keys = [canonical_key(g) for g in enum_cubic(n)]
         assert len(keys) == len(set(keys))
@@ -103,6 +159,33 @@ def test_cubic_stream_is_pinned(n, digest):
     # the order is part of the contract: g14_gadget_search reports parent indices
     stream = b"".join(write_graph6(g) + b"\n" for g in enum_cubic(n))
     assert hashlib.sha256(stream).hexdigest()[:16] == digest
+
+
+TREE_STREAM_DIGESTS = {
+    1: "ecf5de1a2ecc66a1",
+    2: "fae4bfc454bd0436",
+    3: "881159da90c6f286",
+    4: "fca32a9fe1fd1a40",
+    5: "cadaf2507e308dfd",
+    6: "ebd2e76a890da0bf",
+    7: "883bedb3adcf7a80",
+    8: "a8c4f337ebc1e38b",
+    9: "4de29cae1bfa7aea",
+    10: "3e064a325cd6531c",
+    11: "b805b2aa54a8478c",
+    12: "e74f2d9e2ca9736d",
+    13: "e9285ea8b757a16a",
+    14: "f6dc48f24d3cf473",
+    15: "6f26fa9caf4e799e",
+    16: "b85ca0c739da75de",
+}
+
+
+@pytest.mark.parametrize("n,digest", sorted(TREE_STREAM_DIGESTS.items()))
+def test_tree_stream_is_pinned(n, digest):
+    # the order and labels of the stream that networkx's level-sequence
+    # generator produced, which the native one reproduces
+    assert hashlib.sha256(tree_stream(n)).hexdigest()[:16] == digest
 
 
 def _columns(adj: list[int]) -> list[int]:

@@ -19,7 +19,6 @@ from redic.graphs import (
     parse_graph6,
     path_graph,
     star_graph,
-    structure_queries,
     write_edge_list,
     write_graph6,
 )
@@ -169,15 +168,15 @@ def test_degree_sum_is_twice_edges():
         assert sum(g.degrees()) == 2 * g.num_edges()
 
 
-def test_structure_queries():
+def test_structure_predicates():
     claw = star_graph(3)
-    q = structure_queries(claw)
-    assert q["is_tree"] and q["is_connected"] and not q["is_cubic"]
+    assert claw.is_tree() and claw.is_connected() and not claw.is_cubic()
+    assert claw.triangles() == []
     k4 = complete_graph(4)
-    q = structure_queries(k4)
-    assert q["is_cubic"] and len(q["triangles"]) == 4
+    assert k4.is_cubic() and k4.is_connected() and not k4.is_tree()
+    assert k4.triangles() == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     two_edges = build_graph(4, [(0, 1), (2, 3)])
-    assert not structure_queries(two_edges)["is_connected"]
+    assert not two_edges.is_connected() and not two_edges.is_tree()
 
 
 def test_edge_list_roundtrip():
