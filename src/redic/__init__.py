@@ -2,7 +2,8 @@
 
 Library surface: graph construction and serialization (:mod:`redic.graphs`),
 code verification semantics (:mod:`redic.detection`), existence tests
-(:mod:`redic.existence`), the exact solver (:mod:`redic.solver`),
+(:mod:`redic.existence`), the exact solver (:mod:`redic.solver`) and the
+automorphism groups it takes from builder provenance (:mod:`redic.symmetry`),
 isomorphism-free enumeration (:mod:`redic.generators`), extremal families
 (:mod:`redic.constructions`), and the 3-SAT reduction (:mod:`redic.reduction`).
 The ``redic`` console script wraps all of it.

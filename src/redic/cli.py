@@ -105,7 +105,8 @@ def cmd_verify(args) -> int:
 
 
 def _stats(st: SolverStats) -> dict:
-    return {"nodes": st.nodes, "seconds": round(st.elapsed, 4), "forced": st.forced, "pruned": st.pruned}
+    return {"nodes": st.nodes, "seconds": round(st.elapsed, 4), "forced": st.forced, "pruned": st.pruned,
+            "orbit_fixed": st.orbit_fixed, "group_order": st.group_order}
 
 
 def cmd_solve(args) -> int:
@@ -155,30 +156,29 @@ def cmd_feasible(args) -> int:
     return 1
 
 
+def _g14_ring(args):
+    gadget = constructions.g14_gadget_search(budget_seconds=args.budget_seconds or 120.0)
+    return None if gadget is None else constructions.g14_ring(gadget, args.t)
+
+
+# name -> builder from the parsed arguments; None means the search gave up
+CONSTRUCTIONS = {
+    "star-even": lambda args: constructions.star_extremal_even(args.k),
+    "star-odd": lambda args: constructions.star_extremal_odd(args.k),
+    "cycle-odd": lambda args: constructions.cycle_extremal_odd(args.k),
+    "multipartite": lambda args: constructions.multipartite_exact(args.n),
+    "tree": lambda args: constructions.extremal_tree(args.n),
+    "g6-ring": lambda args: constructions.g6_ring(args.t),
+    "g14-ring": _g14_ring,
+    "q5": lambda args: constructions.q5_code_search(),
+}
+
+
 def cmd_construct(args) -> int:
-    fam = args.what
-    if fam == "star-even":
-        inst = constructions.star_extremal_even(args.k)
-    elif fam == "star-odd":
-        inst = constructions.star_extremal_odd(args.k)
-    elif fam == "cycle-odd":
-        inst = constructions.cycle_extremal_odd(args.k)
-    elif fam == "multipartite":
-        inst = constructions.multipartite_exact(args.n)
-    elif fam == "tree":
-        inst = constructions.extremal_tree(args.n)
-    elif fam == "g6-ring":
-        inst = constructions.g6_ring(args.t)
-    elif fam == "g14-ring":
-        gadget = constructions.g14_gadget_search(budget_seconds=args.budget_seconds or 120.0)
-        if gadget is None:
-            print("gadget search exhausted its budget", file=sys.stderr)
-            return 1
-        inst = constructions.g14_ring(gadget, args.t)
-    elif fam == "q5":
-        inst = constructions.q5_code_search()
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit2(f"unknown construction {fam}")
+    inst = CONSTRUCTIONS[args.what](args)
+    if inst is None:
+        print("gadget search exhausted its budget", file=sys.stderr)
+        return 1
     g6 = write_graph6(inst.graph).decode("ascii")
     digest = _digest(g6, inst.claimed_k)
     report = _report("construct", digest, inst.certificate, k=inst.claimed_k,
@@ -313,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_feasible)
 
     p = sub.add_parser("construct", help="build an extremal family instance")
-    p.add_argument("what", choices=["star-even", "star-odd", "cycle-odd", "multipartite",
-                                    "tree", "g6-ring", "g14-ring", "q5"])
+    p.add_argument("what", choices=list(CONSTRUCTIONS))
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--t", type=int, default=2)

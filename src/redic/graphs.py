@@ -183,8 +183,14 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
 
+    def provenance(self) -> tuple[str | None, tuple]:
+        """The builder family and parameters recorded in ``meta``, or (None, ())."""
+        if not self.meta or "family" not in self.meta:
+            return None, ()
+        return self.meta["family"], tuple(self.meta.get("params", ()))
+
     def __repr__(self) -> str:
-        fam = self.meta.get("family") if self.meta else None
+        fam, _ = self.provenance()
         tag = f" {fam}" if fam else ""
         return f"<Graph{tag} n={self.n} m={self.num_edges()}>"
 
@@ -415,6 +421,7 @@ def parse_graph6(data: bytes | str) -> Graph:
             for b in data[2:8]:
                 n = n << 6 | (b - 63)
             body = data[8:]
+            smallest = 258048
         else:
             if len(data) < 4:
                 raise Graph6Error("truncated size field")
@@ -422,6 +429,9 @@ def parse_graph6(data: bytes | str) -> Graph:
             for b in data[1:4]:
                 n = n << 6 | (b - 63)
             body = data[4:]
+            smallest = 63
+        if n < smallest:
+            raise Graph6Error(f"size field too long for n={n}")
     else:
         n = data[0] - 63
         body = data[1:]
@@ -430,6 +440,9 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise Graph6Error(f"truncated bit stream: need {need} bytes, have {len(body)}")
     if len(body) > need:
         raise Graph6Error(f"trailing bytes after graph body: {len(body) - need}")
+    pad = -(n * (n - 1) // 2) % 6
+    if body and (body[-1] - 63) & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits after the last edge bit")
     # the upper triangle column by column: character u of column v says
     # whether uv is an edge, so the reversed column is v's lower neighbor mask
     stream = "".join(map(_G6_BITS.__getitem__, body))
@@ -458,7 +471,10 @@ def parse_edge_list(text: str) -> Graph:
     if len(nums) != 2 * m:
         raise ValueError(f"expected {2 * m} endpoints after header, got {len(nums)}")
     edges = [(int(nums[2 * i]), int(nums[2 * i + 1])) for i in range(m)]
-    return build_graph(n, edges)
+    g = build_graph(n, edges)
+    if g.num_edges() != m:
+        raise ValueError(f"header promises {m} edges, found {g.num_edges()} distinct ones")
+    return g
 
 
 def write_edge_list(g: Graph) -> str:

@@ -82,8 +82,10 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise ValueError(f"malformed problem line: {line!r}")
+            if n_vars is not None:
+                raise ValueError(f"second problem line: {line!r}")
             n_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
         if n_vars is None:

@@ -24,6 +24,22 @@ itself inclusion, so a single walk over ``inc[x]`` reaches the fixpoint.
 The search branches on a vertex drawn from the most-constrained active
 constraint, include branch first, with ties broken toward the lowest vertex
 index.  Nothing is randomized, so runs are reproducible node for node.
+
+Orbital fixing (Margot, Math. Programming 2002; Ostrowski, Linderoth, Rossi
+and Smriglio, Math. Programming 2011) uses the automorphism group that the
+graph's builder provenance names (``symmetry.automorphisms``); graphs without
+one are searched plainly.  Each node carries H, the stabiliser of its
+branching decisions: the root has the whole group, the include-x child
+Stab_H(x), and the exclude child excludes the whole H-orbit of x and keeps
+H.  Soundness: automorphisms preserve every constraint and the forced
+seed, and H fixes every included decision vertex and maps every excluded
+orbit onto itself, so h in H maps each completion of a node to a
+completion of the same size.  A completion that avoids x but contains some
+y = h(x) of the orbit therefore has an image h^-1 S that contains x, in
+the include child, which is searched first; the exclude child may drop
+every such completion.  For the same reason the exclude child is skipped
+outright when a member of the orbit is already included, including one
+that propagation forces in while the orbit is being excluded.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from operator import sub
 from . import existence
 from .detection import CodeKind, _reach2, verify
 from .graphs import Graph, bits
+from .symmetry import automorphisms
 
 __all__ = [
     "Budget",
@@ -64,12 +81,15 @@ class Budget:
 @dataclass
 class SolverStats:
     """Search counters: nodes visited, seconds, vertices included by
-    propagation and nodes cut by the lower bound."""
+    propagation, nodes cut by the lower bound, vertices excluded by orbital
+    fixing, and the order of the symmetry group used (1 for none)."""
 
     nodes: int = 0
     elapsed: float = 0.0
     forced: int = 0
     pruned: int = 0
+    orbit_fixed: int = 0
+    group_order: int = 1
 
 
 @dataclass(frozen=True)
@@ -187,8 +207,9 @@ def lower_bound(g: Graph, kind: CodeKind) -> BoundReport:
     if g.is_cubic():
         cubic_b = -(-4 * n // 7)
         notes.append("cubic: share of a detector is at most 7/4")
-    if g.meta and g.meta.get("family") == "torus":
-        i, j = g.meta["params"]
+    fam, params = g.provenance()
+    if fam == "torus":
+        i, j = params
         if i >= 5 and j >= 5 and (i % 2 == 0 or j % 2 == 0):
             torus_b = -(-2 * n // 5)
             notes.append("torus product built with tileable dimensions")
@@ -206,7 +227,9 @@ class _Search:
     (unassigned ones) and the per-constraint counters ``res`` and ``cnt``;
     ``trail`` lists the assignments in order (x for an inclusion, ~x for an
     exclusion) so that ``_undo`` can restore every counter.  ``greedy``,
-    ``root_lower`` and ``run`` each start from ``_reset``.
+    ``root_lower`` and ``run`` each start from ``_reset``.  ``sym`` holds
+    the current node's stabiliser H for orbital fixing, None when it is
+    trivial or the graph has no group.
     """
 
     def __init__(self, g: Graph, kind: CodeKind, budget: Budget | None, deterministic: bool):
@@ -217,6 +240,9 @@ class _Search:
         self.nodes = 0
         self.forced = 0
         self.pruned = 0
+        self.orbit_fixed = 0
+        self.group = automorphisms(g)
+        self.sym = None  # the stabiliser H of the branching decisions so far
         self.t0 = time.perf_counter()
         self.best: int | None = None  # incumbent mask
         self.cap = g.n + 1  # solutions must have size < cap
@@ -413,18 +439,41 @@ class _Search:
             return
         x = self._branch_vertex(order)
         mark = len(self.trail)
+        sym = self.sym
         self._tick()
         self._include(x)
+        if sym is not None:
+            self.sym = sym.stabiliser(x)
         self._node()
+        self.sym = sym
         self._undo(mark)
         if self.done:
             return
+        orbit = sym.orbit(x) if sym is not None else 1 << x
+        if orbit & self.chosen:
+            return  # the include child has an image of every solution here
         self._tick()
-        forced = self._exclude(x)
+        forced = self._exclude_orbit(x, orbit)
         if forced >= 0:
             self.forced += forced
             self._node()
         self._undo(mark)
+
+    def _exclude_orbit(self, x: int, orbit: int) -> int:
+        """Exclude x, then every other free member of its orbit; as
+        ``_exclude``, and -1 as well when propagation includes a member."""
+        forced = self._exclude(x)
+        fixed = 0
+        for y in bits(orbit & ~(1 << x)):
+            if forced < 0 or self.chosen >> y & 1:
+                return -1
+            if self.free >> y & 1:
+                f = self._exclude(y)
+                forced = f if f < 0 else forced + f
+                fixed += 1
+        if forced >= 0:
+            self.orbit_fixed += fixed
+        return forced
 
     def root_lower(self) -> int:
         if self._start(0) < 0:
@@ -449,10 +498,14 @@ class _Search:
     def run(self, seed_mask: int, cap: int, stop_at_first: bool) -> bool:
         """Explore from the seed; returns False when the budget ran out.
 
-        Either way the trail is unwound, leaving the counters at the seed.
+        The seed is always the forced-detector set, which every
+        automorphism maps onto itself, so orbital fixing starts from the
+        whole group.  Either way the trail is unwound, leaving the counters
+        at the seed.
         """
         self.cap = cap
         self.stop_at_first = stop_at_first
+        self.sym = self.group
         forced = self._start(seed_mask)
         try:
             self._tick()
@@ -464,6 +517,10 @@ class _Search:
             return False
         finally:
             self._undo(0)
+
+    def stats(self, t0: float) -> SolverStats:
+        return SolverStats(self.nodes, time.perf_counter() - t0, self.forced, self.pruned,
+                           self.orbit_fixed, self.group.order if self.group is not None else 1)
 
 
 def _existence_failure(g: Graph, kind: CodeKind) -> existence.NoCode | None:
@@ -506,7 +563,7 @@ def solve_min(
     best = search.best if search.best is not None else incumbent
     k = best.bit_count()
     lower = k if completed else min(max(lower_bound(g, kind).value, search.root_lower()), k)
-    stats = SolverStats(search.nodes, time.perf_counter() - t0, search.forced, search.pruned)
+    stats = search.stats(t0)
     bad = verify(g, best, kind)
     if bad is not None:
         raise RuntimeError(f"solver produced an invalid witness: {bad}")
@@ -538,7 +595,7 @@ def feasible_at(
     for v in forced_detectors(g, kind):
         seed |= 1 << v
     completed = search.run(seed, cap=min(k, g.n) + 1, stop_at_first=True)
-    stats = SolverStats(search.nodes, time.perf_counter() - t0, search.forced, search.pruned)
+    stats = search.stats(t0)
     if search.best is not None:
         witness = search.best
         bad = verify(g, witness, kind)

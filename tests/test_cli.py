@@ -122,8 +122,20 @@ def test_json_stats_show_search_counters(capsys):
         code, out, _ = run(capsys, *argv, "--family", "hypercube", "--params", "4", "--json")
         stats = json.loads(out)["stats"]
         assert code == exit_code
-        assert list(stats) == ["nodes", "seconds", "forced", "pruned"]
+        assert list(stats) == ["nodes", "seconds", "forced", "pruned", "orbit_fixed", "group_order"]
         assert stats["forced"] > 0 and 0 < stats["pruned"] < stats["nodes"]
+
+
+def test_json_stats_show_the_symmetry_used(capsys):
+    torus = ["--family", "torus", "--params", "4,4", "--json"]
+    for argv, exit_code in ((["solve"], 0), (["feasible", "--k", "9"], 1)):
+        code, out, _ = run(capsys, *argv, *torus)
+        stats = json.loads(out)["stats"]
+        assert code == exit_code
+        assert stats["group_order"] == 128 and stats["orbit_fixed"] > 0
+    # the same graph read from graph6 carries no provenance: no group, no fixing
+    code, out, _ = run(capsys, "solve", "--graph6", "Ol`HGsG@GC_L_GOCc@G_L", "--json")
+    assert code == 0 and json.loads(out)["stats"]["group_order"] == 1
 
 
 def test_ignored_wall_clock_budget_warns(capsys):

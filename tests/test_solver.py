@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from redic.detection import CodeKind, verify
 from redic.existence import closed_twins, exists_ic, exists_red_ic
 from redic.generators import enum_cubic
 from redic.graphs import (
+    Graph,
     bits,
     build_graph,
     cartesian_product,
@@ -20,6 +22,10 @@ from redic.graphs import (
     torus,
 )
 from redic.solver import Budget, _Search, feasible_at, forced_detectors, lower_bound, solve_min
+from redic.symmetry import automorphisms
+
+
+STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
 
 def random_graph(rng, n, p=0.5):
@@ -197,9 +203,15 @@ def test_empty_and_tiny_graphs():
     assert solve_min(single, CodeKind.RED_IC).status == "infeasible"
 
 
+def plain(g):
+    """The same graph without builder provenance, so searched without symmetry."""
+    return Graph(g.n, g.adj)
+
+
 def test_pinned_node_counts():
     # the search is deterministic, so these counts are exact on every machine;
-    # a change to them is a change to the search and must be re-baselined
+    # a change to them is a change to the search and must be re-baselined.
+    # The graphs carry no provenance, so this is the plain search.
     red, ic = CodeKind.RED_IC, CodeKind.IC
     for g, kind, k, nodes in [
         (torus(4, 4), red, 10, 1_907),
@@ -208,12 +220,93 @@ def test_pinned_node_counts():
         (hypercube(4), red, 10, 1_881),
         (hypercube(5), red, 12, 2_465),
     ]:
-        out = solve_min(g, kind)
+        out = solve_min(plain(g), kind)
         assert (out.k, out.stats.nodes) == (k, nodes), (g.meta, kind)
+        assert (out.stats.group_order, out.stats.orbit_fixed) == (1, 0)
     for d, k, nodes in [(4, 9, 1_881), (5, 11, 2_451)]:
+        res = feasible_at(plain(hypercube(d)), red, k)
+        assert res.witness is None and res.exhaustive
+        assert res.stats.nodes == nodes, d
+
+
+def test_pinned_node_counts_with_orbital_fixing():
+    # the same instances and the lattice-search ones, built by their named
+    # builders, so the search uses the group their provenance names
+    red, ic = CodeKind.RED_IC, CodeKind.IC
+    for g, kind, k, nodes, order in [
+        (torus(4, 4), red, 10, 517, 128),
+        (honeycomb_torus(4, 4), red, 11, 117, 32),
+        (hypercube(4), ic, 7, 85, 384),
+        (hypercube(4), red, 10, 267, 384),
+        (hypercube(5), red, 12, 91, 3_840),
+        (torus(6, 6), red, 18, 11_845, 288),
+        (honeycomb_torus(6, 6), red, 24, 25_235, 72),
+        (hypercube(5), ic, 10, 893, 3_840),
+    ]:
+        out = solve_min(g, kind)
+        assert (out.k, out.stats.nodes, out.stats.group_order) == (k, nodes, order), (g.meta, kind)
+        assert verify(g, out.witness, kind) is None
+    for d, k, nodes in [(4, 9, 267), (5, 11, 77)]:
         res = feasible_at(hypercube(d), red, k)
         assert res.witness is None and res.exhaustive
         assert res.stats.nodes == nodes, d
+    assert automorphisms(torus(7, 7)).order == 392
+
+
+def _vertex_transitive(max_n):
+    """Every named instance with a provenance group on at most max_n vertices."""
+    out = [torus(i, j) for i in range(3, max_n // 3 + 1) for j in range(3, max_n // i + 1)]
+    out += [honeycomb_torus(m, n) for m in range(4, max_n // 4 + 1, 2) for n in range(4, max_n // m + 1, 2)]
+    out += [hypercube(d) for d in range(1, max_n.bit_length())]
+    return out
+
+
+def _name(g):
+    return g.meta["family"] + "-" + "x".join(map(str, g.meta["params"]))
+
+
+def _check_against_plain(g):
+    for kind in (CodeKind.IC, CodeKind.RED_IC):
+        ref = solve_min(plain(g), kind)
+        out = solve_min(g, kind)
+        assert (out.status, out.k) == (ref.status, ref.k), (g.meta, kind)
+        if not out.is_optimal:
+            continue
+        assert out.stats.group_order == automorphisms(g).order > 1
+        assert verify(g, out.witness, kind) is None
+        below = feasible_at(g, kind, out.k - 1)
+        assert below.witness is None and below.exhaustive, (g.meta, kind)
+        at = feasible_at(g, kind, out.k)
+        assert at.witness is not None and len(at.witness) <= out.k
+        assert verify(g, at.witness, kind) is None
+
+
+@pytest.mark.skipif(not STRETCH, reason="about 40 s; set REDIC_STRETCH=1")
+def test_stretch_torus_7x7_optimal_at_25():
+    g = torus(7, 7)
+    out = solve_min(g, CodeKind.RED_IC)
+    assert (out.status, out.k, out.stats.nodes, out.stats.group_order) == ("optimal", 25, 905_259, 392)
+    assert verify(g, out.witness, CodeKind.RED_IC) is None
+
+
+def test_false_provenance_is_refused():
+    h = honeycomb_torus(4, 4)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        solve_min(Graph(h.n, h.adj, meta={"family": "torus", "params": (4, 4)}))
+
+
+# Q5 (32 vertices) is cheap and joins the instances up to 24 vertices in
+# tier-1; the plain search on all instances up to 36 vertices takes minutes
+@pytest.mark.parametrize("g", [*_vertex_transitive(24), hypercube(5)], ids=_name)
+def test_orbital_fixing_matches_plain_search(g):
+    _check_against_plain(g)
+
+
+@pytest.mark.skipif(not STRETCH, reason="minutes of plain search; set REDIC_STRETCH=1")
+@pytest.mark.parametrize("g", [g for g in _vertex_transitive(36) if g.n > 24 and g.meta["family"] != "hypercube"],
+                         ids=_name)
+def test_stretch_orbital_fixing_matches_plain_search(g):
+    _check_against_plain(g)
 
 
 def test_search_counters_in_stats():
@@ -390,3 +483,18 @@ def test_interrupted_run_unwinds_the_trail():
     assert search.nodes == search.checked == 200
     assert search.trail == [] and search.chosen == 0 and search.free == g.full_mask()
     assert maintained_counters(search) == rescanned_counters(search)
+
+
+@pytest.mark.parametrize("g", [torus(4, 4), torus(3, 5), honeycomb_torus(4, 4), hypercube(4)], ids=_name)
+def test_counters_hold_under_orbital_fixing(g):
+    # each member of an orbit is looked at again before it is excluded, so no
+    # vertex is excluded after propagation has included it
+    for kind in (CodeKind.IC, CodeKind.RED_IC):
+        seed = mask_of(forced_detectors(g, kind))
+        search = CheckedSearch(g, kind, None, True)
+        incumbent = search.greedy(seed)
+        assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
+        assert search.checked > 0 and search.orbit_fixed > 0
+        assert search.trail == [] and search.chosen == seed
+        assert maintained_counters(search) == rescanned_counters(search)
+        assert verify(g, search.best or incumbent, kind) is None
