@@ -54,9 +54,6 @@ def _kind(args) -> CodeKind:
 
 
 def _budget(args) -> Budget:
-    if args.budget_seconds is not None and args.deterministic:
-        print("warning: --budget-seconds is ignored under --deterministic;"
-              " pass --no-deterministic to enforce it", file=sys.stderr)
     return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 
@@ -112,7 +109,7 @@ def _stats(st: SolverStats) -> dict:
 def cmd_solve(args) -> int:
     g = _load_graph(args)
     kind = _kind(args)
-    out = solve_min(g, kind, budget=_budget(args), deterministic=args.deterministic)
+    out = solve_min(g, kind, budget=_budget(args))
     digest = _digest(write_graph6(g), kind.value)
     bounds = {"lower": out.lower, "upper": out.upper}
     stats = _stats(out.stats)
@@ -143,7 +140,7 @@ def cmd_exists(args) -> int:
 def cmd_feasible(args) -> int:
     g = _load_graph(args)
     kind = _kind(args)
-    res = feasible_at(g, kind, args.k, budget=_budget(args), deterministic=args.deterministic)
+    res = feasible_at(g, kind, args.k, budget=_budget(args))
     digest = _digest(write_graph6(g), kind.value, args.k)
     stats = _stats(res.stats)
     if res.witness is not None:
@@ -286,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget-nodes", type=int, default=None)
             p.add_argument("--budget-seconds", type=float, default=None)
-            p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="reproducible search; disable to enforce wall-clock budgets")
 
     p = sub.add_parser("verify", help="check a detector set")
     _add_graph_args(p)

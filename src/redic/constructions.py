@@ -20,8 +20,8 @@ from itertools import combinations
 from math import comb
 
 from .detection import CodeKind, verify
-from .graphs import Graph, build_graph, hypercube
-from .solver import Budget, feasible_at, lower_bound
+from .graphs import Graph, build_graph, complete_multipartite, hypercube
+from .solver import Budget, feasible_at, lower_bound, solve_min
 from . import generators
 
 __all__ = [
@@ -174,8 +174,6 @@ def multipartite_exact(n: int) -> ConstructedInstance:
     """Complete multipartite K_{2,...,2}: every vertex an open twin, code = V."""
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
-    from .graphs import complete_multipartite
-
     g = complete_multipartite([2] * (n // 2))
     return _certified(g, range(n), n, "solver")
 
@@ -280,14 +278,11 @@ def g14_gadget_search(budget_seconds: float = 120.0) -> G14Gadget | None:
     validity does not depend on the ports' missing edges.  Returns None if
     the budget expires first (reported, not fatal).
     """
-    from .detection import CodeKind
-    from .solver import solve_min
-
     deadline = time.perf_counter() + budget_seconds
     parents = []
     for idx, g in enumerate(generators.cubic_graphs_cached(14)):
-        out = solve_min(g, CodeKind.RED_IC) if _feasible(g) else None
-        if out is not None and out.is_optimal:
+        out = solve_min(g, CodeKind.RED_IC)
+        if out.is_optimal:
             parents.append((out.k, idx, g))
         if time.perf_counter() > deadline:
             return None
@@ -310,12 +305,6 @@ def g14_gadget_search(budget_seconds: float = 120.0) -> G14Gadget | None:
                 if res.witness is not None:
                     return G14Gadget(frag, (u1, v1, u2, v2), res.witness)
     return None
-
-
-def _feasible(g: Graph) -> bool:
-    from .existence import exists_red_ic
-
-    return exists_red_ic(g) is None
 
 
 def g14_ring(gadget: G14Gadget, t: int) -> ConstructedInstance:

@@ -13,13 +13,16 @@ prefixes of maximal encodings are maximal for the induced subgraph -- so
 every isomorphism class is emitted exactly once, with no explicit
 duplicate store.
 
-The maximality test (``_is_canonical``) tries each start vertex and
+The maximality test (``_better_labeling``) tries each start vertex and
 extends relabelings position by position.  It classifies all unplaced
 vertices against the target column at once with bitmask operations over
 the placed prefix, so a search node costs O(depth) integer operations and
 no per-vertex loop.  A start other than 0 that completes a relabeling with
 an equal encoding has found an automorphism onto start 0, whose search
-already failed, so that start is abandoned.
+already failed, so that start is abandoned.  When the labeling is not
+maximal the test returns a strictly better one, and the same search gives
+canonical forms: ``canonical_key`` climbs from better labeling to better
+labeling until none is left, which is the maximum.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .graphs import Graph, Graph6Error, parse_graph6
+from .graphs import Graph, Graph6Error, bits, mask_of, parse_graph6
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +93,7 @@ def _next_rooted(lev: list[int], p: int) -> None:
 # -- connected cubic graphs ------------------------------------------------
 
 
-def _column_value(nbr_mask: int, order: list[int]) -> int:
+def _column_value(nbr_mask: int, order: Iterable[int]) -> int:
     """Column bits of a candidate vertex against already-placed vertices.
 
     Earlier placed vertices occupy more significant bits, so columns of the
@@ -102,17 +105,19 @@ def _column_value(nbr_mask: int, order: list[int]) -> int:
     return c
 
 
-_BEATEN, _AUTOMORPHISM = 1, 2
-
-
-def _is_canonical(adj: list[int], cols: list[int]) -> bool:
-    """Is the current labeling's encoding the lexicographic maximum?
+def _better_labeling(adj: list[int], cols: list[int]) -> list[int] | None:
+    """A relabeling with a larger encoding, or None when the current
+    labeling's encoding is the lexicographic maximum.
 
     ``cols[j-1]`` is the column of the vertex at position j: its adjacency
     to positions 0..j-1, position 0 in the most significant bit.  The
     search places vertices one position at a time and looks for a
     relabeling whose column sequence is strictly larger, abandoning a
-    branch as soon as it falls below the current one.
+    branch as soon as it falls below the current one.  The first vertex
+    found to beat the target column settles it: the placed prefix ties
+    ``cols``, so every completion is larger.  The relabeling is returned
+    as a position -> vertex list: the prefix, the beating vertex, then the
+    other unplaced vertices in ascending order.
 
     Classification is bit-parallel.  At depth d the unplaced vertices are
     compared with the target column ``cols[d-1]`` over the placed prefix
@@ -134,13 +139,14 @@ def _is_canonical(adj: list[int], cols: list[int]) -> bool:
     """
     k = len(adj)
     if k <= 2:
-        return True
+        return None
     order = [0] * k
-    leaf = 0  # what a complete relabeling reports: _AUTOMORPHISM once start > 0
+    leaf = None  # what a complete relabeling reports: True (stop this start) once start > 0
 
-    def extend(depth: int, free: int, ties: int) -> int:
+    def extend(depth: int, free: int, ties: int) -> list[int] | bool | None:
         # order[:depth] is placed; free holds the unplaced vertices and ties
-        # those of them equal to cols[depth-2] over order[:depth-1]
+        # those of them equal to cols[depth-2] over order[:depth-1].  None
+        # means nothing larger below, True an automorphism that ends the start
         if depth == k:
             return leaf
         target = cols[depth - 1]
@@ -149,7 +155,7 @@ def _is_canonical(adj: list[int], cols: list[int]) -> bool:
             if target & 1:
                 eq = ties & a
             elif ties & a:
-                return _BEATEN
+                return _beaten(order, depth, free, ties & a)
             else:
                 eq = ties
         else:
@@ -161,9 +167,9 @@ def _is_canonical(adj: list[int], cols: list[int]) -> bool:
                 if target & bit:
                     eq &= a
                 elif eq & a:
-                    return _BEATEN
+                    return _beaten(order, depth, free, eq & a)
                 if not eq:
-                    return 0
+                    return None
         rest = eq
         while rest:
             low = rest & -rest
@@ -172,15 +178,24 @@ def _is_canonical(adj: list[int], cols: list[int]) -> bool:
             r = extend(depth + 1, free ^ low, eq ^ low)
             if r:
                 return r
-        return 0
+        return None
 
     full = (1 << k) - 1
     for start in range(k):
         order[0] = start
-        if extend(1, full ^ 1 << start, 0) == _BEATEN:
-            return False
-        leaf = _AUTOMORPHISM
-    return True
+        found = extend(1, full ^ 1 << start, 0)
+        if isinstance(found, list):
+            return found
+        leaf = True
+    return None
+
+
+def _beaten(order: list[int], depth: int, free: int, larger: int) -> list[int]:
+    """The placed prefix, the lowest vertex of ``larger``, then the rest of
+    ``free`` in ascending order."""
+    v = (larger & -larger).bit_length() - 1
+    rest = free ^ 1 << v
+    return order[:depth] + [v] + [u for u in range(len(order)) if rest >> u & 1]
 
 
 def enum_cubic(n: int) -> Iterator[Graph]:
@@ -227,7 +242,7 @@ def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
             new_adj = [a | ((mask >> v & 1) << k) for v, a in enumerate(adj)]
             new_adj.append(mask)
             new_cols = cols + [new_col]
-            if _is_canonical(new_adj, new_cols):
+            if _better_labeling(new_adj, new_cols) is None:
                 yield from _grow_cubic(new_adj, new_cols, n)
 
 
@@ -264,47 +279,23 @@ def _extension_feasible(adj, deficits, mask, size, k, rem) -> bool:
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Canonical form usable as an isomorphism-class key (small graphs).
 
-    Maximizes the column-major encoding by branch and bound; intended for
-    the sizes the enumerators are verified at, not for large graphs.
+    The maximal column encoding, reached by a climb: while
+    ``_better_labeling`` finds a relabeling with a larger encoding, move
+    to it.  Each step strictly raises the encoding, so the climb ends at
+    the maximum.  Meant for the sizes the enumerators are verified at, not
+    for large graphs.
     """
     n = g.n
-    if n == 0:
-        return (0,)
-    best: list[int] | None = None
-    order: list[int] = []
-    used = [False] * n
-
-    def extend(depth: int, cols: list[int]):
-        nonlocal best
-        if depth == n:
-            if best is None or cols > best:
-                best = list(cols)
-            return
-        ranked = sorted(
-            ((_column_value(g.adj[v], order), v) for v in range(n) if not used[v]),
-            reverse=True,
-        )
-        for c, v in ranked:
-            cols.append(c)
-            # ranked is descending, so once below the incumbent prefix all
-            # remaining choices are too
-            if best is not None and cols < best[:depth]:
-                cols.pop()
-                break
-            used[v] = True
-            order.append(v)
-            extend(depth + 1, cols)
-            order.pop()
-            used[v] = False
-            cols.pop()
-
-    for start in range(n):
-        used[start] = True
-        order.append(start)
-        extend(1, [])
-        order.pop()
-        used[start] = False
-    return (n, *best) if best is not None else (n,)
+    adj = list(g.adj)
+    while True:
+        cols = [_column_value(adj[j], range(j)) for j in range(1, n)]
+        order = _better_labeling(adj, cols)
+        if order is None:
+            return (n, *cols)
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        adj = [mask_of(pos[u] for u in bits(adj[v])) for v in order]
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

@@ -128,17 +128,7 @@ class Graph:
     # -- structure -----------------------------------------------------
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == self.full_mask()
+        return len(self.components()) <= 1
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, by lowest vertex."""

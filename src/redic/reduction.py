@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .detection import CodeKind
-from .graphs import Graph, build_graph
+from .graphs import Graph, bits, build_graph
 from .solver import Budget, SolveOutcome, solve_min
 
 __all__ = [
@@ -229,7 +229,7 @@ def _forced_ok(g: Graph, s0_mask: int) -> bool:
 
 def _assign_f_roles(g: Graph) -> dict[str, int] | None:
     leaves = [v for v in range(2, 8) if g.degree(v) == 1]
-    supports = [v for v in range(2, 8) if any(g.degree(u) == 1 for u in _nbrs(g, v))]
+    supports = [v for v in range(2, 8) if any(g.degree(u) == 1 for u in bits(g.adj[v]))]
     if len(leaves) != 4 or len(supports) != 2:
         return None
     p, r = supports
@@ -239,12 +239,6 @@ def _assign_f_roles(g: Graph) -> dict[str, int] | None:
         return None
     return {"x": 0, "nx": 1, "y": arm_p[0], "p": p, "u": arm_p[1],
             "z": arm_r[0], "r": r, "v": arm_r[1]}
-
-
-def _nbrs(g: Graph, v: int):
-    from .graphs import bits
-
-    return bits(g.adj[v])
 
 
 def find_h_gadget() -> GadgetSpec:
@@ -280,11 +274,7 @@ def find_h_gadget() -> GadgetSpec:
 # -- the reduction -----------------------------------------------------------
 
 
-def build_reduction(
-    phi: CnfFormula,
-    f: GadgetSpec | None = None,
-    h: GadgetSpec | None = None,
-) -> tuple[Graph, int]:
+def build_reduction(phi: CnfFormula) -> tuple[Graph, int]:
     """Build the instance graph and threshold K = 7N + 3M.
 
     Raises if some variable never occurs in a clause: its two literal
@@ -292,8 +282,8 @@ def build_reduction(
     the threshold.
     """
     phi.validate()
-    f = f or f_gadget()
-    h = h or h_gadget()
+    f = f_gadget()
+    h = h_gadget()
     missing = set(range(1, phi.n_vars + 1)) - phi.variables_used()
     if missing:
         raise ValueError(f"variables never used in any clause: {sorted(missing)}")

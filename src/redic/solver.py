@@ -69,9 +69,8 @@ __all__ = [
 class Budget:
     """Caps for the search; None means unlimited.
 
-    Wall-clock caps are honored only when ``deterministic=False`` is passed
-    to the solver: respecting them in deterministic mode would make the
-    outcome depend on machine speed.
+    A node cap gives the same outcome on every machine.  A wall-clock cap
+    is checked every 256 nodes, so where it stops depends on machine speed.
     """
 
     max_nodes: int | None = None
@@ -232,11 +231,10 @@ class _Search:
     trivial or the graph has no group.
     """
 
-    def __init__(self, g: Graph, kind: CodeKind, budget: Budget | None, deterministic: bool):
+    def __init__(self, g: Graph, kind: CodeKind, budget: Budget | None):
         self.g = g
         self.kind = kind
         self.budget = budget or Budget()
-        self.deterministic = deterministic
         self.nodes = 0
         self.forced = 0
         self.pruned = 0
@@ -285,8 +283,7 @@ class _Search:
             raise _BudgetExhausted
         self.nodes += 1
         if (
-            not self.deterministic
-            and b.max_seconds is not None
+            b.max_seconds is not None
             and self.nodes % 256 == 0
             and time.perf_counter() - self.t0 > b.max_seconds
         ):
@@ -537,7 +534,6 @@ def solve_min(
     g: Graph,
     kind: CodeKind = CodeKind.RED_IC,
     budget: Budget | None = None,
-    deterministic: bool = True,
 ) -> SolveOutcome:
     """Minimum code size with witness, or bounds when the budget runs out.
 
@@ -553,7 +549,7 @@ def solve_min(
     if g.n == 0:
         return SolveOutcome("optimal", 0, k=0, witness=(), lower=0, upper=0,
                             stats=SolverStats(0, time.perf_counter() - t0))
-    search = _Search(g, kind, budget, deterministic)
+    search = _Search(g, kind, budget)
     seed = 0
     for v in forced_detectors(g, kind):
         seed |= 1 << v
@@ -576,7 +572,6 @@ def feasible_at(
     kind: CodeKind,
     k: int,
     budget: Budget | None = None,
-    deterministic: bool = True,
 ) -> FeasibilityResult:
     """Decide whether a code of size <= k exists; returns a verified witness.
 
@@ -590,7 +585,7 @@ def feasible_at(
         return FeasibilityResult(None, True, SolverStats(0, time.perf_counter() - t0))
     if k < 0:
         return FeasibilityResult(None, True, SolverStats(0, time.perf_counter() - t0))
-    search = _Search(g, kind, budget, deterministic)
+    search = _Search(g, kind, budget)
     seed = 0
     for v in forced_detectors(g, kind):
         seed |= 1 << v

@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .detection import CodeKind
-from .existence import exists_red_ic
 from .generators import cubic_graphs_cached, enum_trees
 from .graphs import Graph, parse_graph6, write_graph6
 from .solver import Budget, solve_min
@@ -78,9 +77,9 @@ class CubicRow:
 def _solve_one(g: Graph, budget_nodes: int | None) -> int | None:
     """Minimum code size of one graph, or None when it admits no code; -1
     when the budget ran out first."""
-    if exists_red_ic(g) is not None:
-        return None
     out = solve_min(g, CodeKind.RED_IC, budget=Budget(max_nodes=budget_nodes))
+    if out.status == "infeasible":
+        return None
     return out.k if out.is_optimal else -1  # -1 marks a budget miss
 
 

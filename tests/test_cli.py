@@ -138,14 +138,16 @@ def test_json_stats_show_the_symmetry_used(capsys):
     assert code == 0 and json.loads(out)["stats"]["group_order"] == 1
 
 
-def test_ignored_wall_clock_budget_warns(capsys):
-    for cmd in (["solve"], ["feasible", "--k", "4"]):
-        code, _, err = run(capsys, *cmd, "--graph6", "Cl", "--budget-seconds", "5")
-        assert code == 0 and "--budget-seconds is ignored" in err
-        code, _, err = run(capsys, *cmd, "--graph6", "Cl", "--budget-seconds", "5", "--no-deterministic")
-        assert code == 0 and err == ""
-        code, _, err = run(capsys, *cmd, "--graph6", "Cl", "--budget-nodes", "1000")
-        assert code == 0 and err == ""
+def test_wall_clock_budget_is_honoured(capsys):
+    # a zero-second budget stops the search at its first clock check, 256 nodes in
+    torus = ["--family", "torus", "--params", "6,6", "--json", "--budget-seconds", "0"]
+    code, out, err = run(capsys, "solve", *torus)
+    rep = json.loads(out)
+    assert (code, err, rep["outcome"], rep["stats"]["nodes"]) == (0, "", "bounded", 256)
+    assert rep["bounds"]["lower"] < rep["k"]
+    code, out, err = run(capsys, "feasible", "--k", "17", *torus)
+    rep = json.loads(out)
+    assert (code, err, rep["outcome"], rep["stats"]["nodes"]) == (1, "", "unknown (budget exhausted)", 256)
 
 
 def test_runs_without_networkx():

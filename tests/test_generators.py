@@ -8,8 +8,8 @@ from itertools import permutations
 import pytest
 
 from redic.generators import (
+    _better_labeling,
     _column_value,
-    _is_canonical,
     are_isomorphic,
     canonical_key,
     enum_cubic,
@@ -230,7 +230,7 @@ SYMMETRIC = {
 }
 
 
-def test_is_canonical_matches_brute_force():
+def test_better_labeling_matches_brute_force():
     rng = random.Random(23)
     graphs = list(SYMMETRIC.values())
     for _ in range(60):
@@ -248,9 +248,14 @@ def test_is_canonical_matches_brute_force():
             labelings.append(_relabel(adj, tuple(order)))
         for lab in labelings:
             cols = _columns(lab)
-            # canonical iff no relabeling gives a larger column sequence
+            # None iff no relabeling gives a larger column sequence; otherwise
+            # the relabeling returned gives one
             expected = cols == best
-            assert _is_canonical(lab, cols) == expected, (lab, cols, best)
+            better = _better_labeling(lab, cols)
+            assert (better is None) == expected, (lab, cols, best)
+            if better is not None:
+                assert sorted(better) == list(range(k))
+                assert _columns(_relabel(lab, tuple(better))) > cols
             seen[expected] += 1
     assert seen[True] >= len(graphs) and seen[False] > 100
 
@@ -263,11 +268,73 @@ def test_symmetric_canonical_labelings_pass():
         for order in permutations(range(len(adj))):
             lab = _relabel(adj, order)
             cols = _columns(lab)
-            assert _is_canonical(lab, cols) == (cols == best), name
+            assert (_better_labeling(lab, cols) is None) == (cols == best), name
+
+
+def reference_key(g) -> tuple[int, ...]:
+    """The maximal column encoding by an independent branch and bound:
+    candidates ranked by their column over the placed prefix, a branch
+    dropped once its columns fall below the best found.  ``canonical_key``
+    must agree with it."""
+    n = g.n
+    if n == 0:
+        return (0,)
+    best = None
+    order = []
+    used = [False] * n
+
+    def extend(depth, cols):
+        nonlocal best
+        if depth == n:
+            if best is None or cols > best:
+                best = list(cols)
+            return
+        ranked = sorted(
+            ((_column_value(g.adj[v], order), v) for v in range(n) if not used[v]),
+            reverse=True,
+        )
+        for c, v in ranked:
+            cols.append(c)
+            # ranked is descending, so once below the incumbent prefix all
+            # remaining choices are too
+            if best is not None and cols < best[:depth]:
+                cols.pop()
+                break
+            used[v] = True
+            order.append(v)
+            extend(depth + 1, cols)
+            order.pop()
+            used[v] = False
+            cols.pop()
+
+    for start in range(n):
+        used[start] = True
+        order.append(start)
+        extend(1, [])
+        order.pop()
+        used[start] = False
+    return (n, *best)
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def test_emitted_labelings_are_canonical_forms():
-    # ties the orderly generator's test to the independent canonical_key search
+    # ties the orderly generator's test to the independent reference search
     for n in range(4, 13, 2):
         for g in enum_cubic(n):
-            assert canonical_key(g) == (n, *_columns(list(g.adj)))
+            assert reference_key(g) == (n, *_columns(list(g.adj)))
+
+
+def test_canonical_key_matches_reference():
+    rng = random.Random(29)
+    graphs = [_shuffled(g, rng) for n in range(4, 13, 2) for g in enum_cubic(n) for _ in range(3)]
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        p = rng.uniform(0.25, 0.75)
+        graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        assert canonical_key(g) == reference_key(g)

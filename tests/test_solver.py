@@ -194,6 +194,16 @@ def test_budget_returns_bounds():
     assert full.is_optimal and out.lower <= full.k <= out.upper
 
 
+def test_wall_clock_budget_is_honoured():
+    # the clock is read every 256 nodes; torus 6x6 needs 11,845 to finish
+    g = torus(6, 6)
+    out = solve_min(g, budget=Budget(max_seconds=0))
+    assert (out.status, out.stats.nodes) == ("bounded", 256)
+    assert verify(g, out.witness, CodeKind.RED_IC) is None
+    res = feasible_at(g, CodeKind.RED_IC, 17, budget=Budget(max_seconds=0))
+    assert (res.witness, res.exhaustive, res.stats.nodes) == (None, False, 256)
+
+
 def test_empty_and_tiny_graphs():
     empty = build_graph(0, [])
     assert solve_min(empty, CodeKind.IC).k == 0
@@ -452,7 +462,7 @@ def test_incremental_counters_match_rescan():
             continue
         seen += 1
         seed = mask_of(forced_detectors(g, kind))
-        search = CheckedSearch(g, kind, None, True)
+        search = CheckedSearch(g, kind, None)
         ref = RescanSearch(search)
         incumbent = search.greedy(seed)
         assert incumbent == ref.greedy(seed)
@@ -478,7 +488,7 @@ def test_incremental_counters_match_rescan():
 
 def test_interrupted_run_unwinds_the_trail():
     g = hypercube(4)
-    search = CheckedSearch(g, CodeKind.RED_IC, Budget(max_nodes=200), True)
+    search = CheckedSearch(g, CodeKind.RED_IC, Budget(max_nodes=200))
     assert not search.run(0, cap=g.n, stop_at_first=False)
     assert search.nodes == search.checked == 200
     assert search.trail == [] and search.chosen == 0 and search.free == g.full_mask()
@@ -491,7 +501,7 @@ def test_counters_hold_under_orbital_fixing(g):
     # vertex is excluded after propagation has included it
     for kind in (CodeKind.IC, CodeKind.RED_IC):
         seed = mask_of(forced_detectors(g, kind))
-        search = CheckedSearch(g, kind, None, True)
+        search = CheckedSearch(g, kind, None)
         incumbent = search.greedy(seed)
         assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
         assert search.checked > 0 and search.orbit_fixed > 0
