@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -50,8 +51,6 @@ class ConstructedInstance:
 
     @property
     def density(self):
-        from fractions import Fraction
-
         return Fraction(self.claimed_k, self.graph.n)
 
 

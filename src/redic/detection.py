@@ -80,11 +80,16 @@ def delta(g: Graph, detectors: Iterable[int] | int, u: int, v: int) -> frozenset
 
 
 def _reach2(g: Graph, u: int) -> int:
-    """Vertices within distance 2 of u (including u)."""
-    m = g.closed_nbhd(u)
-    for w in bits(g.adj[u]):
-        m |= g.adj[w]
-    return m
+    """Vertices within distance 2 of u (including u): N[u] plus the
+    neighbors of each neighbor."""
+    adj = g.adj
+    reach = g._closed[u]
+    m = adj[u]
+    while m:
+        low = m & -m
+        reach |= adj[low.bit_length() - 1]
+        m ^= low
+    return reach
 
 
 def verify(
@@ -105,7 +110,7 @@ def verify(
     """
     s = _smask(g, detectors)
     dom_req, dist_req = kind.dom_req, kind.dist_req
-    closed, adj = g._closed, g.adj
+    closed = g._closed
     for v in range(g.n):
         c = (closed[v] & s).bit_count()
         if c < dom_req:
@@ -113,16 +118,7 @@ def verify(
     full = g.full_mask()
     for u in range(g.n):
         cu = closed[u]
-        if all_pairs:
-            others = full
-        else:  # N[u] plus the neighbors of each neighbor, as in _reach2
-            others = cu
-            m = adj[u]
-            while m:
-                low = m & -m
-                others |= adj[low.bit_length() - 1]
-                m ^= low
-        others >>= u + 1
+        others = (full if all_pairs else _reach2(g, u)) >> (u + 1)
         v = u
         while others:
             k = (others & -others).bit_length()

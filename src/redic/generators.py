@@ -305,18 +305,14 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 # -- graph6 streams ---------------------------------------------------------
 
 
-def read_graph6_stream(
-    source: str | Path | IO | Iterable[str | bytes],
-    strict: bool = True,
-) -> Iterator[Graph]:
+def read_graph6_stream(source: str | Path | IO | Iterable[str | bytes]) -> Iterator[Graph]:
     """Parse newline-delimited graph6, in order.
 
-    With ``strict`` a malformed line raises :class:`Graph6Error` tagged with
-    its line number; otherwise the line is logged and skipped.
+    A malformed line raises :class:`Graph6Error` tagged with its line number.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield from read_graph6_stream(fh, strict=strict)
+            yield from read_graph6_stream(fh)
         return
     for lineno, line in enumerate(source, start=1):
         if isinstance(line, str):
@@ -327,6 +323,4 @@ def read_graph6_stream(
         try:
             yield parse_graph6(line)
         except Graph6Error as exc:
-            if strict:
-                raise Graph6Error(f"line {lineno}: {exc}") from exc
-            log.warning("skipping malformed graph6 at line %d: %s", lineno, exc)
+            raise Graph6Error(f"line {lineno}: {exc}") from exc

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import sub
 
 from . import existence
@@ -115,8 +116,6 @@ class SolveOutcome:
 
     @property
     def density(self):
-        from fractions import Fraction
-
         if self.k is None or self.n == 0:
             return None
         return Fraction(self.k, self.n)
@@ -145,10 +144,15 @@ def forced_detectors(g: Graph, kind: CodeKind = CodeKind.RED_IC) -> frozenset[in
     returns the empty set for plain ICs (these rules need the doubled
     thresholds).
     """
-    if kind is not CodeKind.RED_IC:
-        return frozenset()
-    if existence.exists_red_ic(g) is not None:
+    if kind is CodeKind.RED_IC and existence.exists_red_ic(g) is not None:
         raise ValueError("no RED:IC exists for this graph")
+    return frozenset(bits(_forced_mask(g, kind)))
+
+
+def _forced_mask(g: Graph, kind: CodeKind) -> int:
+    """``forced_detectors`` as a mask, for a graph known to have a code."""
+    if kind is not CodeKind.RED_IC:
+        return 0
     forced = 0
     deg = g.degrees()
     for v in range(g.n):
@@ -163,7 +167,7 @@ def forced_detectors(g: Graph, kind: CodeKind = CodeKind.RED_IC) -> frozenset[in
                 forced |= 1 << b
             if deg[b] == 2:
                 forced |= 1 << a
-    return frozenset(bits(forced))
+    return forced
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,6 @@ class _Search:
                 inc[low.bit_length() - 1].append(i)
                 m ^= low
         self.inc = inc
-        self._reset(0)
 
     def _reset(self, chosen: int):
         """Set every counter for the assignment that includes exactly chosen."""
@@ -520,13 +523,22 @@ class _Search:
                            self.orbit_fixed, self.group.order if self.group is not None else 1)
 
 
-def _existence_failure(g: Graph, kind: CodeKind) -> existence.NoCode | None:
-    if kind is CodeKind.RED_IC:
-        return existence.exists_red_ic(g)
-    return existence.exists_ic(g)
+def _prelude(
+    g: Graph, kind: CodeKind, budget: Budget | None
+) -> tuple[existence.NoCode | None, _Search | None, int]:
+    """Ask existence for the kind once: the reason no code exists, or the
+    search and its seed, the mask of forced detectors."""
+    reason = existence.exists_red_ic(g) if kind is CodeKind.RED_IC else existence.exists_ic(g)
+    if reason is not None:
+        return reason, None, 0
+    return None, _Search(g, kind, budget), _forced_mask(g, kind)
 
 
-def _witness_tuple(mask: int) -> tuple[int, ...]:
+def _verified(g: Graph, mask: int, kind: CodeKind) -> tuple[int, ...]:
+    """The witness mask as a tuple, once ``verify`` has passed it."""
+    bad = verify(g, mask, kind)
+    if bad is not None:
+        raise RuntimeError(f"solver produced an invalid witness: {bad}")
     return tuple(bits(mask))
 
 
@@ -542,17 +554,13 @@ def solve_min(
     budget-limited run still reports a valid upper bound and witness.
     """
     t0 = time.perf_counter()
-    reason = _existence_failure(g, kind)
+    reason, search, seed = _prelude(g, kind, budget)
     if reason is not None:
         return SolveOutcome("infeasible", g.n, reason=reason,
                             stats=SolverStats(0, time.perf_counter() - t0))
     if g.n == 0:
         return SolveOutcome("optimal", 0, k=0, witness=(), lower=0, upper=0,
                             stats=SolverStats(0, time.perf_counter() - t0))
-    search = _Search(g, kind, budget)
-    seed = 0
-    for v in forced_detectors(g, kind):
-        seed |= 1 << v
     incumbent = search.greedy(seed)
     assert incumbent is not None, "existence passed but no code found greedily"
     completed = search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
@@ -560,11 +568,8 @@ def solve_min(
     k = best.bit_count()
     lower = k if completed else min(max(lower_bound(g, kind).value, search.root_lower()), k)
     stats = search.stats(t0)
-    bad = verify(g, best, kind)
-    if bad is not None:
-        raise RuntimeError(f"solver produced an invalid witness: {bad}")
     return SolveOutcome("optimal" if completed else "bounded", g.n, k=k,
-                        witness=_witness_tuple(best), lower=lower, upper=k, stats=stats)
+                        witness=_verified(g, best, kind), lower=lower, upper=k, stats=stats)
 
 
 def feasible_at(
@@ -580,21 +585,11 @@ def feasible_at(
     the search was cut short.
     """
     t0 = time.perf_counter()
-    reason = _existence_failure(g, kind)
-    if reason is not None:
+    reason, search, seed = _prelude(g, kind, budget)
+    if reason is not None or k < 0:
         return FeasibilityResult(None, True, SolverStats(0, time.perf_counter() - t0))
-    if k < 0:
-        return FeasibilityResult(None, True, SolverStats(0, time.perf_counter() - t0))
-    search = _Search(g, kind, budget)
-    seed = 0
-    for v in forced_detectors(g, kind):
-        seed |= 1 << v
     completed = search.run(seed, cap=min(k, g.n) + 1, stop_at_first=True)
     stats = search.stats(t0)
     if search.best is not None:
-        witness = search.best
-        bad = verify(g, witness, kind)
-        if bad is not None:
-            raise RuntimeError(f"solver produced an invalid witness: {bad}")
-        return FeasibilityResult(_witness_tuple(witness), True, stats)
+        return FeasibilityResult(_verified(g, search.best, kind), True, stats)
     return FeasibilityResult(None, completed, stats)

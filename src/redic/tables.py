@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .detection import CodeKind
 from .generators import cubic_graphs_cached, enum_trees
-from .graphs import Graph, parse_graph6, write_graph6
+from .graphs import Graph
 from .solver import Budget, solve_min
 
 # n -> (trees, with code, minimum = n-2, = n-1, = n)
@@ -83,20 +83,15 @@ def _solve_one(g: Graph, budget_nodes: int | None) -> int | None:
     return out.k if out.is_optimal else -1  # -1 marks a budget miss
 
 
-def _solve_g6(g6: bytes, budget_nodes: int | None) -> int | None:
-    """``_solve_one`` on a graph sent to a worker process as graph6."""
-    return _solve_one(parse_graph6(g6), budget_nodes)
-
-
 def _solve_stream(graphs, threads: int, budget_nodes: int | None) -> tuple[int, list[int], bool]:
     """Solve a census: (graphs admitting a code, their solved minima,
-    whether a budget ran out)."""
+    whether a budget ran out).  Pool workers receive the graphs pickled."""
+    budgets = [budget_nodes] * len(graphs)
     if threads <= 1:
-        results = [_solve_one(g, budget_nodes) for g in graphs]
+        results = list(map(_solve_one, graphs, budgets))
     else:
-        g6s = [write_graph6(g) for g in graphs]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_solve_g6, g6s, [budget_nodes] * len(g6s), chunksize=16))
+            results = list(pool.map(_solve_one, graphs, budgets, chunksize=16))
     solved = [k for k in results if k is not None and k != -1]
     return sum(1 for k in results if k is not None), solved, -1 in results
 

@@ -1,7 +1,9 @@
+import pickle
 import random
 
 import pytest
 
+from redic.generators import enum_trees
 from redic.graphs import (
     Graph,
     Graph6Error,
@@ -19,6 +21,7 @@ from redic.graphs import (
     parse_graph6,
     path_graph,
     star_graph,
+    torus,
     write_edge_list,
     write_graph6,
 )
@@ -186,3 +189,11 @@ def test_edge_list_roundtrip():
         parse_edge_list("3")
     with pytest.raises(ValueError):
         parse_edge_list("3 2\n0 1")
+
+
+@pytest.mark.parametrize("g", [torus(4, 4), list(enum_trees(9))[-1]], ids=["torus-4x4", "tree-9"])
+def test_pickle_round_trip_keeps_everything_a_worker_reads(g):
+    # census pools send Graph objects to their workers pickled
+    h = pickle.loads(pickle.dumps(g))
+    assert (h.n, h.adj, h._closed, h.labels) == (g.n, g.adj, g._closed, g.labels)
+    assert h.provenance() == g.provenance()

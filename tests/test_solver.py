@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from redic import existence
 from redic.detection import CodeKind, verify
 from redic.existence import closed_twins, exists_ic, exists_red_ic
 from redic.generators import enum_cubic
@@ -38,6 +39,18 @@ def brute_minimum(g, kind):
             if verify(g, combo, kind, all_pairs=True) is None:
                 return k
     return None
+
+
+def test_existence_is_asked_once_per_call(monkeypatch):
+    calls = []
+    real = existence.exists_red_ic
+    monkeypatch.setattr(existence, "exists_red_ic", lambda g: calls.append(g) or real(g))
+    g = hypercube(3)
+    for run in (lambda: solve_min(g), lambda: feasible_at(g, CodeKind.RED_IC, g.n - 1),
+                lambda: solve_min(path_graph(5))):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_forced_detectors_examples():

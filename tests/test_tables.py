@@ -32,7 +32,10 @@ def test_zero_budget_is_a_cap_not_unlimited():
 
 
 def test_threads_give_identical_rows():
-    # one process solves the Graph objects, the pool their graph6 round trip
+    # one process solves the Graph objects in place, the pool their pickled copies
     assert tree_row(8, threads=2) == tree_row(8, threads=1)
     assert tree_row(9, threads=2) == tree_row(9, threads=1)
     assert cubic_row(10, threads=2) == cubic_row(10, threads=1)
+    # a node-capped row: the -1 budget marker comes back from the workers
+    capped = cubic_row(10, threads=2, budget_nodes=1)
+    assert capped.partial and capped == cubic_row(10, threads=1, budget_nodes=1)
