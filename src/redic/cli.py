@@ -32,7 +32,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 def _load_graph(args) -> Graph:
     given = [x for x in (args.graph6, args.graph6_file, args.edgelist_file, args.family) if x]
     if len(given) != 1:
-        raise SystemExit2("choose exactly one graph input option")
+        raise ValueError("choose exactly one graph input option")
     if args.graph6:
         return parse_graph6(args.graph6)
     if args.graph6_file:
@@ -45,14 +45,6 @@ def _load_graph(args) -> Graph:
     return named_builder(args.family, *params)
 
 
-class SystemExit2(Exception):
-    """Usage or I/O error; maps to exit code 2."""
-
-
-def _kind(args) -> CodeKind:
-    return CodeKind.RED_IC if args.kind == "red-ic" else CodeKind.IC
-
-
 def _budget(args) -> Budget:
     return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
@@ -60,7 +52,7 @@ def _budget(args) -> Budget:
 def _digest(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
-        h.update(p if isinstance(p, bytes) else str(p).encode())
+        h.update(write_graph6(p) if isinstance(p, Graph) else str(p).encode())
         h.update(b"\x00")
     return h.hexdigest()[:16]
 
@@ -90,9 +82,9 @@ def _emit(args, report: dict, human: str) -> None:
 def cmd_verify(args) -> int:
     g = _load_graph(args)
     detectors = [int(x) for x in args.detectors.split(",") if x.strip() != ""]
-    kind = _kind(args)
+    kind = CodeKind(args.kind)
     v = verify(g, detectors, kind)
-    digest = _digest(write_graph6(g), kind.value, sorted(detectors))
+    digest = _digest(g, kind.value, sorted(detectors))
     if v is None:
         _emit(args, _report("verify", digest, "pass", k=len(detectors), witness=sorted(detectors)),
               f"pass: {len(detectors)} detectors form a valid {kind.value} code")
@@ -108,9 +100,9 @@ def _stats(st: SolverStats) -> dict:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args)
-    kind = _kind(args)
+    kind = CodeKind(args.kind)
     out = solve_min(g, kind, budget=_budget(args))
-    digest = _digest(write_graph6(g), kind.value)
+    digest = _digest(g, kind.value)
     bounds = {"lower": out.lower, "upper": out.upper}
     stats = _stats(out.stats)
     if out.status == "infeasible":
@@ -129,7 +121,7 @@ def cmd_solve(args) -> int:
 def cmd_exists(args) -> int:
     g = _load_graph(args)
     reason = exists_red_ic(g)
-    digest = _digest(write_graph6(g), "red-ic")
+    digest = _digest(g, "red-ic")
     if reason is None:
         _emit(args, _report("exists", digest, "yes"), "yes: a fault-tolerant code exists")
         return 0
@@ -139,9 +131,9 @@ def cmd_exists(args) -> int:
 
 def cmd_feasible(args) -> int:
     g = _load_graph(args)
-    kind = _kind(args)
+    kind = CodeKind(args.kind)
     res = feasible_at(g, kind, args.k, budget=_budget(args))
-    digest = _digest(write_graph6(g), kind.value, args.k)
+    digest = _digest(g, kind.value, args.k)
     stats = _stats(res.stats)
     if res.witness is not None:
         _emit(args, _report("feasible", digest, "witness", k=len(res.witness),
@@ -177,16 +169,11 @@ def cmd_construct(args) -> int:
         print("gadget search exhausted its budget", file=sys.stderr)
         return 1
     g6 = write_graph6(inst.graph).decode("ascii")
-    digest = _digest(g6, inst.claimed_k)
-    report = _report("construct", digest, inst.certificate, k=inst.claimed_k,
-                     witness=inst.witness)
+    report = _report("construct", _digest(inst.graph, inst.claimed_k), inst.certificate,
+                     k=inst.claimed_k, witness=inst.witness)
     report["graph6"] = g6
-    if args.json:
-        print(json.dumps(report))
-    else:
-        print(g6)
-        print("witness:", " ".join(map(str, inst.witness)))
-        print(f"k={inst.claimed_k} n={inst.graph.n} certificate={inst.certificate}")
+    _emit(args, report, f"{g6}\nwitness: {' '.join(map(str, inst.witness))}\n"
+                        f"k={inst.claimed_k} n={inst.graph.n} certificate={inst.certificate}")
     return 0
 
 
@@ -207,18 +194,25 @@ def cmd_reduce(args) -> int:
         "roles": roles,
         "graph6": g6,
     }
-    if args.json:
-        print(json.dumps(sidecar))
-    else:
-        print(g6)
-        print(f"K={threshold} vertices={g.n} edges={g.num_edges()}")
+    _emit(args, sidecar, f"{g6}\nK={threshold} vertices={g.n} edges={g.num_edges()}")
     return 0
 
 
-def _print_table(rows, kind: str, as_json: bool) -> int:
+# subcommand -> (help, row type, row function, first n, step, JSON name, default --max-n)
+TABLES = {
+    "table1": ("tree summary vs reference values", tables.TreeRow, tables.tree_row, 4, 1, "trees", 13),
+    "table2": ("cubic summary vs reference values", tables.CubicRow, tables.cubic_row, 6, 2, "cubic", 14),
+}
+
+
+def cmd_table(args) -> int:
+    _, row_type, row_fn, first, step, name, _ = TABLES[args.cmd]
+    if not args.json:
+        print("\t".join(("n", *row_type.COLUMNS, "status")))
     ok_all = True
     payload = []
-    for row in rows:
+    for n in range(first, args.max_n + 1, step):
+        row = row_fn(n, threads=args.threads, budget_nodes=args.budget_nodes)
         diffs = tables.diff_row(row)
         if row.partial:
             status = "partial"
@@ -230,36 +224,19 @@ def _print_table(rows, kind: str, as_json: bool) -> int:
         else:
             status = "FAIL"
             ok_all = False
-        payload.append({"n": row.n, "values": row.values(), "status": status,
+        payload.append({"n": n, "values": row.values(), "status": status,
                         "diffs": [d for d in diffs if not d[3]]})
-        if not as_json:
-            cells = "\t".join(str(v) for v in row.values())
-            print(f"{row.n}\t{cells}\t{status}")
-    if as_json:
-        print(json.dumps({"command": f"table-{kind}", "rows": payload, "all_match": ok_all}))
+        if not args.json:
+            print("\t".join(map(str, (n, *row.values(), status))))
+    if args.json:
+        print(json.dumps({"command": f"table-{name}", "rows": payload, "all_match": ok_all}))
     return 0 if ok_all else 1
-
-
-def cmd_table1(args) -> int:
-    if not args.json:
-        print("n\ttrees\twith_code\tmin=n-2\tmin=n-1\tmin=n\tstatus")
-    rows = (tables.tree_row(n, threads=args.threads, budget_nodes=args.budget_nodes)
-            for n in range(4, args.max_n + 1))
-    return _print_table(rows, "trees", args.json)
-
-
-def cmd_table2(args) -> int:
-    if not args.json:
-        print("n\tcubic\twith_code\tlowest\thighest\tstatus")
-    rows = (tables.cubic_row(n, threads=args.threads, budget_nodes=args.budget_nodes)
-            for n in range(6, args.max_n + 1, 2))
-    return _print_table(rows, "cubic", args.json)
 
 
 def cmd_bounds(args) -> int:
     g = _load_graph(args)
-    rep = lower_bound(g, _kind(args))
-    digest = _digest(write_graph6(g), args.kind)
+    rep = lower_bound(g, CodeKind(args.kind))
+    digest = _digest(g, args.kind)
     bounds = {
         "log": rep.log_bound,
         "tree": rep.tree_bound,
@@ -320,19 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("table1", help="tree summary vs reference values")
-    p.add_argument("--max-n", type=int, default=13)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_table1)
-
-    p = sub.add_parser("table2", help="cubic summary vs reference values")
-    p.add_argument("--max-n", type=int, default=14)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_table2)
+    for cmd, (help_text, *_, max_n) in TABLES.items():
+        p = sub.add_parser(cmd, help=help_text)
+        p.add_argument("--max-n", type=int, default=max_n)
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--budget-nodes", type=int, default=None)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("bounds", help="structural lower bounds")
     _add_graph_args(p)
@@ -346,7 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SystemExit2, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

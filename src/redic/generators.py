@@ -222,20 +222,31 @@ def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
     if k == n:
         yield Graph(n, adj)
         return
-    rem = n - k  # vertices still to be placed, including the new one
+    # Degree arithmetic, decided once per level: can the partial graph still
+    # close to 3-regular once the new vertex joins?  No deficit may exceed
+    # the future vertices' count (simple graph), so a deficit of future + 1
+    # must drop by joining the new vertex.  The remaining total deficit must
+    # fit the future vertices' 3-slot budget with matching parity (each
+    # internal future edge consumes two slots); it depends only on the size
+    # of the new vertex's backward neighbourhood.
+    future = n - k - 1
     deficits = [3 - a.bit_count() for a in adj]
-    # candidates for the new vertex's backward neighbors
+    if max(deficits) > future + 1:
+        return
+    must = mask_of(v for v, d in enumerate(deficits) if d == future + 1)
     open_verts = [v for v in range(k) if deficits[v] > 0]
     for size in (3, 2, 1):
-        if size > len(open_verts):
+        total = sum(deficits) + 3 - 2 * size
+        if (size > len(open_verts) or total > 3 * future or (total - future) % 2
+                or (future == 0 and total) or 3 * future - total > future * (future - 1)):
             continue
         for subset in combinations(open_verts, size):
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            if not _extension_feasible(adj, deficits, mask, size, k, rem):
+            if must & ~mask:
                 continue
-            new_col = _column_value(mask, list(range(k)))
+            new_col = _column_value(mask, range(k))
             # swapping the last two vertices must not increase the encoding
             if k >= 2 and new_col >> 1 > cols[-1]:
                 continue
@@ -244,33 +255,6 @@ def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
             new_cols = cols + [new_col]
             if _better_labeling(new_adj, new_cols) is None:
                 yield from _grow_cubic(new_adj, new_cols, n)
-
-
-def _extension_feasible(adj, deficits, mask, size, k, rem) -> bool:
-    """Degree arithmetic: can this partial graph still close to 3-regular?
-
-    After placing the new vertex, rem-1 vertices remain; the total deficit
-    must be coverable by their 3-slot budget, no single deficit may exceed
-    the number of future vertices (simple graph), and the parity of the
-    deficit must match (each internal future edge consumes two slots).
-    """
-    future = rem - 1
-    total = 3 - size  # the new vertex's own deficit
-    for v, d in enumerate(deficits):
-        d -= mask >> v & 1
-        if d > future:
-            return False
-        total += d
-    if total > 3 * future:
-        return False
-    if (total - future) % 2:
-        return False
-    if future == 0:
-        return total == 0
-    # min edges needed from future-internal pairs
-    if 3 * future - total > future * (future - 1):
-        return False
-    return True
 
 
 # -- canonical certificates (for tests and de-duplication) -----------------

@@ -373,22 +373,11 @@ def _g6_size_field(n: int) -> bytes:
 
 
 def write_graph6(g: Graph) -> bytes:
-    """Serialize to graph6 (no header, no trailing newline)."""
-    out = bytearray(_g6_size_field(g.n))
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.adj[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    """Serialize to graph6 (no header, no trailing newline): the inverse of
+    ``parse_graph6``, column v being v's lower neighbour mask reversed."""
+    stream = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    stream += "0" * (-len(stream) % 6)
+    return _g6_size_field(g.n) + bytes(int(stream[i:i + 6], 2) + 63 for i in range(0, len(stream), 6))
 
 
 def parse_graph6(data: bytes | str) -> Graph:

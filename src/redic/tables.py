@@ -57,6 +57,10 @@ class TreeRow:
     at_n: int
     partial: bool = False
 
+    # the table's header and frozen values: class attributes, not fields
+    COLUMNS = ("trees", "with_code", "min=n-2", "min=n-1", "min=n")
+    REFERENCE = TREE_REFERENCE
+
     def values(self) -> tuple[int, int, int, int, int]:
         return (self.trees, self.with_code, self.at_n_minus_2, self.at_n_minus_1, self.at_n)
 
@@ -69,6 +73,9 @@ class CubicRow:
     lowest: int | None
     highest: int | None
     partial: bool = False
+
+    COLUMNS = ("cubic", "with_code", "lowest", "highest")
+    REFERENCE = CUBIC_REFERENCE
 
     def values(self):
         return (self.count, self.with_code, self.lowest, self.highest)
@@ -123,22 +130,11 @@ def cubic_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> Cubi
     )
 
 
-_TREE_COLUMNS = ("trees", "with_code", "min=n-2", "min=n-1", "min=n")
-_CUBIC_COLUMNS = ("cubic", "with_code", "lowest", "highest")
-
-
 def diff_row(row: TreeRow | CubicRow) -> list[tuple[str, int, int | None, bool]]:
-    """(column, expected, got, ok) against the reference; empty if n is
-    beyond the embedded range."""
-    if isinstance(row, TreeRow):
-        ref = TREE_REFERENCE.get(row.n)
-        cols = _TREE_COLUMNS
-    else:
-        ref = CUBIC_REFERENCE.get(row.n)
-        cols = _CUBIC_COLUMNS
+    """(column, expected, got, ok) against the row type's reference; empty
+    if n is beyond the embedded range."""
+    ref = row.REFERENCE.get(row.n)
     if ref is None:
         return []
-    out = []
-    for name, expected, got in zip(cols, ref, row.values()):
-        out.append((name, expected, got, expected == got and not row.partial))
-    return out
+    return [(name, expected, got, expected == got and not row.partial)
+            for name, expected, got in zip(row.COLUMNS, ref, row.values())]

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import redic
 from redic.cli import main
@@ -167,3 +171,83 @@ sys.exit(main(["table1", "--max-n", "10"]))
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 7
+
+
+# Each invocation runs in text form and with --json, in a directory holding
+# claw.g6, claw.edges and phi.cnf; the value is the sha256 (first 16 hex
+# digits) of "exit code, stdout, stderr" for each form, "seconds" blanked.
+PINNED_OUTPUTS = {
+    "verify --family star --params 3 --detectors 0,1,2,3": ("449392ce9267c83d", "a23125e9b0cd2d7f"),
+    "verify --graph6 Cl --detectors 0,1,2 --kind ic": ("098ba274e7d71c2a", "1d7a330dcf25cddd"),
+    "verify --graph6 Cl --detectors 0,1,2": ("342b919cc9d30296", "ed1c57bb6eec9953"),
+    "solve --family cycle --params 7": ("85f47cdcae78c47e", "491de8e1e9f1ca06"),
+    "solve --family cycle --params 7 --budget-nodes 0": ("101874224e3a7cd1", "9937fcd4bf538f9d"),
+    "solve --family hypercube --params 4 --kind ic": ("473961e96068c235", "75dd45443719ec68"),
+    "solve --family path --params 6": ("cf9965d3bb7785f7", "2f760ccf50881a55"),
+    "solve --graph6-file claw.g6": ("4cf3a2e38d2d5a42", "8df02891ef998c0f"),
+    "solve --edgelist-file claw.edges": ("4cf3a2e38d2d5a42", "8df02891ef998c0f"),
+    "exists --family complete --params 5": ("3c99c4d847042254", "88b9dd24b89d640b"),
+    "exists --family star --params 3": ("8e1e87e0f875adcb", "6eefe383e48a4bc9"),
+    "feasible --graph6 Cl --k 4": ("78fea103fc5e4a50", "8e6409b223d79e82"),
+    "feasible --graph6 Cl --k 3": ("3eb7e15ba99027a5", "bd4813dd8deb15ae"),
+    "feasible --graph6 Cl --k 4 --budget-nodes 0": ("baab6acbec3d5e03", "acf7be5189ea47a0"),
+    "bounds --family torus --params 6,6": ("759ad3b3954a98e2", "cc4a57e15a1bdd4c"),
+    "bounds --family hypercube --params 4 --kind ic": ("b7e68e4a188867c8", "c5569e7f5ac631f1"),
+    "construct star-even --k 6": ("431aa364a33d82a3", "740b5e157feddafd"),
+    "construct star-odd --k 5": ("b554bec5332b582c", "7052b9bed1cab6f3"),
+    "construct cycle-odd --k 7": ("0a35a93f16ef4a55", "8780e76c42ca764a"),
+    "construct multipartite --n 6": ("58f465aba74f865e", "7fd1562d71a53ff4"),
+    "construct tree --n 7": ("5c39dd575f96e374", "1b5267fcfaeb93d8"),
+    "construct g6-ring --t 3": ("c60006c869f570c2", "c7da5506f29fe358"),
+    "construct q5": ("e52b53633ca0e893", "cc45df7a9b746ead"),
+    "reduce phi.cnf": ("5c2fac9c377985d2", "41e3a367df3eaa6a"),
+    "table1 --max-n 8": ("686fc10786def16c", "5051dbab73021a1b"),
+    "table2 --max-n 10": ("7776c2124f7a718e", "be2360711a7507a0"),
+    "table2 --max-n 10 --budget-nodes 1": ("b0aecb3abaf4619a", "9309bea79af14041"),
+    # exit 2: usage and I/O errors
+    "solve": ("f63dde731e30a3f8", "f63dde731e30a3f8"),
+    "solve --graph6 Cl --edgelist-file claw.edges": ("f63dde731e30a3f8", "f63dde731e30a3f8"),
+    "verify --graph6-file missing.g6 --detectors 0": ("ef3a89b6b7ac9abd", "ef3a89b6b7ac9abd"),
+    "solve --graph6 !!": ("8cd6086895e56133", "8cd6086895e56133"),
+    "solve --family nosuch": ("625262fc1f9d6e90", "625262fc1f9d6e90"),
+    "construct star-odd --k 4": ("b34c10f976694819", "b34c10f976694819"),
+    "construct multipartite --n 5": ("22d6f0f081d43143", "22d6f0f081d43143"),
+    "reduce missing.cnf": ("e0b0335006809d1e", "e0b0335006809d1e"),
+    "solve --family cycle --params 5 --kind xx": ("d6d2a8922ad94d47", "d6d2a8922ad94d47"),
+}
+
+PINNED_HELP = {
+    "--help": "c9a7fdc619d77e1d",
+    "table1 --help": "46996ee370e69e9b",
+    "table2 --help": "f232447c1a9019b8",
+}
+
+
+def _output_digest(capsys, argv: list[str]) -> str:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    text = re.sub(r'"seconds": [-0-9.e]+', '"seconds": 0', f"{code}\n{out.out}\n{out.err}")
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture
+def pinned_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths: reduce's digest includes the file name
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    (tmp_path / "claw.g6").write_bytes(b"Cs\n")
+    (tmp_path / "claw.edges").write_text("4 3\n0 1\n0 2\n0 3\n")
+    (tmp_path / "phi.cnf").write_text("p cnf 3 1\n1 2 3 0\n")
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS))
+def test_output_is_pinned(argv, capsys, pinned_dir):
+    got = tuple(_output_digest(capsys, argv.split() + form) for form in ([], ["--json"]))
+    assert got == PINNED_OUTPUTS[argv]
+
+
+@pytest.mark.parametrize("argv", list(PINNED_HELP))
+def test_help_is_pinned(argv, capsys, pinned_dir):
+    assert _output_digest(capsys, argv.split()) == PINNED_HELP[argv]

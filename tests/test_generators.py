@@ -149,6 +149,7 @@ CUBIC_STREAM_DIGESTS = {
     8: "6946d13a0aec8538",
     10: "b46e70b9578943cb",
     12: "ba8840f3f3c1135e",
+    14: "c8332365a95da623",
 }
 
 
