@@ -146,7 +146,8 @@ def cmd_feasible(args) -> int:
 
 
 def _g14_ring(args):
-    gadget = constructions.g14_gadget_search(budget_seconds=args.budget_seconds or 120.0)
+    budget = 120.0 if args.budget_seconds is None else args.budget_seconds
+    gadget = constructions.g14_gadget_search(budget_seconds=budget)
     return None if gadget is None else constructions.g14_ring(gadget, args.t)
 
 
@@ -185,7 +186,7 @@ def cmd_reduce(args) -> int:
     roles = {g.label(v): v for v in range(g.n)}
     sidecar = {
         "command": "reduce",
-        "input_digest": _digest(args.cnf, phi),
+        "input_digest": _digest(phi),
         "n_vars": phi.n_vars,
         "n_clauses": len(phi.clauses),
         "vertices": g.n,

@@ -1,7 +1,8 @@
 """Extremal families, each packaged with a witness code and a certificate.
 
-Optimality is certified "bound meets construction" where a structural lower
-bound equals the witness size; otherwise the instance is tagged as needing
+A family whose optimality follows from a structural lower bound names that
+bound ("counting", "tree" or "cubic"), and the bound's own value is checked
+to equal the witness size; a family that names none is tagged as needing
 the solver.  Every instance re-verifies its own witness at construction
 time -- a failure here is a construction bug, not a soft error.
 
@@ -54,29 +55,38 @@ class ConstructedInstance:
         return Fraction(self.claimed_k, self.graph.n)
 
 
-def _certified(graph: Graph, witness, claimed_k: int, certificate: str) -> ConstructedInstance:
+# bound a family may name -> the BoundReport field that holds its value
+_BOUND_FIELDS = {"counting": "log_bound", "tree": "tree_bound", "cubic": "cubic_bound"}
+
+
+def _certified(graph: Graph, witness, claimed_k: int, bound: str | None = None) -> ConstructedInstance:
     witness = tuple(sorted(witness))
     if len(witness) != claimed_k:
         raise AssertionError(f"witness size {len(witness)} != claimed {claimed_k}")
     bad = verify(graph, witness, CodeKind.RED_IC)
     if bad is not None:
         raise AssertionError(f"constructed witness fails verification: {bad}")
-    if certificate.startswith("bound:") and lower_bound(graph, CodeKind.RED_IC).value != claimed_k:
-        raise AssertionError("bound certificate does not meet the construction")
-    return ConstructedInstance(graph, witness, claimed_k, certificate)
+    if bound is None:
+        return ConstructedInstance(graph, witness, claimed_k, "solver")
+    met = getattr(lower_bound(graph, CodeKind.RED_IC), _BOUND_FIELDS[bound])
+    if met != claimed_k:
+        raise AssertionError(f"{bound} bound {met} does not meet the construction {claimed_k}")
+    return ConstructedInstance(graph, witness, claimed_k, f"bound:{bound}")
 
 
 # -- subset-code families ---------------------------------------------------
 
 
-def _subset_code_graph(k: int, detector_codes: list[frozenset[int]],
-                       extra_codes: list[frozenset[int]]) -> tuple[Graph, tuple[int, ...]]:
-    """Realize codes over detectors 0..k-1.
+def _subset_family(k: int, detector_codes: list[frozenset[int]], sizes,
+                   expect_n: int) -> ConstructedInstance:
+    """Realize every subset of detectors 0..k-1 whose size is in ``sizes``
+    as the code of one vertex, certified by the counting bound.
 
     detector_codes[i] is the required closed-neighborhood code of detector
-    i and must contain i; consistency (j in code(i) iff i in code(j)) is
-    asserted since detector adjacency is symmetric.  Each extra code
-    becomes one non-detector adjacent to exactly that detector set.
+    i, must contain i, and is one of those subsets; consistency (j in
+    code(i) iff i in code(j)) is asserted since detector adjacency is
+    symmetric.  Each other subset becomes one non-detector adjacent to
+    exactly that detector set.
     """
     for i, code in enumerate(detector_codes):
         if i not in code:
@@ -84,24 +94,14 @@ def _subset_code_graph(k: int, detector_codes: list[frozenset[int]],
         for j in code:
             if j != i and i not in detector_codes[j]:
                 raise AssertionError("detector codes are not symmetric")
-    n = k + len(extra_codes)
-    edges = []
-    for i in range(k):
-        for j in detector_codes[i]:
-            if j > i:
-                edges.append((i, j))
-    for off, code in enumerate(extra_codes):
-        v = k + off
-        for j in code:
-            edges.append((v, j))
-    return build_graph(n, edges), tuple(range(k))
-
-
-def _even_subsets(k: int, lo: int, hi: int) -> list[frozenset[int]]:
-    out = []
-    for size in range(lo, hi + 1, 2):
-        out.extend(frozenset(c) for c in combinations(range(k), size))
-    return out
+    assert sum(comb(k, s) for s in sizes) == expect_n
+    taken = set(detector_codes)
+    extras = [c for s in sizes for c in map(frozenset, combinations(range(k), s)) if c not in taken]
+    edges = [(i, j) for i in range(k) for j in detector_codes[i] if j > i]
+    edges += [(k + off, j) for off, code in enumerate(extras) for j in code]
+    g = build_graph(k + len(extras), edges)
+    assert g.n == expect_n, (g.n, expect_n)
+    return _certified(g, range(k), k, "counting")
 
 
 def star_extremal_even(k: int) -> ConstructedInstance:
@@ -115,15 +115,8 @@ def star_extremal_even(k: int) -> ConstructedInstance:
     """
     if k < 4 or k % 2:
         raise ValueError("even star family needs even k >= 4")
-    hub_code = frozenset(range(k))
-    det_codes = [hub_code] + [frozenset({0, i}) for i in range(1, k)]
-    taken = set(det_codes)
-    extras = [c for c in _even_subsets(k, 2, k - 2) if c not in taken]
-    g, witness = _subset_code_graph(k, det_codes, extras)
-    expect_n = 2 ** (k - 1) - 1
-    assert sum(comb(k, i) for i in range(2, k + 1, 2)) == expect_n
-    assert g.n == expect_n, (g.n, expect_n)
-    return _certified(g, witness, k, "bound:counting")
+    det_codes = [frozenset(range(k))] + [frozenset({0, i}) for i in range(1, k)]
+    return _subset_family(k, det_codes, range(2, k + 1, 2), 2 ** (k - 1) - 1)
 
 
 def star_extremal_odd(k: int) -> ConstructedInstance:
@@ -135,16 +128,8 @@ def star_extremal_odd(k: int) -> ConstructedInstance:
     """
     if k < 5 or k % 2 == 0:
         raise ValueError("odd star family needs odd k >= 5")
-    hub_code = frozenset(range(k))
-    det_codes = [hub_code] + [frozenset({0, i}) for i in range(1, k)]
-    taken = set(det_codes)
-    extras = [c for c in _even_subsets(k, 2, k - 3) if c not in taken]
-    g, witness = _subset_code_graph(k, det_codes, extras)
-    expect_n = 2 ** (k - 1) - k
-    assert sum(comb(k, i) for i in range(2, k - 2, 2)) + 1 == expect_n
-    assert g.n == expect_n, (g.n, expect_n)
-    cert = "bound:counting" if lower_bound(g, CodeKind.RED_IC).value == k else "solver"
-    return _certified(g, witness, k, cert)
+    det_codes = [frozenset(range(k))] + [frozenset({0, i}) for i in range(1, k)]
+    return _subset_family(k, det_codes, (*range(2, k - 2, 2), k), 2 ** (k - 1) - k)
 
 
 def cycle_extremal_odd(k: int) -> ConstructedInstance:
@@ -157,16 +142,7 @@ def cycle_extremal_odd(k: int) -> ConstructedInstance:
     if k < 5 or k % 2 == 0:
         raise ValueError("odd cycle family needs odd k >= 5")
     det_codes = [frozenset({(i - 1) % k, i, (i + 1) % k}) for i in range(k)]
-    taken = set(det_codes)
-    extras = []
-    for size in range(3, k + 1, 2):
-        extras.extend(frozenset(c) for c in combinations(range(k), size) if frozenset(c) not in taken)
-    g, witness = _subset_code_graph(k, det_codes, extras)
-    expect_n = 2 ** (k - 1) - k
-    assert sum(comb(k, i) for i in range(3, k + 1, 2)) == expect_n
-    assert g.n == expect_n, (g.n, expect_n)
-    cert = "bound:counting" if lower_bound(g, CodeKind.RED_IC).value == k else "solver"
-    return _certified(g, witness, k, cert)
+    return _subset_family(k, det_codes, range(3, k + 1, 2), 2 ** (k - 1) - k)
 
 
 def multipartite_exact(n: int) -> ConstructedInstance:
@@ -174,7 +150,7 @@ def multipartite_exact(n: int) -> ConstructedInstance:
     if n < 4 or n % 2:
         raise ValueError("needs even n >= 4")
     g = complete_multipartite([2] * (n // 2))
-    return _certified(g, range(n), n, "solver")
+    return _certified(g, range(n), n)
 
 
 # -- extremal trees ---------------------------------------------------------
@@ -207,14 +183,26 @@ def extremal_tree(n: int) -> ConstructedInstance:
         edges.append((0, base + t))
     g = build_graph(n, edges)
     witness = sorted(set(range(n)) - set(connectors))
-    return _certified(g, witness, n - j, "bound:tree")
+    return _certified(g, witness, n - j, "tree")
 
 
-# -- cubic family with maximum code (all of V) ------------------------------
+# -- cubic rings ------------------------------------------------------------
 
 
-_G6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 5), (2, 4)]
-_G6_PORTS = (0, 3)  # the two degree-2 vertices
+def _ring(block: Graph, t: int, links) -> Graph:
+    """Cubic ring of t >= 2 copies of ``block``: each (p, q) in ``links``
+    joins vertex p of copy i to vertex q of copy i+1 (mod t).  Copy i's
+    vertices get the block's labels suffixed with i, when it has labels.
+    """
+    if t < 2:
+        raise ValueError("ring needs t >= 2")
+    m = block.n
+    edges = [(m * i + u, m * i + v) for i in range(t) for u, v in block.edges()]
+    edges += [(m * i + p, m * ((i + 1) % t) + q) for i in range(t) for p, q in links]
+    labels = None if block.labels is None else [f"{x}{i}" for i in range(t) for x in block.labels]
+    g = build_graph(m * t, edges, labels=labels)
+    assert g.is_cubic()
+    return g
 
 
 def g6_gadget() -> Graph:
@@ -226,7 +214,8 @@ def g6_gadget() -> Graph:
     and e exactly in {b, f}, which is what forces every vertex into any
     valid code once the ports are wired to more blocks.
     """
-    return build_graph(6, _G6_EDGES, labels=list("abcdef"))
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 5), (2, 4)]
+    return build_graph(6, edges, labels=list("abcdef"))
 
 
 def g6_ring(t: int) -> ConstructedInstance:
@@ -235,19 +224,8 @@ def g6_ring(t: int) -> ConstructedInstance:
     Cubic on 6t vertices; the only code is all of V, which the solver
     certifies at small t.
     """
-    if t < 2:
-        raise ValueError("ring needs t >= 2")
-    edges = []
-    labels = []
-    for i in range(t):
-        base = 6 * i
-        edges += [(base + u, base + v) for u, v in _G6_EDGES]
-        labels += [f"{ch}{i}" for ch in "abcdef"]
-    for i in range(t):
-        edges.append((6 * i + _G6_PORTS[1], 6 * ((i + 1) % t) + _G6_PORTS[0]))
-    g = build_graph(6 * t, edges, labels=labels)
-    assert g.is_cubic()
-    return _certified(g, range(6 * t), 6 * t, "solver")
+    g = _ring(g6_gadget(), t, [(3, 0)])
+    return _certified(g, range(6 * t), 6 * t)
 
 
 # -- cubic family with minimum density 4/7 ----------------------------------
@@ -313,21 +291,10 @@ def g14_ring(gadget: G14Gadget, t: int) -> ConstructedInstance:
     next copy, restoring 3-regularity.  The 8t-detector witness meets the
     cubic lower bound ceil(4 * 14t / 7) = 8t, so optimality needs no search.
     """
-    if t < 2:
-        raise ValueError("ring needs t >= 2")
-    n1 = gadget.graph.n
     p1, p2, p3, p4 = gadget.ports
-    edges = []
-    for i in range(t):
-        base = n1 * i
-        edges += [(base + u, base + v) for u, v in gadget.graph.edges()]
-    for i in range(t):
-        nxt = n1 * ((i + 1) % t)
-        edges += [(n1 * i + p1, nxt + p3), (n1 * i + p2, nxt + p4)]
-    g = build_graph(n1 * t, edges)
-    assert g.is_cubic()
-    witness = [n1 * i + w for i in range(t) for w in gadget.witness]
-    return _certified(g, witness, 8 * t, "bound:cubic")
+    g = _ring(gadget.graph, t, [(p1, p3), (p2, p4)])
+    witness = [gadget.graph.n * i + w for i in range(t) for w in gadget.witness]
+    return _certified(g, witness, 8 * t, "cubic")
 
 
 # -- hypercubes --------------------------------------------------------------
@@ -339,7 +306,7 @@ def q5_code_search(budget: Budget | None = None) -> ConstructedInstance:
     res = feasible_at(q5, CodeKind.RED_IC, 12, budget=budget)
     if res.witness is None:
         raise RuntimeError("no 12-vertex code found on the 5-cube within budget")
-    return _certified(q5, res.witness, 12, "solver")
+    return _certified(q5, res.witness, 12)
 
 
 def double_hypercube_code(d: int, witness) -> tuple[Graph, tuple[int, ...]]:
@@ -349,9 +316,6 @@ def double_hypercube_code(d: int, witness) -> tuple[Graph, tuple[int, ...]]:
     doubled set verifies there, which is why optimal densities cannot
     increase with the dimension.
     """
-    big = hypercube(d + 1)
-    doubled = sorted(set(witness) | {v | 1 << d for v in witness})
-    bad = verify(big, doubled, CodeKind.RED_IC)
-    if bad is not None:
-        raise AssertionError(f"doubled code fails verification: {bad}")
-    return big, tuple(doubled)
+    doubled = set(witness) | {v | 1 << d for v in witness}
+    inst = _certified(hypercube(d + 1), doubled, len(doubled))
+    return inst.graph, inst.witness

@@ -72,6 +72,22 @@ def test_reduce_roundtrip(capsys, tmp_path):
     assert rep["roles"]["x1"] == 0
 
 
+def test_reduce_digest_ignores_path_spelling(capsys, pinned_dir):
+    spellings = ("phi.cnf", "./phi.cnf", str(Path("phi.cnf").resolve()))
+    digests = {json.loads(run(capsys, "reduce", p, "--json")[1])["input_digest"] for p in spellings}
+    assert len(digests) == 1
+
+
+def test_g14_ring_budget_falls_back_only_when_absent(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(redic.constructions, "g14_gadget_search",
+                        lambda budget_seconds: seen.append(budget_seconds))
+    for extra in ([], ["--budget-seconds", "0"], ["--budget-seconds", "7.5"]):
+        code, _, err = run(capsys, "construct", "g14-ring", *extra)
+        assert code == 1 and "exhausted" in err
+    assert seen == [120.0, 0.0, 7.5]
+
+
 def test_feasible(capsys):
     code, out, _ = run(capsys, "feasible", "--graph6", "Cl", "--k", "4")
     assert code == 0 and "witness" in out
@@ -200,7 +216,7 @@ PINNED_OUTPUTS = {
     "construct tree --n 7": ("5c39dd575f96e374", "1b5267fcfaeb93d8"),
     "construct g6-ring --t 3": ("c60006c869f570c2", "c7da5506f29fe358"),
     "construct q5": ("e52b53633ca0e893", "cc45df7a9b746ead"),
-    "reduce phi.cnf": ("5c2fac9c377985d2", "41e3a367df3eaa6a"),
+    "reduce phi.cnf": ("5c2fac9c377985d2", "f06c0375f03ad9c5"),
     "table1 --max-n 8": ("686fc10786def16c", "5051dbab73021a1b"),
     "table2 --max-n 10": ("7776c2124f7a718e", "be2360711a7507a0"),
     "table2 --max-n 10 --budget-nodes 1": ("b0aecb3abaf4619a", "9309bea79af14041"),
@@ -235,7 +251,7 @@ def _output_digest(capsys, argv: list[str]) -> str:
 
 @pytest.fixture
 def pinned_dir(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # relative paths: reduce's digest includes the file name
+    monkeypatch.chdir(tmp_path)  # the invocations name their input files by relative path
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
     (tmp_path / "claw.g6").write_bytes(b"Cs\n")
     (tmp_path / "claw.edges").write_text("4 3\n0 1\n0 2\n0 3\n")

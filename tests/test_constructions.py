@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from redic.constructions import (
+    _certified,
     cycle_extremal_odd,
     double_hypercube_code,
     extremal_tree,
@@ -18,7 +19,7 @@ from redic.constructions import (
 )
 from redic.detection import CodeKind, verify
 from redic.generators import are_isomorphic
-from redic.graphs import build_graph, cycle_graph
+from redic.graphs import build_graph, cycle_graph, hypercube
 from redic.solver import lower_bound, solve_min
 
 
@@ -124,13 +125,24 @@ def test_q5_and_doubling():
     assert inst.density == Fraction(3, 8)
     big, doubled = double_hypercube_code(5, inst.witness)
     assert big.n == 64 and len(doubled) == 24
+    assert verify(big, doubled, CodeKind.RED_IC) is None
     assert Fraction(len(doubled), big.n) == Fraction(3, 8)
 
 
 def test_doubling_from_the_square():
     # the 4-cycle is the 2-cube: minimum 4, and its vertex set doubles upward
-    from redic.graphs import hypercube
-
     assert solve_min(hypercube(2)).k == 4
     q3, w = double_hypercube_code(2, (0, 1, 2, 3))
     assert q3.n == 8 and len(w) == 8
+    assert verify(q3, w, CodeKind.RED_IC) is None
+
+
+@pytest.mark.parametrize("graph, witness, claimed_k, bound, message", [
+    (cycle_graph(6), (0, 1), 2, None, "fails verification"),
+    (cycle_graph(4), range(4), 3, None, "witness size 4 != claimed 3"),
+    (cycle_graph(4), range(4), 4, "tree", "tree bound None does not meet"),
+    (g6_ring(2).graph, range(12), 12, "counting", "counting bound 5 does not meet"),
+])
+def test_certification_rejects(graph, witness, claimed_k, bound, message):
+    with pytest.raises(AssertionError, match=message):
+        _certified(graph, witness, claimed_k, bound)
