@@ -79,53 +79,60 @@ def delta(g: Graph, detectors: Iterable[int] | int, u: int, v: int) -> frozenset
     return frozenset(bits((g.closed_nbhd(u) ^ g.closed_nbhd(v)) & s))
 
 
-def _reach2(g: Graph, u: int) -> int:
-    """Vertices within distance 2 of u (including u): N[u] plus the
-    neighbors of each neighbor."""
-    adj = g.adj
-    reach = g._closed[u]
-    m = adj[u]
-    while m:
-        low = m & -m
-        reach |= adj[low.bit_length() - 1]
-        m ^= low
-    return reach
+def _detector_reach(closed: list[int], su: int) -> tuple[int, int]:
+    """The vertices that share at least one, and at least two, detectors with
+    u, given ``su`` = N[u] & S: unions of the N[x] over the detectors x in
+    ``su``, u itself among them when ``su`` is not empty."""
+    once = twice = 0
+    while su:
+        low = su & -su
+        nx = closed[low.bit_length() - 1]
+        twice |= once & nx
+        once |= nx
+        su ^= low
+    return once, twice
 
 
-def verify(
-    g: Graph,
-    detectors: Iterable[int] | int,
-    kind: CodeKind,
-    *,
-    all_pairs: bool = False,
-) -> Violation | None:
+def verify(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> Violation | None:
     """Check the code conditions; return None on pass, else the first violation.
 
     Violations are reported deterministically: all vertices are checked for
-    domination in ascending order, then pairs in lexicographic order.  By
-    default only pairs at distance <= 2 are checked: once every vertex meets
-    the domination threshold, a pair at distance >= 3 has disjoint closed
-    neighborhoods and therefore a symmetric difference of at least twice the
-    threshold.  ``all_pairs=True`` forces the literal all-pairs check.
+    domination in ascending order, then pairs in lexicographic order.  With
+    c_v = |N[v] & S|, the detector difference of a pair is
+
+        |(N[u] symdiff N[v]) & S| = c_u + c_v - 2 |N[u] & N[v] & S|,
+
+    so once every vertex meets the domination threshold, a pair that shares
+    no detector has a difference of c_u + c_v >= 2 * dom_req >= dist_req and
+    passes, at any distance.  A pair fails only when twice its shared
+    detectors exceed c_u + c_v - dist_req >= c_u + dom_req - dist_req; where
+    that bound is 2 or more (always for RED:IC, for IC when c_u >= 2), v
+    must share two detectors with u.  So for each u only the v > u that
+    share a detector with u, or two where that bound is 2 or more, are
+    counted, one AND each; skipping the others never changes which pair
+    fails first.
     """
     s = _smask(g, detectors)
     dom_req, dist_req = kind.dom_req, kind.dist_req
     closed = g._closed
+    cnt = []
     for v in range(g.n):
         c = (closed[v] & s).bit_count()
         if c < dom_req:
             return Violation("undominated", v, count=c)
-    full = g.full_mask()
+        cnt.append(c)
     for u in range(g.n):
-        cu = closed[u]
-        others = (full if all_pairs else _reach2(g, u)) >> (u + 1)
+        su = closed[u] & s
+        cu = cnt[u]
+        once, twice = _detector_reach(closed, su)
+        others = (twice if cu + dom_req - dist_req >= 2 else once) >> (u + 1)
         v = u
         while others:
             k = (others & -others).bit_length()
             v += k
             others >>= k
-            d = (cu ^ closed[v]) & s
-            if d.bit_count() < dist_req:
+            if cu + cnt[v] - 2 * (su & closed[v]).bit_count() < dist_req:
+                d = (closed[u] ^ closed[v]) & s
                 return Violation("undistinguished", u, v, delta=frozenset(bits(d)))
     return None
 
@@ -178,12 +185,13 @@ def robustness_check(g: Graph, detectors: Iterable[int] | int) -> RobustnessFail
     check: the domination of v changes only for v in N[x], and the detector
     difference (N[u] symdiff N[v]) & S only when x lies in N[u] symdiff
     N[v], that is, when exactly one of u, v is in N[x].  Those are the
-    vertices of N[x] and the pairs at distance <= 2 with one end in N[x];
-    the failure reported for x is the first of them in ``verify``'s order,
-    the vertices ascending and then the pairs lexicographically, so it is
-    the same.  A pair at distance >= 3 needs no check, for the same reason
-    as in ``verify``: once every vertex is dominated, its two closed
-    neighborhoods are disjoint and each holds a detector.
+    vertices of N[x] and the pairs with one end in N[x]; the failure
+    reported for x is the first of them in ``verify``'s order, the vertices
+    ascending and then the pairs lexicographically, so it is the same.  Of
+    those pairs only the ones sharing a detector of S are counted, for the
+    reason given in ``verify``: once the base check has passed, a pair that
+    shares none keeps c_u + c_v >= 2 detectors in its difference, and
+    removing one leaves at least one.
     """
     s = _smask(g, detectors)
     base = verify(g, s, CodeKind.IC)
@@ -191,7 +199,7 @@ def robustness_check(g: Graph, detectors: Iterable[int] | int) -> RobustnessFail
         return RobustnessFailure(None, base)
     dom_req, dist_req = CodeKind.IC.dom_req, CodeKind.IC.dist_req
     closed = g._closed
-    reach = [_reach2(g, u) for u in range(g.n)]
+    reach = [_detector_reach(closed, c & s)[0] for c in closed]
     for x in bits(s):
         rest = s & ~(1 << x)
         near = closed[x]

@@ -50,7 +50,7 @@ from fractions import Fraction
 from operator import sub
 
 from . import existence
-from .detection import CodeKind, _reach2, verify
+from .detection import CodeKind, verify
 from .graphs import Graph, bits
 from .symmetry import automorphisms
 
@@ -221,6 +221,19 @@ def lower_bound(g: Graph, kind: CodeKind) -> BoundReport:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+def _reach2(g: Graph, u: int) -> int:
+    """Vertices within distance 2 of u (including u): N[u] plus the
+    neighbors of each neighbor."""
+    adj = g.adj
+    reach = g._closed[u]
+    m = adj[u]
+    while m:
+        low = m & -m
+        reach |= adj[low.bit_length() - 1]
+        m ^= low
+    return reach
 
 
 class _Search:

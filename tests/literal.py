@@ -1,0 +1,27 @@
+"""Reference checks written from the definitions, for tests to compare against.
+
+``literal_verify`` is the all-pairs bitset loop ``detection.verify`` ran
+before it learned to skip pairs that share no detector: every vertex is
+counted, then every pair, each on n-bit masks, in the same order and with
+the same certificates.  It shares no pair logic with the library.
+"""
+
+from itertools import combinations
+
+from redic.detection import Violation
+from redic.graphs import bits, mask_of
+
+
+def literal_verify(g, detectors, kind):
+    """None when S meets both thresholds, else the first violation."""
+    s = detectors if isinstance(detectors, int) else mask_of(detectors)
+    closed = [g.closed_nbhd(v) for v in range(g.n)]
+    for v in range(g.n):
+        c = (closed[v] & s).bit_count()
+        if c < kind.dom_req:
+            return Violation("undominated", v, count=c)
+    for u, v in combinations(range(g.n), 2):
+        d = (closed[u] ^ closed[v]) & s
+        if d.bit_count() < kind.dist_req:
+            return Violation("undistinguished", u, v, delta=frozenset(bits(d)))
+    return None

@@ -32,6 +32,8 @@ from redic.graphs import (
 )
 from redic.solver import feasible_at, lower_bound, solve_min
 
+from literal import literal_verify
+
 STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
 
@@ -147,7 +149,7 @@ def test_criterion_07_five_cube():
     ok = (
         inst.claimed_k == 12
         and inst.density == Fraction(3, 8)
-        and verify(inst.graph, inst.witness, CodeKind.RED_IC, all_pairs=True) is None
+        and literal_verify(inst.graph, inst.witness, CodeKind.RED_IC) is None
         and Fraction(len(doubled), big.n) == Fraction(3, 8)
         and elapsed < 600
     )
@@ -233,7 +235,7 @@ def test_criterion_11_property_suites():
         if not g.is_connected():
             continue
         ok &= (exists_red_ic(g) is None) == (
-            verify(g, range(g.n), CodeKind.RED_IC, all_pairs=True) is None)
+            literal_verify(g, range(g.n), CodeKind.RED_IC) is None)
         seen += 1
 
     # exact solver against subset enumeration, plus the counting laws
@@ -244,7 +246,7 @@ def test_criterion_11_property_suites():
             if expect is not None:
                 break
             for combo in combinations(range(g.n), k):
-                if verify(g, combo, CodeKind.RED_IC, all_pairs=True) is None:
+                if literal_verify(g, combo, CodeKind.RED_IC) is None:
                     expect = k
                     break
         out = solve_min(g, CodeKind.RED_IC)
@@ -316,9 +318,9 @@ def test_criterion_12_honeycomb_quotients():
     ``honeycomb_torus(4, 4)`` is not locally hexagonal: each of its rows is
     a 4-cycle, and nothing promises the ceiling there.  Its optimum is 11,
     so its density 11/16 lies above 2/3.  That value is pinned and certified
-    without the solver: the solver's witness of size 11 passes ``verify``
-    and ``robustness_check``, and none of the C(16,10) = 8008 ten-vertex
-    subsets verifies as a RED:IC under the literal all-pairs check.  Adding
+    without the solver: the solver's witness of size 11 passes the literal
+    all-pairs check and ``robustness_check``, and none of the C(16,10) =
+    8008 ten-vertex subsets verifies as a RED:IC under that check.  Adding
     a detector never lowers a domination or a distinguishing count, so a
     code of size below 10 would extend to one of size 10; none exists
     either, and 11 is the optimum.
@@ -339,9 +341,9 @@ def test_criterion_12_honeycomb_quotients():
             ok &= (m, n) == (4, 4)  # the one listed quotient without girth 6
         if (m, n) == (4, 4):
             ok &= girth4 and out.k == 11
-            ok &= verify(g, out.witness, CodeKind.RED_IC, all_pairs=True) is None
+            ok &= literal_verify(g, out.witness, CodeKind.RED_IC) is None
             ok &= robustness_check(g, out.witness) is None
-            ok &= not any(verify(g, mask_of(sub), CodeKind.RED_IC, all_pairs=True) is None
+            ok &= not any(literal_verify(g, mask_of(sub), CodeKind.RED_IC) is None
                           for sub in combinations(range(g.n), 10))
             ok &= floor <= out.density and out.density > ceiling
     report(12, ok, "honeycomb quotients, girth-6 ones inside [4/7, 2/3], "

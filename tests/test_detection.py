@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,8 @@ from redic.detection import (
 from redic.constructions import double_hypercube_code, extremal_tree, q5_code_search
 from redic.graphs import bits, build_graph, cycle_graph, mask_of, star_graph, torus
 from redic.solver import solve_min
+
+from literal import literal_verify
 
 
 def random_graph(rng, n, p=0.5):
@@ -113,11 +116,11 @@ def test_robustness_equals_doubled_thresholds():
 def literal_robustness_check(g, detectors):
     """Reference: the literal |S| + 1 verifications, first failure reported."""
     s = mask_of(detectors)
-    base = verify(g, s, CodeKind.IC)
+    base = literal_verify(g, s, CodeKind.IC)
     if base is not None:
         return RobustnessFailure(None, base)
     for x in bits(s):
-        v = verify(g, s & ~(1 << x), CodeKind.IC)
+        v = literal_verify(g, s & ~(1 << x), CodeKind.IC)
         if v is not None:
             return RobustnessFailure(x, v)
     return None
@@ -126,8 +129,8 @@ def literal_robustness_check(g, detectors):
 def test_robustness_failure_matches_literal_check():
     rng = random.Random(41)
     kinds = []
-    for _ in range(400):
-        n = rng.randint(1, 16)
+    for i in range(600):
+        n = rng.randint(1, 16 if i < 400 else 40)
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
         s = [v for v in range(n) if rng.random() < rng.uniform(0.4, 1.0)]
         got = robustness_check(g, s)
@@ -169,12 +172,18 @@ def test_robustness_of_codes_with_one_detector_removed(make, first):
         assert got is not None and got.removed is not None and got.removed != y
 
 
-def test_doubled_q8_code_is_robust():
+def _doubled_code(dim):
+    """The Q5 code doubled up to a RED:IC code of the dim-cube."""
     q5 = q5_code_search()
     q, w = q5.graph, q5.witness
-    for d in (5, 6, 7):
+    for d in range(5, dim):
         q, w = double_hypercube_code(d, w)
-    assert q.n == 256
+    assert q.n == 1 << dim
+    return q, w
+
+
+def test_doubled_q8_code_is_robust():
+    q, w = _doubled_code(8)
     assert robustness_check(q, w) is None
     assert literal_robustness_check(q, w) is None
 
@@ -192,16 +201,48 @@ def test_monotonicity():
                 checked += 1
 
 
-def test_near_pairs_agree_with_all_pairs():
+def test_verify_equals_literal_check():
+    """The whole certificate matches the all-pairs loop, not just the verdict."""
     rng = random.Random(17)
-    for _ in range(300):
-        n = rng.randint(1, 12)
-        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-        s = [v for v in range(n) if rng.random() < 0.5]
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+        frac = rng.uniform(0.3, 1.0)
+        s = mask_of(v for v in range(n) if rng.random() < frac)
         for kind in (CodeKind.IC, CodeKind.RED_IC):
-            near = verify(g, s, kind)
-            full = verify(g, s, kind, all_pairs=True)
-            assert (near is None) == (full is None)
+            got = verify(g, s, kind)
+            assert got == literal_verify(g, s, kind), (g.adj, s, kind)
+            seen[kind, got and got.kind] += 1
+    for kind in (CodeKind.IC, CodeKind.RED_IC):
+        assert min(seen[kind, k] for k in (None, "undominated", "undistinguished")) >= 300, seen
+
+
+def test_verify_equals_literal_check_on_q10():
+    q, w = _doubled_code(10)
+    assert verify(q, w, CodeKind.RED_IC) is None
+    assert literal_verify(q, w, CodeKind.RED_IC) is None
+    # the doubled code is not minimal: detector 0 can go, detector 1 cannot
+    assert w[:2] == (0, 1)
+    for x, fails in ((0, False), (1, True)):
+        smaller = [y for y in w if y != x]
+        got = verify(q, smaller, CodeKind.RED_IC)
+        assert (got is not None) == fails
+        assert got == literal_verify(q, smaller, CodeKind.RED_IC)
+
+
+def test_verify_equals_literal_check_on_swapped_torus_codes():
+    g = torus(6, 6)
+    code = set(solve_min(g, CodeKind.RED_IC).witness)
+    failed = 0
+    for x in sorted(code):
+        for y in bits(g.adj[x] & ~mask_of(code)):
+            swapped = (code - {x}) | {y}
+            for kind in (CodeKind.IC, CodeKind.RED_IC):
+                got = verify(g, swapped, kind)
+                assert got == literal_verify(g, swapped, kind), (x, y, kind)
+                failed += got is not None
+    assert failed > 0
 
 
 def test_is_valid_code():

@@ -1,6 +1,6 @@
 import random
 
-from redic.detection import CodeKind, verify
+from redic.detection import CodeKind
 from redic.existence import (
     NoCode,
     closed_twins,
@@ -9,6 +9,8 @@ from redic.existence import (
     has_red_ic,
 )
 from redic.graphs import build_graph, complete_graph, cycle_graph, path_graph, star_graph
+
+from literal import literal_verify
 
 
 def random_graph(rng, n, p=0.5):
@@ -50,7 +52,7 @@ def test_exists_matches_full_vertex_set_oracle():
     rng = random.Random(23)
     for _ in range(500):
         g = random_connected(rng, rng.randint(4, 12))
-        expected = verify(g, range(g.n), CodeKind.RED_IC, all_pairs=True) is None
+        expected = literal_verify(g, range(g.n), CodeKind.RED_IC) is None
         assert has_red_ic(g) == expected
 
 

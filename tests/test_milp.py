@@ -13,9 +13,11 @@ import pytest
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
 
-from redic.detection import CodeKind, verify
+from redic.detection import CodeKind
 from redic.graphs import build_graph, honeycomb_torus, hypercube, torus
 from redic.solver import solve_min
+
+from literal import literal_verify
 
 
 def milp_minimum(g, kind):
@@ -37,7 +39,7 @@ def _check(g):
         out = solve_min(g, kind)
         assert (out.k if out.is_optimal else None) == milp_minimum(g, kind), (g.edges(), kind)
         if out.is_optimal:
-            assert verify(g, out.witness, kind, all_pairs=True) is None
+            assert literal_verify(g, out.witness, kind) is None
 
 
 def _random_graphs(count):

@@ -16,6 +16,8 @@ from redic.reduction import (
 )
 from redic.solver import forced_detectors
 
+from literal import literal_verify
+
 
 def test_parse_dimacs():
     phi = parse_dimacs("c comment\np cnf 3 1\n1 2 3 0\n")
@@ -121,8 +123,6 @@ def test_satisfying_assignments_give_tight_codes():
     """Constructive direction, independent of the solver: a satisfying
     assignment yields a verifying code of exactly the threshold size, and a
     falsifying one must not."""
-    from redic.detection import CodeKind, verify
-
     formulas = [
         CnfFormula(3, ((1, 2, 3),)),
         CnfFormula(3, ((1, 2, 3), (-1, -2, -3), (1, -2, 3))),
@@ -137,5 +137,5 @@ def test_satisfying_assignments_give_tight_codes():
             )
             witness = _assignment_witness(phi, g, assignment)
             assert len(witness) == threshold
-            valid = verify(g, witness, CodeKind.RED_IC, all_pairs=True) is None
+            valid = literal_verify(g, witness, CodeKind.RED_IC) is None
             assert valid == satisfied, (phi, assignment)

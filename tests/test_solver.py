@@ -25,6 +25,8 @@ from redic.graphs import (
 from redic.solver import Budget, _Search, feasible_at, forced_detectors, lower_bound, solve_min
 from redic.symmetry import automorphisms
 
+from literal import literal_verify
+
 
 STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
@@ -36,7 +38,7 @@ def random_graph(rng, n, p=0.5):
 def brute_minimum(g, kind):
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
-            if verify(g, combo, kind, all_pairs=True) is None:
+            if literal_verify(g, combo, kind) is None:
                 return k
     return None
 
@@ -132,7 +134,7 @@ def test_optimal_outcomes_satisfy_counting_laws():
         assert n.bit_length() + 1 <= k <= n  # ceil(log2(n+1)) + 1
         assert n <= 2 ** (k - 1) - 1
         assert k >= 4  # no graph does it with three or fewer
-        assert verify(g, out.witness, CodeKind.RED_IC, all_pairs=True) is None
+        assert literal_verify(g, out.witness, CodeKind.RED_IC) is None
         out_ic = solve_min(g, CodeKind.IC)
         if out_ic.is_optimal:
             assert n <= 2 ** out_ic.k - 1
@@ -149,7 +151,7 @@ def test_forced_set_inside_every_minimum_witness():
         forced = forced_detectors(g)
         kmin = brute_minimum(g, CodeKind.RED_IC)
         for combo in combinations(range(g.n), kmin):
-            if verify(g, combo, CodeKind.RED_IC, all_pairs=True) is None:
+            if literal_verify(g, combo, CodeKind.RED_IC) is None:
                 assert forced <= set(combo)
         seen += 1
 
