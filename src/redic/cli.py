@@ -81,12 +81,15 @@ def _emit(args, report: dict, human: str) -> None:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    detectors = [int(x) for x in args.detectors.split(",") if x.strip() != ""]
+    detectors = sorted(int(x) for x in args.detectors.split(",") if x.strip() != "")
+    for a, b in zip(detectors, detectors[1:]):
+        if a == b:
+            raise ValueError(f"detector {a} is listed more than once")
     kind = CodeKind(args.kind)
     v = verify(g, detectors, kind)
-    digest = _digest(g, kind.value, sorted(detectors))
+    digest = _digest(g, kind.value, detectors)
     if v is None:
-        _emit(args, _report("verify", digest, "pass", k=len(detectors), witness=sorted(detectors)),
+        _emit(args, _report("verify", digest, "pass", k=len(detectors), witness=detectors),
               f"pass: {len(detectors)} detectors form a valid {kind.value} code")
         return 0
     _emit(args, _report("verify", digest, f"fail: {v}"), f"fail: {v}")

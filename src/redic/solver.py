@@ -50,7 +50,7 @@ from fractions import Fraction
 from operator import sub
 
 from . import existence
-from .detection import CodeKind, verify
+from .detection import CodeKind, _detector_reach, verify
 from .graphs import Graph, bits
 from .symmetry import automorphisms
 
@@ -223,19 +223,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _reach2(g: Graph, u: int) -> int:
-    """Vertices within distance 2 of u (including u): N[u] plus the
-    neighbors of each neighbor."""
-    adj = g.adj
-    reach = g._closed[u]
-    m = adj[u]
-    while m:
-        low = m & -m
-        reach |= adj[low.bit_length() - 1]
-        m ^= low
-    return reach
-
-
 class _Search:
     """Shared branch-and-bound core for minimization and K-feasibility.
 
@@ -265,8 +252,10 @@ class _Search:
         self.done = False
 
         closed = g._closed
+        # with S = V the detector reach of u is its distance-<=2 ball; a
+        # farther pair's mask is N[u] | N[v], implied by domination
         pair_masks = {closed[u] ^ closed[v] for u in range(g.n)
-                      for v in bits(_reach2(g, u) & ~((1 << (u + 1)) - 1))}
+                      for v in bits(_detector_reach(closed, closed[u])[0] & ~((1 << (u + 1)) - 1))}
         # domination constraints first, one per vertex, then the pairs
         self.masks = masks = [*closed, *sorted(pair_masks)]
         self.thr = [kind.dom_req] * g.n + [kind.dist_req] * len(pair_masks)

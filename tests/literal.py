@@ -4,11 +4,13 @@
 before it learned to skip pairs that share no detector: every vertex is
 counted, then every pair, each on n-bit masks, in the same order and with
 the same certificates.  It shares no pair logic with the library.
+``literal_robustness_check`` is the definition of fault tolerance run
+literally: |S| + 1 calls of ``literal_verify``.
 """
 
 from itertools import combinations
 
-from redic.detection import Violation
+from redic.detection import CodeKind, RobustnessFailure, Violation
 from redic.graphs import bits, mask_of
 
 
@@ -24,4 +26,17 @@ def literal_verify(g, detectors, kind):
         d = (closed[u] ^ closed[v]) & s
         if d.bit_count() < kind.dist_req:
             return Violation("undistinguished", u, v, delta=frozenset(bits(d)))
+    return None
+
+
+def literal_robustness_check(g, detectors):
+    """Reference: the literal |S| + 1 verifications, first failure reported."""
+    s = mask_of(detectors)
+    base = literal_verify(g, s, CodeKind.IC)
+    if base is not None:
+        return RobustnessFailure(None, base)
+    for x in bits(s):
+        v = literal_verify(g, s & ~(1 << x), CodeKind.IC)
+        if v is not None:
+            return RobustnessFailure(x, v)
     return None

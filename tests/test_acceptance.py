@@ -32,7 +32,7 @@ from redic.graphs import (
 )
 from redic.solver import feasible_at, lower_bound, solve_min
 
-from literal import literal_verify
+from literal import literal_robustness_check, literal_verify
 
 STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
@@ -226,7 +226,7 @@ def test_criterion_11_property_suites():
     for _ in range(300):
         g = _random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8))
         s = [v for v in range(g.n) if rng.random() < 0.6]
-        ok &= (verify(g, s, CodeKind.RED_IC) is None) == (robustness_check(g, s) is None)
+        ok &= (verify(g, s, CodeKind.RED_IC) is None) == (literal_robustness_check(g, s) is None)
 
     # existence test against the all-detectors oracle
     seen = 0

@@ -33,6 +33,16 @@ def test_bad_input_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_rejects_repeated_detector(capsys):
+    code, out, err = run(capsys, "verify", "--family", "cycle", "--params", "7",
+                         "--detectors", "0,1,2,3,4,5,6,6")
+    assert code == 2 and out == ""
+    assert err == "error: detector 6 is listed more than once\n"
+    code, _, err = run(capsys, "verify", "--family", "cycle", "--params", "7",
+                       "--detectors", "3,0,3", "--json")
+    assert code == 2 and "detector 3" in err
+
+
 def test_solve_json_schema(capsys):
     code, out, _ = run(capsys, "solve", "--family", "cycle", "--params", "4", "--json")
     assert code == 0

@@ -20,7 +20,7 @@ from redic.constructions import double_hypercube_code, extremal_tree, q5_code_se
 from redic.graphs import bits, build_graph, cycle_graph, mask_of, star_graph, torus
 from redic.solver import solve_min
 
-from literal import literal_verify
+from literal import literal_robustness_check, literal_verify
 
 
 def random_graph(rng, n, p=0.5):
@@ -109,21 +109,8 @@ def test_robustness_equals_doubled_thresholds():
         g = random_graph(rng, n, rng.uniform(0.2, 0.8))
         s = [v for v in range(n) if rng.random() < 0.6]
         strong = verify(g, s, CodeKind.RED_IC) is None
-        robust = robustness_check(g, s) is None
+        robust = literal_robustness_check(g, s) is None
         assert strong == robust
-
-
-def literal_robustness_check(g, detectors):
-    """Reference: the literal |S| + 1 verifications, first failure reported."""
-    s = mask_of(detectors)
-    base = literal_verify(g, s, CodeKind.IC)
-    if base is not None:
-        return RobustnessFailure(None, base)
-    for x in bits(s):
-        v = literal_verify(g, s & ~(1 << x), CodeKind.IC)
-        if v is not None:
-            return RobustnessFailure(x, v)
-    return None
 
 
 def test_robustness_failure_matches_literal_check():
@@ -137,7 +124,7 @@ def test_robustness_failure_matches_literal_check():
         assert got == literal_robustness_check(g, s), (g.adj, s)
         if got is not None and got.removed is not None:
             kinds.append(got.violation.kind)
-    # failures after a removal, of both kinds, are what the local check is for
+    # failures after a removal, of both kinds, exercise the explaining loop
     assert kinds.count("undominated") >= 30 and kinds.count("undistinguished") >= 30
 
 
