@@ -29,6 +29,14 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--params", metavar="A,B", default="", help="comma-separated family parameters")
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """A flag's comma-separated integers; empty text means none."""
+    items = text.split(",") if text.strip() else []
+    if not all(x.strip() for x in items):
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    return [int(x) for x in items]
+
+
 def _load_graph(args) -> Graph:
     given = [x for x in (args.graph6, args.graph6_file, args.edgelist_file, args.family) if x]
     if len(given) != 1:
@@ -41,8 +49,7 @@ def _load_graph(args) -> Graph:
     if args.edgelist_file:
         with open(args.edgelist_file) as fh:
             return parse_edge_list(fh.read())
-    params = [int(x) for x in args.params.split(",") if x.strip() != ""]
-    return named_builder(args.family, *params)
+    return named_builder(args.family, *_int_list(args.params, "--params"))
 
 
 def _budget(args) -> Budget:
@@ -81,7 +88,7 @@ def _emit(args, report: dict, human: str) -> None:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    detectors = sorted(int(x) for x in args.detectors.split(",") if x.strip() != "")
+    detectors = sorted(_int_list(args.detectors, "--detectors"))
     for a, b in zip(detectors, detectors[1:]):
         if a == b:
             raise ValueError(f"detector {a} is listed more than once")

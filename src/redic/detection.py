@@ -22,11 +22,8 @@ class CodeKind(Enum):
     RED_IC = "red-ic"
 
     @property
-    def dom_req(self) -> int:
-        return 1 if self is CodeKind.IC else 2
-
-    @property
-    def dist_req(self) -> int:
+    def req(self) -> int:
+        """The threshold t for domination and distinguishing alike."""
         return 1 if self is CodeKind.IC else 2
 
 
@@ -102,36 +99,34 @@ def verify(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> Violatio
 
         |(N[u] symdiff N[v]) & S| = c_u + c_v - 2 |N[u] & N[v] & S|,
 
-    so once every vertex meets the domination threshold, a pair that shares
-    no detector has a difference of c_u + c_v >= 2 * dom_req >= dist_req and
-    passes, at any distance.  A pair fails only when twice its shared
-    detectors exceed c_u + c_v - dist_req >= c_u + dom_req - dist_req; where
-    that bound is 2 or more (always for RED:IC, for IC when c_u >= 2), v
-    must share two detectors with u.  So for each u only the v > u that
-    share a detector with u, or two where that bound is 2 or more, are
-    counted, one AND each; skipping the others never changes which pair
-    fails first.
+    so once every vertex meets the threshold t = ``kind.req``, a pair that
+    shares no detector has a difference of c_u + c_v >= 2t >= t and passes,
+    at any distance.  A pair fails only when twice its shared detectors
+    exceed c_u + c_v - t >= c_u; where c_u >= 2 (always for RED:IC), v must
+    share two detectors with u.  So for each u only the v > u that share a
+    detector with u, or two where c_u >= 2, are counted, one AND each;
+    skipping the others never changes which pair fails first.
     """
     s = _smask(g, detectors)
-    dom_req, dist_req = kind.dom_req, kind.dist_req
+    req = kind.req
     closed = g._closed
     cnt = []
     for v in range(g.n):
         c = (closed[v] & s).bit_count()
-        if c < dom_req:
+        if c < req:
             return Violation("undominated", v, count=c)
         cnt.append(c)
     for u in range(g.n):
         su = closed[u] & s
         cu = cnt[u]
         once, twice = _detector_reach(closed, su)
-        others = (twice if cu + dom_req - dist_req >= 2 else once) >> (u + 1)
+        others = (twice if cu >= 2 else once) >> (u + 1)
         v = u
         while others:
             k = (others & -others).bit_length()
             v += k
             others >>= k
-            if cu + cnt[v] - 2 * (su & closed[v]).bit_count() < dist_req:
+            if cu + cnt[v] - 2 * (su & closed[v]).bit_count() < req:
                 d = (closed[u] ^ closed[v]) & s
                 return Violation("undistinguished", u, v, delta=frozenset(bits(d)))
     return None

@@ -14,12 +14,15 @@ its number of free members; the constraints with ``res > 0`` form the
 active set.  Assigning a vertex walks only its incidence list, and a trail
 of assignments lets backtracking restore every counter.
 
-Including a vertex lowers ``res`` and ``cnt`` of each of its constraints
-together, so it never changes a slack ``cnt - res`` and can neither force
-a vertex nor cause a conflict.  Only an exclusion lowers slacks, and only
-on the constraints of the excluded vertex: a constraint whose slack reaches
-0 forces all its free members, one below 0 is a conflict.  Forcing is
-itself inclusion, so a single walk over ``inc[x]`` reaches the fixpoint.
+Slack invariant: a constraint's slack ``cnt - res`` is |mask| - t minus
+its excluded members, so it starts at |mask| - t >= 0 once a code exists
+(V itself is one).  Including a vertex lowers ``res`` and ``cnt`` together
+and never changes a slack; excluding one lowers by one only the slacks of
+its own constraints, and a constraint whose slack reaches 0 forces all its
+free members at once.  So every active constraint enters a node with slack
+>= 1, no exclusion takes a slack below 0, and the search never meets a
+conflict.  Forcing is itself inclusion, so a single walk over ``inc[x]``
+reaches the fixpoint.
 
 The search branches on a vertex drawn from the most-constrained active
 constraint, include branch first, with ties broken toward the lowest vertex
@@ -31,15 +34,17 @@ graph's builder provenance names (``symmetry.automorphisms``); graphs without
 one are searched plainly.  Each node carries H, the stabiliser of its
 branching decisions: the root has the whole group, the include-x child
 Stab_H(x), and the exclude child excludes the whole H-orbit of x and keeps
-H.  Soundness: automorphisms preserve every constraint and the forced
-seed, and H fixes every included decision vertex and maps every excluded
-orbit onto itself, so h in H maps each completion of a node to a
-completion of the same size.  A completion that avoids x but contains some
-y = h(x) of the orbit therefore has an image h^-1 S that contains x, in
-the include child, which is searched first; the exclude child may drop
-every such completion.  For the same reason the exclude child is skipped
-outright when a member of the orbit is already included, including one
-that propagation forces in while the orbit is being excluded.
+H.  Orbit invariant: H maps the included set and the excluded set of
+every node onto themselves, since the seed and propagation are
+automorphism-invariant, the include child fixes x and the exclude child
+excludes a whole H-orbit.  So the H-orbit of a free branch vertex holds
+no assigned vertex.  Soundness: automorphisms preserve every constraint,
+so h in H maps each completion of a node to a completion of the same
+size.  A completion that avoids x but contains some y = h(x) of the orbit
+therefore has an image h^-1 S that contains x, in the include child, which
+is searched first; the exclude child may drop every such completion.  For
+the same reason the exclude child is skipped when propagation forces a
+member of the orbit in while the orbit is being excluded.
 """
 
 from __future__ import annotations
@@ -258,7 +263,6 @@ class _Search:
                       for v in bits(_detector_reach(closed, closed[u])[0] & ~((1 << (u + 1)) - 1))}
         # domination constraints first, one per vertex, then the pairs
         self.masks = masks = [*closed, *sorted(pair_masks)]
-        self.thr = [kind.dom_req] * g.n + [kind.dist_req] * len(pair_masks)
         self.n_dom = g.n
         self.max_cover = max((c.bit_count() for c in closed), default=1)
         inc: list[list[int]] = [[] for _ in range(g.n)]  # constraints containing each vertex
@@ -275,7 +279,8 @@ class _Search:
         self.free = free = self.g.full_mask() & ~chosen
         self.trail: list[int] = []
         # requirement minus included members (<= 0 once met), and free members
-        self.res = res = [t - (m & chosen).bit_count() for m, t in zip(self.masks, self.thr)]
+        req = self.kind.req
+        self.res = res = [req - (m & chosen).bit_count() for m in self.masks]
         self.cnt = [(m & free).bit_count() for m in self.masks]
         self.active = {i for i, r in enumerate(res) if r > 0}
         self.dom_deficit = sum(r for r in res[: self.n_dom] if r > 0)  # over active domination constraints
@@ -314,7 +319,7 @@ class _Search:
         self.dom_deficit = deficit
 
     def _exclude(self, x: int) -> int:
-        """Exclude x and propagate; the number of vertices forced, or -1."""
+        """Exclude x and propagate; the number of vertices forced."""
         self.trail.append(~x)
         self.free ^= 1 << x
         cnt = self.cnt
@@ -327,17 +332,15 @@ class _Search:
         """Include the free members of every tight constraint among cons.
 
         A constraint is tight when its free members are exactly as many as
-        it still requires.  Returns the number of vertices forced, or -1
-        when some constraint can no longer be met.  Inclusions leave every
+        it still requires (slack 0; by the slack invariant never fewer).
+        Returns the number of vertices forced.  Inclusions leave every
         slack ``cnt - res`` unchanged, so one pass reaches the fixpoint.
         """
         res, cnt, masks = self.res, self.cnt, self.masks
         forced = 0
         for i in cons:
             r = res[i]
-            if r > 0 and cnt[i] <= r:
-                if cnt[i] < r:
-                    return -1
+            if r > 0 and cnt[i] == r:
                 forced |= masks[i]
         forced &= self.free
         for x in bits(forced):
@@ -451,42 +454,33 @@ class _Search:
         self._undo(mark)
         if self.done:
             return
-        orbit = sym.orbit(x) if sym is not None else 1 << x
-        if orbit & self.chosen:
-            return  # the include child has an image of every solution here
         self._tick()
-        forced = self._exclude_orbit(x, orbit)
+        forced = self._exclude_orbit(x, sym.orbit(x) if sym is not None else 1 << x)
         if forced >= 0:
             self.forced += forced
             self._node()
         self._undo(mark)
 
     def _exclude_orbit(self, x: int, orbit: int) -> int:
-        """Exclude x, then every other free member of its orbit; as
-        ``_exclude``, and -1 as well when propagation includes a member."""
+        """Exclude x, then every other member of its orbit, all free by the
+        orbit invariant; as ``_exclude``, or -1 when propagation includes a
+        member."""
         forced = self._exclude(x)
-        fixed = 0
         for y in bits(orbit & ~(1 << x)):
-            if forced < 0 or self.chosen >> y & 1:
+            if self.chosen >> y & 1:
                 return -1
-            if self.free >> y & 1:
-                f = self._exclude(y)
-                forced = f if f < 0 else forced + f
-                fixed += 1
-        if forced >= 0:
-            self.orbit_fixed += fixed
+            forced += self._exclude(y)
+        self.orbit_fixed += orbit.bit_count() - 1
         return forced
 
     def root_lower(self) -> int:
-        if self._start(0) < 0:
-            return self.g.n + 1  # contradictory constraints: nothing feasible
+        self._start(0)
         size = self.chosen.bit_count()
         return size + (self._need(self._order(), self.g.n + 1) if self.active else 0)
 
-    def greedy(self, seed_mask: int = 0) -> int | None:
+    def greedy(self, seed_mask: int) -> int:
         """Deterministic greedy cover used as the initial incumbent."""
-        if self._start(seed_mask) < 0:
-            return None
+        self._start(seed_mask)
         masks, res = self.masks, self.res
         while self.active:
             scores = [0] * self.g.n
@@ -511,9 +505,8 @@ class _Search:
         forced = self._start(seed_mask)
         try:
             self._tick()
-            if forced >= 0:
-                self.forced += forced
-                self._node()
+            self.forced += forced
+            self._node()
             return True
         except _BudgetExhausted:
             return False
@@ -564,7 +557,6 @@ def solve_min(
         return SolveOutcome("optimal", 0, k=0, witness=(), lower=0, upper=0,
                             stats=SolverStats(0, time.perf_counter() - t0))
     incumbent = search.greedy(seed)
-    assert incumbent is not None, "existence passed but no code found greedily"
     completed = search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
     best = search.best if search.best is not None else incumbent
     k = best.bit_count()

@@ -20,11 +20,11 @@ def literal_verify(g, detectors, kind):
     closed = [g.closed_nbhd(v) for v in range(g.n)]
     for v in range(g.n):
         c = (closed[v] & s).bit_count()
-        if c < kind.dom_req:
+        if c < kind.req:
             return Violation("undominated", v, count=c)
     for u, v in combinations(range(g.n), 2):
         d = (closed[u] ^ closed[v]) & s
-        if d.bit_count() < kind.dist_req:
+        if d.bit_count() < kind.req:
             return Violation("undistinguished", u, v, delta=frozenset(bits(d)))
     return None
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import redic
+from redic import tables
 from redic.cli import main
 
 
@@ -41,6 +42,18 @@ def test_verify_rejects_repeated_detector(capsys):
     code, _, err = run(capsys, "verify", "--family", "cycle", "--params", "7",
                        "--detectors", "3,0,3", "--json")
     assert code == 2 and "detector 3" in err
+
+
+def test_empty_list_entries_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "cycle", "--params", "7",
+                         "--detectors", "0,,1,2,3,4,5,6,")
+    assert (code, out, err) == (2, "", "error: --detectors has an empty entry: '0,,1,2,3,4,5,6,'\n")
+    code, out, err = run(capsys, "bounds", "--family", "torus", "--params", "6,,6", "--json")
+    assert (code, out, err) == (2, "", "error: --params has an empty entry: '6,,6'\n")
+    # an empty --params still means no parameters, as when it is left out
+    for argv in (["--params", ""], []):
+        code, _, err = run(capsys, "bounds", "--family", "star", *argv)
+        assert (code, err) == (2, "error: star takes 1 parameter(s), got 0\n")
 
 
 def test_solve_json_schema(capsys):
@@ -111,6 +124,25 @@ def test_table_output_is_bit_identical(capsys):
     code, out2, _ = run(capsys, "table1", "--max-n", "6")
     assert out1 == out2
     assert out1.count("PASS") == 3
+
+
+def test_table_fail_and_no_reference_rows(capsys, monkeypatch):
+    monkeypatch.setitem(tables.TREE_REFERENCE, 4, (2, 1, 0, 1, 0))  # the row is (2, 1, 0, 0, 1)
+    code, out, _ = run(capsys, "table1", "--max-n", "4")
+    assert code == 1 and out.splitlines()[1] == "4\t2\t1\t0\t0\t1\tFAIL"
+    code, out, _ = run(capsys, "table1", "--max-n", "4", "--json")
+    assert code == 1
+    assert json.loads(out) == {"command": "table-trees", "all_match": False, "rows": [
+        {"n": 4, "values": [2, 1, 0, 0, 1], "status": "FAIL",
+         "diffs": [["min=n-1", 1, 0, False], ["min=n", 0, 1, False]]}]}
+    monkeypatch.delitem(tables.TREE_REFERENCE, 4)
+    code, out, _ = run(capsys, "table1", "--max-n", "4")
+    assert code == 0 and out.splitlines()[1] == "4\t2\t1\t0\t0\t1\tno-reference"
+    code, out, _ = run(capsys, "table1", "--max-n", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"n": 4, "values": [2, 1, 0, 0, 1], "status": "no-reference",
+                                        "diffs": []}]
+    assert json.loads(out)["all_match"]
 
 
 def test_table2_json(capsys):

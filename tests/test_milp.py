@@ -1,9 +1,9 @@
 """solve_min against an independent 0/1 program solved by HiGHS.
 
-The program is written from the definition alone: every closed
-neighbourhood holds dom_req detectors and every pair of vertices, near or
-far, dist_req detectors in the symmetric difference of their closed
-neighbourhoods.  It shares no code with the search.
+The program is written from the definition alone: with t = 1 for IC and
+2 for RED:IC, every closed neighbourhood holds t detectors and every pair
+of vertices, near or far, t detectors in the symmetric difference of
+their closed neighbourhoods.  It shares no code with the search.
 """
 
 import random
@@ -24,7 +24,7 @@ def milp_minimum(g, kind):
     """The minimum code size, or None when no code exists."""
     closed = [g.closed_nbhd(v) for v in range(g.n)]
     rows = closed + [closed[u] ^ closed[v] for u in range(g.n) for v in range(u + 1, g.n)]
-    need = [kind.dom_req] * g.n + [kind.dist_req] * (len(rows) - g.n)
+    need = [kind.req] * len(rows)
     a = np.array([[m >> x & 1 for x in range(g.n)] for m in rows], dtype=float)
     res = optimize.milp(np.ones(g.n), integrality=np.ones(g.n), bounds=optimize.Bounds(0, 1),
                         constraints=optimize.LinearConstraint(a, need, np.inf))

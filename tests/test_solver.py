@@ -23,7 +23,7 @@ from redic.graphs import (
     torus,
 )
 from redic.solver import Budget, _Search, feasible_at, forced_detectors, lower_bound, solve_min
-from redic.symmetry import automorphisms
+from redic.symmetry import Automorphisms, automorphisms
 
 from literal import literal_verify
 
@@ -350,7 +350,7 @@ class RescanSearch:
     reproduce node for node.  It shares only the constraint list."""
 
     def __init__(self, search: _Search):
-        self.masks, self.thr = search.masks, search.thr
+        self.masks, self.req = search.masks, search.kind.req
         self.n_dom, self.max_cover = search.n_dom, search.max_cover
         self.full = search.g.full_mask()
         self.nodes = 0
@@ -365,7 +365,7 @@ class RescanSearch:
             unresolved = []
             forced = 0
             for i, m in enumerate(self.masks):
-                r = self.thr[i] - (m & in_mask).bit_count()
+                r = self.req - (m & in_mask).bit_count()
                 if r <= 0:
                     continue
                 cand = m & avail
@@ -438,7 +438,7 @@ class RescanSearch:
 
 def rescanned_counters(search):
     chosen, free = search.chosen, search.free
-    res = [t - (m & chosen).bit_count() for m, t in zip(search.masks, search.thr)]
+    res = [search.kind.req - (m & chosen).bit_count() for m in search.masks]
     return {
         "res": res,
         "cnt": [(m & free).bit_count() for m in search.masks],
@@ -453,7 +453,11 @@ def maintained_counters(search):
 
 
 class CheckedSearch(_Search):
-    """Recomputes every counter from the in and out masks at each node."""
+    """Recomputes every counter from the in and out masks at each node, and
+    checks the two invariants that let the search skip conflicts and
+    already-assigned orbit members: every active constraint has slack >= 1,
+    and the node's stabiliser maps the included and excluded sets onto
+    themselves (checked on the generators of the whole group)."""
 
     checked = 0
 
@@ -463,6 +467,12 @@ class CheckedSearch(_Search):
         excluded = mask_of(~x for x in self.trail if x < 0)
         assert self.chosen & included == included and excluded & (self.chosen | self.free) == 0
         assert maintained_counters(self) == rescanned_counters(self)
+        assert all(self.cnt[i] > self.res[i] for i in self.active)
+        if self.sym is not None:
+            perms = self.sym.generators if isinstance(self.sym, Automorphisms) else self.sym.elements
+            for p in perms:
+                for m in (self.chosen, excluded):
+                    assert mask_of(p[v] for v in bits(m)) == m
         self.checked += 1
         super()._node()
 
