@@ -34,7 +34,10 @@ def _int_list(text: str, flag: str) -> list[int]:
     items = text.split(",") if text.strip() else []
     if not all(x.strip() for x in items):
         raise ValueError(f"{flag} has an empty entry: {text!r}")
-    return [int(x) for x in items]
+    try:
+        return [int(x) for x in items]
+    except ValueError:
+        raise ValueError(f"{flag} has a non-integer entry: {text!r}") from None
 
 
 def _load_graph(args) -> Graph:

@@ -13,14 +13,29 @@ prefixes of maximal encodings are maximal for the induced subgraph -- so
 every isomorphism class is emitted exactly once, with no explicit
 duplicate store.
 
+Each new vertex is moreover attached to the lowest vertex that still has
+degree < 3 (Brinkmann's cubic generator, J. Graph Theory 23, 1996, rests
+on the same idea).  Proof: let a_j be the earliest neighbour of vertex j.
+In a maximal encoding the sequence a_1, a_2, ... is non-decreasing, for if
+a_{j+1} < a_j, swapping positions j and j+1 would give column j a 1 at
+position a_{j+1}, more significant than any 1 it has now, and a larger
+encoding.  So once a vertex with earliest neighbour b is placed, no later
+vertex touches any vertex a < b, and every such a must already have
+degree 3.  A child that breaks the rule is therefore either rejected later
+or has no cubic descendant; the children that keep it are generated in the
+same order as before, so the emitted stream is unchanged, with about an
+eighth of the canonicity tests.
+
 The maximality test (``_better_labeling``) tries each start vertex and
 extends relabelings position by position.  It classifies all unplaced
 vertices against the target column at once with bitmask operations over
 the placed prefix, so a search node costs O(depth) integer operations and
-no per-vertex loop.  A start other than 0 that completes a relabeling with
-an equal encoding has found an automorphism onto start 0, whose search
-already failed, so that start is abandoned.  When the labeling is not
-maximal the test returns a strictly better one, and the same search gives
+no per-vertex loop.  A completed relabeling with an equal encoding is an
+automorphism; if it first differs from the current labeling at position
+i, it maps its whole branch onto the branch that puts vertex i there,
+which was searched earlier and failed, so the search unwinds to position
+i (for i = 0, the start is abandoned).  When the labeling is not maximal
+the test returns a strictly better one, and the same search gives
 canonical forms: ``canonical_key`` climbs from better labeling to better
 labeling until none is left, which is the maximum.
 """
@@ -131,31 +146,37 @@ def _better_labeling(adj: list[int], cols: list[int]) -> list[int] | None:
     prefix, so only the newest position is compared.
 
     Automorphism cut: a complete relabeling with an equal encoding is an
-    automorphism.  Found from start ``s > 0``, it maps ``s`` to position
-    0, and it carries every relabeling that starts at ``s`` to one that
-    starts at 0 with the same encoding.  Start 0 was searched in full and
-    found nothing larger, so nothing under ``s`` is larger either, and
-    the search of ``s`` stops there.
+    automorphism.  Let i be the first position where it differs from the
+    current labeling (position p -> vertex p): it fixes vertices 0..i-1
+    and maps vertex i to the vertex v it puts at position i, so it carries
+    every relabeling under the prefix 0..i-1, v to one under 0..i-1, i with
+    the same encoding.  Vertex i is the lowest tie at that node, so its
+    branch was searched in full first and found nothing larger; nothing
+    under v is larger either, and the search unwinds to position i and
+    tries the next tie (for i = 0, the next start).  Only the labeling
+    itself differs nowhere, and it is simply passed.
     """
     k = len(adj)
     if k <= 2:
         return None
     order = [0] * k
-    leaf = None  # what a complete relabeling reports: True (stop this start) once start > 0
+    better = None
 
-    def extend(depth: int, free: int, ties: int) -> list[int] | bool | None:
+    def extend(depth: int, free: int, ties: int) -> int:
         # order[:depth] is placed; free holds the unplaced vertices and ties
-        # those of them equal to cols[depth-2] over order[:depth-1].  None
-        # means nothing larger below, True an automorphism that ends the start
-        if depth == k:
-            return leaf
+        # those of them equal to cols[depth-2] over order[:depth-1].  Returns
+        # the depth to unwind to: -1 once ``better`` is set, k for none
+        nonlocal better
+        if depth == k:  # an equal encoding: order is an automorphism
+            return next((p for p in range(k) if order[p] != p), k)
         target = cols[depth - 1]
         if depth >= 2 and target >> 1 == cols[depth - 2]:
             a = adj[order[depth - 1]]
             if target & 1:
                 eq = ties & a
             elif ties & a:
-                return _beaten(order, depth, free, ties & a)
+                better = _beaten(order, depth, free, ties & a)
+                return -1
             else:
                 eq = ties
         else:
@@ -167,26 +188,25 @@ def _better_labeling(adj: list[int], cols: list[int]) -> list[int] | None:
                 if target & bit:
                     eq &= a
                 elif eq & a:
-                    return _beaten(order, depth, free, eq & a)
+                    better = _beaten(order, depth, free, eq & a)
+                    return -1
                 if not eq:
-                    return None
+                    return k
         rest = eq
         while rest:
             low = rest & -rest
             rest ^= low
             order[depth] = low.bit_length() - 1
             r = extend(depth + 1, free ^ low, eq ^ low)
-            if r:
+            if r < depth:
                 return r
-        return None
+        return k
 
     full = (1 << k) - 1
     for start in range(k):
         order[0] = start
-        found = extend(1, full ^ 1 << start, 0)
-        if isinstance(found, list):
-            return found
-        leaf = True
+        if extend(1, full ^ 1 << start, 0) < 0:
+            return better
     return None
 
 
@@ -240,9 +260,10 @@ def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
         if (size > len(open_verts) or total > 3 * future or (total - future) % 2
                 or (future == 0 and total) or 3 * future - total > future * (future - 1)):
             continue
-        for subset in combinations(open_verts, size):
-            mask = 0
-            for v in subset:
+        # the lowest unsaturated vertex is always a neighbour (module docstring)
+        for rest in combinations(open_verts[1:], size - 1):
+            mask = 1 << open_verts[0]
+            for v in rest:
                 mask |= 1 << v
             if must & ~mask:
                 continue

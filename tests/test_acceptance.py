@@ -91,7 +91,7 @@ def test_criterion_03_cubic_table(cubic_rows):
     report(3, not bad, "cubic summary n=6..14 matches reference exactly")
 
 
-@pytest.mark.skipif(not STRETCH, reason="stretch row; set REDIC_STRETCH=1")
+@pytest.mark.skipif(not STRETCH, reason="about 20 s; set REDIC_STRETCH=1")
 def test_criterion_03_stretch_cubic_16():
     row = tables.cubic_row(16)
     assert row.values() == tables.CUBIC_REFERENCE[16] and not row.partial

@@ -56,6 +56,14 @@ def test_empty_list_entries_exit_2(capsys):
         assert (code, err) == (2, "error: star takes 1 parameter(s), got 0\n")
 
 
+def test_non_integer_list_entries_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "cycle", "--params", "7",
+                         "--detectors", "0,x")
+    assert (code, out, err) == (2, "", "error: --detectors has a non-integer entry: '0,x'\n")
+    code, out, err = run(capsys, "bounds", "--family", "torus", "--params", "6,1.5", "--json")
+    assert (code, out, err) == (2, "", "error: --params has a non-integer entry: '6,1.5'\n")
+
+
 def test_solve_json_schema(capsys):
     code, out, _ = run(capsys, "solve", "--family", "cycle", "--params", "4", "--json")
     assert code == 0

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from redic import generators
 from redic.generators import (
     _better_labeling,
     _column_value,
@@ -16,7 +17,7 @@ from redic.generators import (
     enum_trees,
     read_graph6_stream,
 )
-from redic.graphs import Graph6Error, bits, build_graph, cycle_graph, write_graph6
+from redic.graphs import Graph6Error, bits, build_graph, complete_graph, cycle_graph, write_graph6
 
 # OEIS A000055
 TREE_COUNTS = {
@@ -150,14 +151,44 @@ CUBIC_STREAM_DIGESTS = {
     10: "b46e70b9578943cb",
     12: "ba8840f3f3c1135e",
     14: "c8332365a95da623",
+    16: "626260d4c24f2c78",
 }
 
 
-@pytest.mark.parametrize("n,digest", sorted(CUBIC_STREAM_DIGESTS.items()))
+@cache
+def cubic_graphs(n: int) -> list:
+    return list(enum_cubic(n))
+
+
+@pytest.mark.parametrize("n,digest", [
+    pytest.param(n, digest, marks=pytest.mark.skipif(
+        n > 14 and not STRETCH, reason="about 8 s; set REDIC_STRETCH=1"))
+    for n, digest in sorted(CUBIC_STREAM_DIGESTS.items())
+])
 def test_cubic_stream_is_pinned(n, digest):
     # the order is part of the contract: g14_gadget_search reports parent indices
-    stream = b"".join(write_graph6(g) + b"\n" for g in enum_cubic(n))
+    stream = b"".join(write_graph6(g) + b"\n" for g in cubic_graphs(n))
     assert hashlib.sha256(stream).hexdigest()[:16] == digest
+
+
+def test_cubic_canonicity_test_count(monkeypatch):
+    # the enumeration's work as a count, the same on every machine
+    calls = 0
+    test = generators._better_labeling
+
+    def counted(adj, cols):
+        nonlocal calls
+        calls += 1
+        return test(adj, cols)
+
+    monkeypatch.setattr(generators, "_better_labeling", counted)
+    counts = {}
+    for n in (10, 12, 14):
+        calls = 0
+        for _ in enum_cubic(n):
+            pass
+        counts[n] = calls
+    assert counts == {10: 190, 12: 878, 14: 5096}
 
 
 TREE_STREAM_DIGESTS = {
@@ -337,3 +368,45 @@ def test_canonical_key_matches_reference():
         graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
     for g in graphs:
         assert canonical_key(g) == reference_key(g)
+
+
+def _earliest_neighbours(cols: list[int]) -> list[int]:
+    """a_j, the earliest neighbour of vertex j, read off its column: the
+    most significant 1 (position 0 is bit j-1)."""
+    return [j - c.bit_length() for j, c in enumerate(cols, start=1)]
+
+
+def test_maximal_encodings_have_non_decreasing_earliest_neighbours():
+    # the lemma behind attaching each new cubic vertex to the lowest
+    # unsaturated vertex
+    rng = random.Random(31)
+    keys = [(g.n, *_columns(list(g.adj))) for n in range(4, 15, 2) for g in cubic_graphs(n)]
+    for _ in range(500):
+        n = rng.randint(2, 10)
+        p = rng.uniform(0.2, 0.8)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if g.is_connected():
+            keys.append(canonical_key(g))
+    for key in keys:
+        a = _earliest_neighbours(list(key[1:]))
+        assert a == sorted(a) and all(x >= 0 for x in a), key
+
+
+def _complete_bipartite(m: int, rng):
+    perm = list(range(2 * m))
+    rng.shuffle(perm)
+    return build_graph(2 * m, [(perm[u], perm[m + v]) for u in range(m) for v in range(m)])
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_canonical_key_of_large_groups(n):
+    # the automorphism cut unwinds to the first moved position, so these
+    # take milliseconds, not (n-1)! leaves
+    m = n // 2
+    assert canonical_key(complete_graph(n)) == (n, *(2**j - 1 for j in range(1, n)))
+    assert canonical_key(build_graph(n, [])) == (n, *[0] * (n - 1))
+    # K_{m,m}: positions 1..m take the far side, each adjacent to 0 alone;
+    # the rest of the near side is adjacent to all of 1..m
+    want = (n, *(1 << (j - 1) for j in range(1, m + 1)),
+            *(((1 << m) - 1) << (j - 1 - m) for j in range(m + 1, n)))
+    assert canonical_key(_complete_bipartite(m, random.Random(n))) == want
