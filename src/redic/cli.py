@@ -55,6 +55,14 @@ def _load_graph(args) -> Graph:
     return named_builder(args.family, *_int_list(args.params, "--params"))
 
 
+def _check_limits(args) -> None:
+    """Reject a worker count below 1 and a negative (or NaN) budget, naming the flag."""
+    for name, least in (("threads", 1), ("budget_nodes", 0), ("budget_seconds", 0)):
+        value = getattr(args, name, None)
+        if value is not None and not value >= least:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+
+
 def _budget(args) -> Budget:
     return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
@@ -221,6 +229,8 @@ TABLES = {
 
 def cmd_table(args) -> int:
     _, row_type, row_fn, first, step, name, _ = TABLES[args.cmd]
+    if args.max_n < first:
+        raise ValueError(f"--max-n must be at least {first}, the first row of {args.cmd}; got {args.max_n}")
     if not args.json:
         print("\t".join(("n", *row_type.COLUMNS, "status")))
     ok_all = True
@@ -330,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_limits(args)
         return args.fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

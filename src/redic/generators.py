@@ -56,7 +56,7 @@ log = logging.getLogger(__name__)
 # -- free trees ----------------------------------------------------------
 
 
-def enum_trees(n: int) -> Iterator[Graph]:
+def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices.
 
     The stream starts at the path rooted at its centre.  A level sequence
@@ -66,10 +66,18 @@ def enum_trees(n: int) -> Iterator[Graph]:
     the Beyer-Hedetniemi successor of rooted trees, and a non-canonical
     sequence jumps straight to the next canonical one.  The parent of
     vertex i is the latest earlier vertex one level up.
+
+    ``res`` and ``mod`` select a shard: only the trees at stream positions
+    i with i % mod == res are built, so the shards for res = 0..mod-1
+    interleave to the whole stream.  Every shard walks all the level
+    sequences; building the graphs is the larger part of the cost.
     """
     if n < 1:
         raise ValueError("trees need n >= 1")
+    if mod < 1 or not 0 <= res < mod:
+        raise ValueError(f"a tree shard needs mod >= 1 and 0 <= res < mod, got res={res}, mod={mod}")
     lev = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    index = -1
     while True:
         m = next((i for i in range(2, n) if lev[i] == 1), n)  # the root's second child
         left = [h - 1 for h in lev[1:m]]
@@ -81,14 +89,16 @@ def enum_trees(n: int) -> Iterator[Graph]:
                 # the root has one child now: regrow the rest as a path one level taller
                 h = max(lev)
                 lev[n - h:] = range(1, h + 1)
-        adj = [0] * n
-        last = [0] * n  # last[h]: the latest vertex seen at level h
-        for v in range(1, n):
-            u = last[lev[v] - 1]
-            adj[u] |= 1 << v
-            adj[v] = 1 << u
-            last[lev[v]] = v
-        yield Graph(n, adj)
+        index += 1
+        if index % mod == res:
+            adj = [0] * n
+            last = [0] * n  # last[h]: the latest vertex seen at level h
+            for v in range(1, n):
+                u = last[lev[v] - 1]
+                adj[u] |= 1 << v
+                adj[v] = 1 << u
+                last[lev[v]] = v
+            yield Graph(n, adj)
         p = max((i for i in range(n) if lev[i] > 1), default=0)
         if p == 0:  # the star is the last tree
             return

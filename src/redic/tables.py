@@ -4,6 +4,14 @@ The expected numbers are embedded as data rather than recomputed, so any
 divergence is an immediate red flag for a regression in the enumerators or
 the solver.  Free-tree counts also match OEIS A000055; connected-cubic
 counts match A002851.
+
+Both row kinds run one census path, ``_census``.  A row counts its graphs'
+minima and so does not depend on their order, which lets the stream be
+split by position: with several threads, worker r enumerates and solves
+the graphs at positions r, r + threads, ... itself, and the pool carries
+only ints and module-level functions, never a graph.  Tree workers build
+only their own share of the trees; cubic workers each enumerate the whole
+cubic stream and keep their slice, one extra enumeration per extra worker.
 """
 
 from __future__ import annotations
@@ -90,25 +98,36 @@ def _solve_one(g: Graph, budget_nodes: int | None) -> int | None:
     return out.k if out.is_optimal else -1  # -1 marks a budget miss
 
 
-def _solve_stream(graphs, threads: int, budget_nodes: int | None) -> tuple[int, list[int], bool]:
-    """Solve a census: (graphs admitting a code, their solved minima,
-    whether a budget ran out).  Pool workers receive the graphs pickled."""
-    budgets = [budget_nodes] * len(graphs)
+def _cubic_shard(n: int, res: int, mod: int) -> tuple[Graph, ...]:
+    """The cubic graphs at stream positions i with i % mod == res."""
+    return cubic_graphs_cached(n)[res::mod]
+
+
+def _solve_shard(shard, n: int, res: int, mod: int, budget_nodes: int | None) -> list[int | None]:
+    return [_solve_one(g, budget_nodes) for g in shard(n, res, mod)]
+
+
+def _census(shard, n: int, threads: int, budget_nodes: int | None) -> tuple[int, int, list[int], bool]:
+    """Solve the stream ``shard(n, 0, 1)``: (graphs, graphs admitting a
+    code, their solved minima, whether a budget ran out).  With several
+    threads, worker r enumerates and solves ``shard(n, r, threads)``
+    itself, so only ints and a module-level function cross the pool."""
     if threads <= 1:
-        results = list(map(_solve_one, graphs, budgets))
+        results = _solve_shard(shard, n, 0, 1, budget_nodes)
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_solve_one, graphs, budgets, chunksize=16))
+            parts = pool.map(_solve_shard, [shard] * threads, [n] * threads, range(threads),
+                             [threads] * threads, [budget_nodes] * threads)
+            results = [k for part in parts for k in part]
     solved = [k for k in results if k is not None and k != -1]
-    return sum(1 for k in results if k is not None), solved, -1 in results
+    return len(results), sum(1 for k in results if k is not None), solved, -1 in results
 
 
 def tree_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> TreeRow:
-    graphs = list(enum_trees(n))
-    with_code, solved, partial = _solve_stream(graphs, threads, budget_nodes)
+    trees, with_code, solved, partial = _census(enum_trees, n, threads, budget_nodes)
     return TreeRow(
         n,
-        trees=len(graphs),
+        trees=trees,
         with_code=with_code,
         at_n_minus_2=solved.count(n - 2),
         at_n_minus_1=solved.count(n - 1),
@@ -118,11 +137,10 @@ def tree_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> TreeR
 
 
 def cubic_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> CubicRow:
-    graphs = cubic_graphs_cached(n)
-    with_code, solved, partial = _solve_stream(graphs, threads, budget_nodes)
+    count, with_code, solved, partial = _census(_cubic_shard, n, threads, budget_nodes)
     return CubicRow(
         n,
-        count=len(graphs),
+        count=count,
         with_code=with_code,
         lowest=min(solved, default=None),
         highest=max(solved, default=None),

@@ -187,6 +187,35 @@ def test_zero_node_budget_caps_the_search(capsys):
     assert code == 1 and "partial" in out
 
 
+@pytest.mark.parametrize("cmd", ["table1", "table2"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(capsys, cmd, threads):
+    code, out, err = run(capsys, cmd, "--threads", threads)
+    assert (code, out, err) == (2, "", f"error: --threads must be at least 1, got {threads}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "solve --family cycle --params 7 --budget-nodes -5",
+    "solve --family cycle --params 7 --budget-seconds -1",
+    "feasible --graph6 Cl --k 4 --budget-nodes -5",
+    "feasible --graph6 Cl --k 4 --budget-seconds -1",
+    "construct g14-ring --budget-seconds -1",
+    "table1 --max-n 6 --budget-nodes -1",
+    "table2 --max-n 8 --budget-nodes -1",
+])
+def test_negative_budgets_exit_2(capsys, argv):
+    *_, flag, value = argv.split()
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "") and err.startswith(f"error: {flag} must be at least 0, got {value}")
+
+
+def test_table_below_its_first_row_exits_2(capsys):
+    for cmd, first in (("table1", 4), ("table2", 6)):
+        for form in ([], ["--json"]):
+            code, out, err = run(capsys, cmd, "--max-n", str(first - 1), *form)
+            assert (code, out) == (2, "") and f"--max-n must be at least {first}" in err
+
+
 def test_json_stats_show_search_counters(capsys):
     for argv, exit_code in ((["solve"], 0), (["feasible", "--k", "9"], 1)):
         code, out, _ = run(capsys, *argv, "--family", "hypercube", "--params", "4", "--json")

@@ -218,6 +218,23 @@ def test_tree_stream_is_pinned(n, digest):
     assert hashlib.sha256(tree_stream(n)).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("mod", [1, 2, 3])
+def test_tree_shards_interleave_to_the_stream(mod):
+    # n = 1, 2, 3 have one tree, so every shard but the first is empty
+    for n in range(1, 15):
+        shards = [list(enum_trees(n, res, mod)) for res in range(mod)]
+        total = sum(map(len, shards))
+        merged = [shards[i % mod][i // mod] for i in range(total)]
+        stream = b"".join(write_graph6(t) + b"\n" for t in merged)
+        assert hashlib.sha256(stream).hexdigest()[:16] == TREE_STREAM_DIGESTS[n], (n, mod)
+
+
+@pytest.mark.parametrize("res,mod", [(0, 0), (0, -1), (-1, 2), (2, 2), (5, 3)])
+def test_tree_shard_out_of_range_raises(res, mod):
+    with pytest.raises(ValueError, match="shard"):
+        next(enum_trees(6, res, mod))
+
+
 def _columns(adj: list[int]) -> list[int]:
     """cols[j-1] = column of vertex j against vertices 0..j-1."""
     return [_column_value(adj[j], list(range(j))) for j in range(1, len(adj))]

@@ -193,7 +193,7 @@ def test_edge_list_roundtrip():
 
 @pytest.mark.parametrize("g", [torus(4, 4), list(enum_trees(9))[-1]], ids=["torus-4x4", "tree-9"])
 def test_pickle_round_trip_keeps_everything_a_worker_reads(g):
-    # census pools send Graph objects to their workers pickled
+    # a Graph handed to a process pool travels pickled; the solver must find it whole
     h = pickle.loads(pickle.dumps(g))
     assert (h.n, h.adj, h._closed, h.labels) == (g.n, g.adj, g._closed, g.labels)
     assert h.provenance() == g.provenance()

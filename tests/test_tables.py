@@ -1,3 +1,4 @@
+from redic import tables
 from redic.tables import CUBIC_REFERENCE, TREE_REFERENCE, cubic_row, diff_row, tree_row
 
 
@@ -32,10 +33,29 @@ def test_zero_budget_is_a_cap_not_unlimited():
 
 
 def test_threads_give_identical_rows():
-    # one process solves the Graph objects in place, the pool their pickled copies
+    # each pool worker enumerates and solves its own share of the stream
     assert tree_row(8, threads=2) == tree_row(8, threads=1)
     assert tree_row(9, threads=2) == tree_row(9, threads=1)
     assert cubic_row(10, threads=2) == cubic_row(10, threads=1)
     # a node-capped row: the -1 budget marker comes back from the workers
     capped = cubic_row(10, threads=2, budget_nodes=1)
     assert capped.partial and capped == cubic_row(10, threads=1, budget_nodes=1)
+
+
+def test_three_workers_give_identical_rows():
+    # n = 4 (two trees) and n = 6 (two cubic graphs) leave the third worker nothing
+    for n in (4, 9):
+        assert tree_row(n, threads=3) == tree_row(n, threads=1)
+    for n in (6, 10):
+        assert cubic_row(n, threads=3) == cubic_row(n, threads=1)
+    capped = tree_row(9, threads=3, budget_nodes=0)
+    assert capped.partial and capped == tree_row(9, threads=1, budget_nodes=0)
+
+
+def test_one_thread_reads_the_cubic_cache_once(monkeypatch):
+    # the cubic-census benchmark counts cache misses minus hits as enumerations
+    calls = []
+    cached = tables.cubic_graphs_cached
+    monkeypatch.setattr(tables, "cubic_graphs_cached", lambda n: calls.append(n) or cached(n))
+    assert cubic_row(10).values() == CUBIC_REFERENCE[10]
+    assert calls == [10]
