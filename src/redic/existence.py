@@ -44,17 +44,6 @@ def closed_twins(g: Graph) -> list[tuple[int, int]]:
     return sorted(pair for vs in groups.values() for pair in combinations(vs, 2))
 
 
-def _supports(g: Graph) -> list[tuple[int, int]]:
-    """(support, leaf) pairs, lowest leaf per support, ascending by support."""
-    out = {}
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            s = next(bits(g.adj[v]))
-            if s not in out or v < out[s]:
-                out[s] = v
-    return sorted(out.items())
-
-
 def exists_red_ic(g: Graph) -> NoCode | None:
     """None when a RED:IC exists, otherwise the first failed condition.
 
@@ -70,9 +59,11 @@ def exists_red_ic(g: Graph) -> NoCode | None:
     twins = closed_twins(g)
     if twins:
         return NoCode("closed-twins", twins[0])
-    for s, leaf in _supports(g):
-        if g.degree(s) < 3:
-            return NoCode("support-degree", (s, leaf))
+    deg = g.degrees()
+    # (support, leaf) for every leaf whose support has degree below 3
+    weak = [(a.bit_length() - 1, v) for v, a in enumerate(g.adj) if deg[v] == 1 and deg[a.bit_length() - 1] < 3]
+    if weak:
+        return NoCode("support-degree", min(weak))
     for (a, b, c) in g.triangles():
         for (u, v) in ((a, b), (a, c), (b, c)):
             if (g.closed_nbhd(u) ^ g.closed_nbhd(v)).bit_count() < 2:

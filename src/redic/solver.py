@@ -6,13 +6,18 @@ N[u] symdiff N[v] (intersecting with S distributes over the symmetric
 difference).  Pairs at distance >= 3 are implied by the domination
 constraints and are not tracked.
 
-Propagation is incremental, after the counter-and-trail scheme of Chaff
-(Moskewicz et al., DAC 2001).  ``inc[v]`` lists the constraints whose mask
-contains v; for each constraint i, ``res[i]`` is its threshold minus its
-included members (the residual requirement, met once <= 0) and ``cnt[i]``
-its number of free members; the constraints with ``res > 0`` form the
-active set.  Assigning a vertex walks only its incidence list, and a trail
-of assignments lets backtracking restore every counter.
+Propagation keeps counters, after Chaff (Moskewicz et al., DAC 2001),
+packed into machine words after the bit-parallel branch and bound of San
+Segundo, Rodriguez-Losada and Jimenez (Computers & OR 38, 2011).  For each
+constraint i, ``res`` is its threshold minus its included members (the
+residual requirement, met once <= 0) and ``cnt`` its number of free
+members; the constraints with ``res > 0`` form the active set.  Every
+``res`` lives in one Python int and every ``cnt`` in another, one
+fixed-width field per constraint, and ``inc[v]`` has a 1 in the field of
+each constraint containing v.  So assigning a vertex is one big-int
+subtraction, a question about every constraint at once (which are active,
+which tight, which have a given ``cnt``) is a few word-parallel operations,
+and backtracking restores a snapshot of the counters.
 
 Slack invariant: a constraint's slack ``cnt - res`` is |mask| - t minus
 its excluded members, so it starts at |mask| - t >= 0 once a code exists
@@ -21,8 +26,8 @@ and never changes a slack; excluding one lowers by one only the slacks of
 its own constraints, and a constraint whose slack reaches 0 forces all its
 free members at once.  So every active constraint enters a node with slack
 >= 1, no exclusion takes a slack below 0, and the search never meets a
-conflict.  Forcing is itself inclusion, so a single walk over ``inc[x]``
-reaches the fixpoint.
+conflict.  Forcing is itself inclusion, so one pass over the tight
+constraints reaches the fixpoint.
 
 The search branches on a vertex drawn from the most-constrained active
 constraint, include branch first, with ties broken toward the lowest vertex
@@ -52,7 +57,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from itertools import repeat
 
 from . import existence
 from .detection import CodeKind, _detector_reach, verify
@@ -232,12 +237,20 @@ class _Search:
     """Shared branch-and-bound core for minimization and K-feasibility.
 
     The current assignment lives in ``chosen`` (included vertices), ``free``
-    (unassigned ones) and the per-constraint counters ``res`` and ``cnt``;
-    ``trail`` lists the assignments in order (x for an inclusion, ~x for an
-    exclusion) so that ``_undo`` can restore every counter.  ``greedy``,
-    ``root_lower`` and ``run`` each start from ``_reset``.  ``sym`` holds
-    the current node's stabiliser H for orbital fixing, None when it is
-    trivial or the graph has no group.
+    (unassigned ones) and two packed counters: constraint i owns the w-bit
+    field at bit ``w * i`` of ``R``, which holds ``res + big``, and of
+    ``C``, which holds ``cnt + big``, where ``big`` is the largest mask
+    size.  w is 8 times the least power of two fb with 2^(w-1) > 2 * big + 2,
+    so every field stays in [0, 2^(w-1)) and no carry or borrow crosses
+    into the next; ``C - R`` then holds every slack.  Including x is
+    ``R -= inc[x]; C -= inc[x]``, excluding it ``C -= inc[x]``.  A query
+    adds ``top - t`` to every field, which sets a field's high bit exactly
+    where it exceeds t, and returns the constraints it selects as the low
+    bits of their fields.  ``_node`` backtracks by restoring the four ints
+    it saved.  The ``inc`` ints take n * fb bytes per constraint in all.
+    ``greedy``, ``root_lower`` and ``run`` each start from ``_reset``.
+    ``sym`` holds the current node's stabiliser H for orbital fixing, None
+    when it is trivial or the graph has no group.
     """
 
     def __init__(self, g: Graph, kind: CodeKind, budget: Budget | None):
@@ -264,26 +277,43 @@ class _Search:
         # domination constraints first, one per vertex, then the pairs
         self.masks = masks = [*closed, *sorted(pair_masks)]
         self.n_dom = g.n
-        self.max_cover = max((c.bit_count() for c in closed), default=1)
-        inc: list[list[int]] = [[] for _ in range(g.n)]  # constraints containing each vertex
-        for i, m in enumerate(masks):
-            while m:
-                low = m & -m
-                inc[low.bit_length() - 1].append(i)
-                m ^= low
-        self.inc = inc
+        self.max_cover = max(map(int.bit_count, closed), default=1)
+        self.big = big = max(map(int.bit_count, masks), default=0)
+        fb = 1  # bytes per field, a power of two so that a field is one array item
+        while 1 << (8 * fb - 1) <= 2 * big + 2:
+            fb *= 2
+        self.w = w = 8 * fb
+        self.ones = ones = int.from_bytes(b"\1".ljust(fb, b"\0") * len(masks), "little")
+        # transpose the masks a field at a time: gather the k-th w-bit group
+        # of every mask into one int, one field per constraint; shifted right
+        # by r, its low field bits say which constraints contain k*w + r
+        per = -(-g.n // w)  # groups per mask
+        groups = memoryview(b"".join(map(int.to_bytes, masks, repeat(per * fb), repeat("little"))))
+        groups = groups.cast("BHIQ"[fb.bit_length() - 1])
+        self.inc = inc = []  # per vertex, a 1 in the field of each constraint containing it
+        for k in range(per):
+            col = int.from_bytes(groups[k::per].tobytes(), "little")
+            inc += [col >> r & ones for r in range(min(w, g.n - k * w))]
+        self.high = ones << (w - 1)
+        self.top = ((1 << (w - 1)) - 1) * ones  # 2^(w-1) - 1 in every field
+        self.over = self.top - big * ones  # flags R > big, that is res >= 1
+        self.dom = (1 << w * g.n) - 1  # the domination fields
+        self.r0 = (kind.req + big) * ones  # no vertex included
+        self.c0 = big * ones + sum(inc)  # every vertex free
 
     def _reset(self, chosen: int):
         """Set every counter for the assignment that includes exactly chosen."""
         self.chosen = chosen
-        self.free = free = self.g.full_mask() & ~chosen
-        self.trail: list[int] = []
-        # requirement minus included members (<= 0 once met), and free members
-        req = self.kind.req
-        self.res = res = [req - (m & chosen).bit_count() for m in self.masks]
-        self.cnt = [(m & free).bit_count() for m in self.masks]
-        self.active = {i for i, r in enumerate(res) if r > 0}
-        self.dom_deficit = sum(r for r in res[: self.n_dom] if r > 0)  # over active domination constraints
+        self.free = self.g.full_mask() & ~chosen
+        inc = self.inc
+        taken = sum(map(inc.__getitem__, bits(chosen)))
+        self.R = self.r0 - taken
+        self.C = self.c0 - taken
+
+    def _unmet(self) -> tuple[int, int]:
+        """The active constraints (res >= 1), and those with res >= 2."""
+        R, high, sh = self.R + self.over, self.high, self.w - 1
+        return (R & high) >> sh, (R - self.ones & high) >> sh
 
     # -- budget ----------------------------------------------------------
 
@@ -299,127 +329,130 @@ class _Search:
         ):
             raise _BudgetExhausted
 
-    # -- assignment, propagation and undo ----------------------------------
+    # -- assignment and propagation -----------------------------------------
 
     def _include(self, x: int):
-        self.trail.append(x)
+        a = self.inc[x]
+        self.R -= a
+        self.C -= a
         self.free ^= 1 << x
         self.chosen |= 1 << x
-        res, cnt, active, n_dom = self.res, self.cnt, self.active, self.n_dom
-        deficit = self.dom_deficit
-        for i in self.inc[x]:
-            cnt[i] -= 1
-            r = res[i]
-            res[i] = r - 1
-            if r > 0:
-                if r == 1:
-                    active.remove(i)
-                if i < n_dom:
-                    deficit -= 1
-        self.dom_deficit = deficit
 
     def _exclude(self, x: int) -> int:
         """Exclude x and propagate; the number of vertices forced."""
-        self.trail.append(~x)
+        self.C -= self.inc[x]
         self.free ^= 1 << x
-        cnt = self.cnt
-        inc = self.inc[x]
-        for i in inc:
-            cnt[i] -= 1
-        return self._force(inc)
+        return self._force()
 
-    def _force(self, cons) -> int:
-        """Include the free members of every tight constraint among cons.
+    def _force(self) -> int:
+        """Include the free members of every tight constraint.
 
-        A constraint is tight when its free members are exactly as many as
-        it still requires (slack 0; by the slack invariant never fewer).
-        Returns the number of vertices forced.  Inclusions leave every
-        slack ``cnt - res`` unchanged, so one pass reaches the fixpoint.
+        A constraint is tight when it is active and its free members are
+        exactly as many as it still requires (slack 0; by the slack
+        invariant never fewer).  Returns the number of vertices forced.
+        Inclusions leave every slack ``cnt - res`` unchanged, so one pass
+        reaches the fixpoint.
         """
-        res, cnt, masks = self.res, self.cnt, self.masks
+        R = self.R
+        tight = R + self.over & ~(self.C - R + self.top) & self.high
+        if not tight:
+            return 0
+        masks, w = self.masks, self.w
         forced = 0
-        for i in cons:
-            r = res[i]
-            if r > 0 and cnt[i] == r:
-                forced |= masks[i]
+        while tight:
+            hi = tight.bit_length() - 1
+            forced |= masks[hi // w]
+            tight ^= 1 << hi
         forced &= self.free
-        for x in bits(forced):
-            self._include(x)
+        inc = self.inc
+        taken = sum(map(inc.__getitem__, bits(forced)))
+        self.R = R - taken
+        self.C -= taken
+        self.free ^= forced
+        self.chosen |= forced
         return forced.bit_count()
-
-    def _undo(self, mark: int):
-        """Take back the assignments made since the trail had length mark."""
-        trail, inc, res, cnt, active, n_dom = self.trail, self.inc, self.res, self.cnt, self.active, self.n_dom
-        deficit = self.dom_deficit
-        while len(trail) > mark:
-            x = trail.pop()
-            if x < 0:
-                x = ~x
-                for i in inc[x]:
-                    cnt[i] += 1
-            else:
-                self.chosen ^= 1 << x
-                for i in inc[x]:
-                    cnt[i] += 1
-                    r = res[i] + 1
-                    res[i] = r
-                    if r > 0:
-                        if r == 1:
-                            active.add(i)
-                        if i < n_dom:
-                            deficit += 1
-            self.free |= 1 << x
-        self.dom_deficit = deficit
 
     def _start(self, seed_mask: int) -> int:
         """Reset to the seed and propagate; as ``_force``."""
         self._reset(seed_mask)
-        return self._force(self.active)
+        return self._force()
 
     # -- bounding ----------------------------------------------------------
 
-    def _order(self) -> list[int]:
-        """The active constraints by (free members, index)."""
-        order = sorted(self.active)
-        order.sort(key=self.cnt.__getitem__)
-        return order
+    def _order(self, active: int):
+        """Yield the active constraints by (free members, index), one bucket
+        of equal ``cnt`` at a time.  Sending a set of constraints drops them
+        from the rest of the order."""
+        C, ones, high, sh, w = self.C + self.over, self.ones, self.high, self.w - 1, self.w
+        while active:
+            C -= ones  # flags cnt > t, for the next bucket t = 1, 2, ...
+            bucket = active & ~((C & high) >> sh)  # so cnt == t
+            active ^= bucket
+            while bucket:
+                low = bucket & -bucket
+                drop = yield low.bit_length() // w
+                bucket ^= low
+                if drop:
+                    bucket &= ~drop
+                    active &= ~drop
 
-    def _need(self, order: list[int], gap: int) -> int:
+    def _deficit(self, active: int, heavy: int) -> int:
+        """The domination deficit: res summed over the active domination
+        constraints, given those with res >= 2 (heavy)."""
+        dom = self.dom
+        return (active & dom).bit_count() + (heavy & dom).bit_count()
+
+    def _need(self, active: int, heavy: int, gap: int) -> int:
         """Lower bound on the detectors still to add, exact below gap.
 
         The larger of a disjoint packing (constraints with pairwise disjoint
         free members each need their own detectors) and the domination
         deficit over the largest closed neighbourhood.  Stops as soon as the
-        bound reaches gap.
+        bound reaches gap.  ``heavy`` is the active constraints with
+        res >= 2; res never exceeds ``kind.req`` <= 2.
         """
-        ratio = -(-self.dom_deficit // self.max_cover)
+        ratio = -(-self._deficit(active, heavy) // self.max_cover)
         if ratio >= gap:
             return ratio
-        masks, res, free = self.masks, self.res, self.free
-        used = 0  # a subset of free, so m & used == (m & free) & used
+        masks, inc, free, w = self.masks, self.inc, self.free, self.w
         packed = 0
-        for i in order:
-            m = masks[i]
-            if not m & used:
-                packed += res[i]
+        order = self._order(active)
+        i = next(order)
+        try:
+            while True:
+                packed += 1 + (heavy >> w * i & 1)
                 if packed >= gap:
                     return packed
-                used |= m & free
-        return packed if packed >= ratio else ratio
+                # drop every constraint that meets the free members taken
+                drop = 0
+                take = masks[i] & free
+                while take:
+                    low = take & -take
+                    drop |= inc[low.bit_length() - 1]
+                    take ^= low
+                i = order.send(drop)
+        except StopIteration:
+            return packed if packed >= ratio else ratio
 
     # -- branching -----------------------------------------------------------
 
-    def _branch_vertex(self, order: list[int]) -> int:
+    def _branch_vertex(self, active: int, heavy: int) -> int:
         """A free member of the constraint with the least (slack, cnt, index),
         the one in the most active constraints, lowest index on ties."""
-        cnt, res = self.cnt, self.res
-        slack = list(map(sub, map(cnt.__getitem__, order), map(res.__getitem__, order)))
-        i = order[slack.index(min(slack))]
-        in_active = self.active.__contains__
+        slack, ones, high, sh = self.C - self.R + self.top, self.ones, self.high, self.w - 1
+        least = 0
+        while not least:
+            slack -= ones  # flags slack > s, for s = 1, 2, ...
+            least = active & ~((slack & high) >> sh)  # so slack == s
+        light = least & ~heavy  # res = 1, so the least cnt of this slack
+        if light:
+            least = light
+        i = (least & -least).bit_length() // self.w
+        inc = self.inc
         best_x = -1
         best_score = -1
         for x in bits(self.masks[i] & self.free):
-            score = sum(map(in_active, self.inc[x]))
+            score = (active & inc[x]).bit_count()
             if score > best_score:
                 best_score = score
                 best_x = x
@@ -429,21 +462,21 @@ class _Search:
 
     def _node(self):
         """Search below the current assignment, which propagation has closed."""
-        if not self.active:
-            size = self.chosen.bit_count()
+        R, C, chosen, free = self.R, self.C, self.chosen, self.free
+        active, heavy = self._unmet()
+        if not active:
+            size = chosen.bit_count()
             if size < self.cap:
-                self.best = self.chosen
+                self.best = chosen
                 self.cap = size
                 if self.stop_at_first:
                     self.done = True
             return
-        order = self._order()
-        gap = self.cap - self.chosen.bit_count()
-        if self._need(order, gap) >= gap:
+        gap = self.cap - chosen.bit_count()
+        if self._need(active, heavy, gap) >= gap:
             self.pruned += 1
             return
-        x = self._branch_vertex(order)
-        mark = len(self.trail)
+        x = self._branch_vertex(active, heavy)
         sym = self.sym
         self._tick()
         self._include(x)
@@ -451,7 +484,7 @@ class _Search:
             self.sym = sym.stabiliser(x)
         self._node()
         self.sym = sym
-        self._undo(mark)
+        self.R, self.C, self.chosen, self.free = R, C, chosen, free
         if self.done:
             return
         self._tick()
@@ -459,7 +492,7 @@ class _Search:
         if forced >= 0:
             self.forced += forced
             self._node()
-        self._undo(mark)
+        self.R, self.C, self.chosen, self.free = R, C, chosen, free
 
     def _exclude_orbit(self, x: int, orbit: int) -> int:
         """Exclude x, then every other member of its orbit, all free by the
@@ -475,34 +508,41 @@ class _Search:
 
     def root_lower(self) -> int:
         self._start(0)
-        size = self.chosen.bit_count()
-        return size + (self._need(self._order(), self.g.n + 1) if self.active else 0)
+        active, heavy = self._unmet()
+        return self.chosen.bit_count() + (self._need(active, heavy, self.g.n + 1) if active else 0)
 
     def greedy(self, seed_mask: int) -> int:
-        """Deterministic greedy cover used as the initial incumbent."""
+        """Deterministic greedy cover used as the initial incumbent: add the
+        free vertex with the most residual requirement over the active
+        constraints containing it, lowest index on ties."""
         self._start(seed_mask)
-        masks, res = self.masks, self.res
-        while self.active:
-            scores = [0] * self.g.n
-            for i in self.active:
-                r = res[i]
-                for x in bits(masks[i] & self.free):
-                    scores[x] += r
-            self._include(scores.index(max(scores)))  # lowest index on ties
-        return self.chosen
+        inc = self.inc
+        while True:
+            active, heavy = self._unmet()
+            if not active:
+                return self.chosen
+            best_x = best_score = -1
+            for x in bits(self.free):
+                a = inc[x]
+                score = (active & a).bit_count() + (heavy & a).bit_count()
+                if score > best_score:
+                    best_score = score
+                    best_x = x
+            self._include(best_x)
 
     def run(self, seed_mask: int, cap: int, stop_at_first: bool) -> bool:
         """Explore from the seed; returns False when the budget ran out.
 
         The seed is always the forced-detector set, which every
         automorphism maps onto itself, so orbital fixing starts from the
-        whole group.  Either way the trail is unwound, leaving the counters
-        at the seed.
+        whole group.  Either way the counters are restored to the seed.
         """
         self.cap = cap
         self.stop_at_first = stop_at_first
         self.sym = self.group
-        forced = self._start(seed_mask)
+        self._reset(seed_mask)
+        seed = self.R, self.C, self.chosen, self.free
+        forced = self._force()
         try:
             self._tick()
             self.forced += forced
@@ -511,7 +551,7 @@ class _Search:
         except _BudgetExhausted:
             return False
         finally:
-            self._undo(0)
+            self.R, self.C, self.chosen, self.free = seed
 
     def stats(self, t0: float) -> SolverStats:
         return SolverStats(self.nodes, time.perf_counter() - t0, self.forced, self.pruned,

@@ -306,7 +306,7 @@ def _check_against_plain(g):
         assert verify(g, at.witness, kind) is None
 
 
-@pytest.mark.skipif(not STRETCH, reason="about 40 s; set REDIC_STRETCH=1")
+@pytest.mark.skipif(not STRETCH, reason="about 25 s; set REDIC_STRETCH=1")
 def test_stretch_torus_7x7_optimal_at_25():
     g = torus(7, 7)
     out = solve_min(g, CodeKind.RED_IC)
@@ -447,9 +447,24 @@ def rescanned_counters(search):
     }
 
 
+def fields(search, packed):
+    """The fields of a packed counter, one int per constraint, offset removed."""
+    fb = search.w // 8
+    raw = packed.to_bytes(len(search.masks) * fb, "little")  # raises on a borrow out of the top field
+    return [int.from_bytes(raw[at:at + fb], "little") - search.big for at in range(0, len(raw), fb)]
+
+
+def members(search, flags):
+    """The constraints a query flags, each by the low bit of its field."""
+    out = {b // search.w for b in bits(flags)}
+    assert flags == sum(1 << search.w * i for i in out)
+    return out
+
+
 def maintained_counters(search):
-    return {"res": search.res, "cnt": search.cnt, "active": search.active,
-            "dom_deficit": search.dom_deficit}
+    active, heavy = search._unmet()
+    return {"res": fields(search, search.R), "cnt": fields(search, search.C),
+            "active": members(search, active), "dom_deficit": search._deficit(active, heavy)}
 
 
 class CheckedSearch(_Search):
@@ -457,17 +472,19 @@ class CheckedSearch(_Search):
     checks the two invariants that let the search skip conflicts and
     already-assigned orbit members: every active constraint has slack >= 1,
     and the node's stabiliser maps the included and excluded sets onto
-    themselves (checked on the generators of the whole group)."""
+    themselves (checked on the generators of the whole group).  Also checks
+    that the bucketed order is the active constraints sorted by (cnt, index)."""
 
     checked = 0
 
     def _node(self):
         assert self.chosen & self.free == 0
-        included = mask_of(x for x in self.trail if x >= 0)
-        excluded = mask_of(~x for x in self.trail if x < 0)
-        assert self.chosen & included == included and excluded & (self.chosen | self.free) == 0
-        assert maintained_counters(self) == rescanned_counters(self)
-        assert all(self.cnt[i] > self.res[i] for i in self.active)
+        excluded = self.g.full_mask() & ~(self.chosen | self.free)
+        counters = maintained_counters(self)
+        assert counters == rescanned_counters(self)
+        res, cnt, active = counters["res"], counters["cnt"], counters["active"]
+        assert all(cnt[i] > res[i] for i in active)
+        assert list(self._order(self._unmet()[0])) == sorted(active, key=lambda i: (cnt[i], i))
         if self.sym is not None:
             perms = self.sym.generators if isinstance(self.sym, Automorphisms) else self.sym.elements
             for p in perms:
@@ -475,6 +492,12 @@ class CheckedSearch(_Search):
                     assert mask_of(p[v] for v in bits(m)) == m
         self.checked += 1
         super()._node()
+
+
+def at_seed(search, seed):
+    """The assignment and every counter are back at the seed."""
+    return (search.chosen == seed and search.free == search.g.full_mask() & ~seed
+            and maintained_counters(search) == rescanned_counters(search))
 
 
 def test_incremental_counters_match_rescan():
@@ -493,10 +516,7 @@ def test_incremental_counters_match_rescan():
         assert incumbent == ref.greedy(seed)
         assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
         assert search.checked > 0
-        # the trail is unwound and every counter is back at its root value
-        assert search.trail == [] and search.chosen == seed
-        assert search.free == g.full_mask() & ~seed
-        assert maintained_counters(search) == rescanned_counters(search)
+        assert at_seed(search, seed)
         ref.cap = incumbent.bit_count()
         ref.dfs(seed, 0)
         best = ref.best if ref.best is not None else incumbent
@@ -511,13 +531,35 @@ def test_incremental_counters_match_rescan():
         assert below.witness is None and below.stats.nodes == ref_below.nodes
 
 
-def test_interrupted_run_unwinds_the_trail():
+def test_interrupted_run_restores_the_seed():
     g = hypercube(4)
     search = CheckedSearch(g, CodeKind.RED_IC, Budget(max_nodes=200))
     assert not search.run(0, cap=g.n, stop_at_first=False)
     assert search.nodes == search.checked == 200
-    assert search.trail == [] and search.chosen == 0 and search.free == g.full_mask()
-    assert maintained_counters(search) == rescanned_counters(search)
+    assert at_seed(search, 0)
+
+
+def wheel(rim):
+    return build_graph(rim + 1, [(0, v) for v in range(1, rim + 1)] + [(v, v % rim + 1) for v in range(1, rim + 1)])
+
+
+def test_two_byte_fields_on_a_wheel():
+    # the hub's closed neighbourhood has 65 members, so a counter field needs
+    # two bytes to hold 2 * 65 + 2 without reaching its high bit
+    g = wheel(64)
+    for kind, k, nodes in [(CodeKind.IC, 32, 65), (CodeKind.RED_IC, 64, 1)]:
+        out = solve_min(g, kind)
+        assert (out.k, out.stats.nodes) == (k, nodes), kind
+        seed = mask_of(forced_detectors(g, kind))
+        search = CheckedSearch(g, kind, None)
+        assert search.w == 16
+        incumbent = search.greedy(seed)
+        assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
+        assert search.nodes == search.checked == nodes and at_seed(search, seed)
+        ref = RescanSearch(search)
+        ref.cap = incumbent.bit_count()
+        ref.dfs(seed, 0)
+        assert ref.nodes == nodes and (ref.best or incumbent).bit_count() == k
 
 
 @pytest.mark.parametrize("g", [torus(4, 4), torus(3, 5), honeycomb_torus(4, 4), hypercube(4)], ids=_name)
@@ -530,6 +572,5 @@ def test_counters_hold_under_orbital_fixing(g):
         incumbent = search.greedy(seed)
         assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
         assert search.checked > 0 and search.orbit_fixed > 0
-        assert search.trail == [] and search.chosen == seed
-        assert maintained_counters(search) == rescanned_counters(search)
+        assert at_seed(search, seed)
         assert verify(g, search.best or incumbent, kind) is None
