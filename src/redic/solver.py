@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import existence
-from .detection import CodeKind, _detector_reach, verify
+from .detection import CodeKind, verify
 from .graphs import Graph, bits
 from .symmetry import automorphisms
 
@@ -270,10 +270,21 @@ class _Search:
         self.done = False
 
         closed = g._closed
-        # with S = V the detector reach of u is its distance-<=2 ball; a
-        # farther pair's mask is N[u] | N[v], implied by domination
-        pair_masks = {closed[u] ^ closed[v] for u in range(g.n)
-                      for v in bits(_detector_reach(closed, closed[u])[0] & ~((1 << (u + 1)) - 1))}
+        # the pairs u < v at distance <= 2, v in the union of N[x] over x
+        # in N[u]; a farther pair's mask is N[u] | N[v], implied by domination
+        pair_masks = set()
+        for u, cu in enumerate(closed):
+            ball = 0
+            rest = cu
+            while rest:
+                low = rest & -rest
+                ball |= closed[low.bit_length() - 1]
+                rest ^= low
+            ball >>= u + 1  # bit j now stands for vertex u + 1 + j
+            while ball:
+                low = ball & -ball
+                pair_masks.add(cu ^ closed[u + low.bit_length()])
+                ball ^= low
         # domination constraints first, one per vertex, then the pairs
         self.masks = masks = [*closed, *sorted(pair_masks)]
         self.n_dom = g.n

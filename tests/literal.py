@@ -5,9 +5,12 @@ before it learned to skip pairs that share no detector: every vertex is
 counted, then every pair, each on n-bit masks, in the same order and with
 the same certificates.  It shares no pair logic with the library.
 ``literal_robustness_check`` is the definition of fault tolerance run
-literally: |S| + 1 calls of ``literal_verify``.
+literally: |S| + 1 calls of ``literal_verify``.  ``literal_constraint_masks``
+is the solver's constraint list from its definition, by breadth-first
+search on neighbour sets, sharing no code with ``detection`` or ``solver``.
 """
 
+from collections import deque
 from itertools import combinations
 
 from redic.detection import CodeKind, RobustnessFailure, Violation
@@ -40,3 +43,23 @@ def literal_robustness_check(g, detectors):
         if v is not None:
             return RobustnessFailure(x, v)
     return None
+
+
+def literal_constraint_masks(g):
+    """The domination masks N[v] in vertex order, then the distinct masks
+    N[u] ^ N[v] of the pairs u < v at BFS distance <= 2, sorted."""
+    nbrs = [{v for v in range(g.n) if g.has_edge(u, v)} for u in range(g.n)]
+    closed = [sum(1 << x for x in nbrs[v] | {v}) for v in range(g.n)]
+    pairs = set()
+    for u in range(g.n):
+        dist = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            if dist[x] < 2:
+                for y in nbrs[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+        pairs.update(closed[u] ^ closed[v] for v in dist if v > u)
+    return closed + sorted(pairs)

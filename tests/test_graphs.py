@@ -182,6 +182,39 @@ def test_structure_predicates():
     assert not two_edges.is_connected() and not two_edges.is_tree()
 
 
+def union_find_components(g):
+    """Vertex lists of the components, each ascending, by lowest vertex."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                parent[find(u)] = find(v)
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def test_components_match_union_find():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        # from one giant component down to mostly isolated vertices
+        g = random_graph(rng, n, rng.choice([0.0, 0.01, 0.03, 0.06, 0.1, 0.3]))
+        comps = g.components()
+        assert [list(bits(c)) for c in comps] == union_find_components(g)
+        lowest = [(c & -c).bit_length() - 1 for c in comps]
+        assert lowest == sorted(lowest)
+        assert g.is_connected() == (len(comps) <= 1)
+
+
 def test_edge_list_roundtrip():
     g = ladder(5)
     assert parse_edge_list(write_edge_list(g)) == g

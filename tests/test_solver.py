@@ -25,7 +25,7 @@ from redic.graphs import (
 from redic.solver import Budget, _Search, feasible_at, forced_detectors, lower_bound, solve_min
 from redic.symmetry import Automorphisms, automorphisms
 
-from literal import literal_verify
+from literal import literal_constraint_masks, literal_verify
 
 
 STRETCH = bool(os.environ.get("REDIC_STRETCH"))
@@ -339,6 +339,21 @@ def test_search_counters_in_stats():
     assert out.stats.forced > 0 and out.stats.pruned > 0
     assert out.stats.pruned < out.stats.nodes
     assert feasible_at(hypercube(4), CodeKind.RED_IC, 9).stats.pruned > 0
+
+
+def test_constraint_list_matches_literal_reference():
+    # the order of the constraint list decides every node count
+    rng = random.Random(17)
+    disconnected = 0
+    for _ in range(120):
+        n = rng.randint(1, 40)
+        p = rng.choice([0.03, 0.08, 0.15, 0.3])
+        g = build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        disconnected += not g.is_connected()
+        expected = literal_constraint_masks(g)
+        for kind in CodeKind:
+            assert _Search(g, kind, None).masks == expected, (g.n, g.adj, kind)
+    assert disconnected >= 30
 
 
 # -- incremental propagation against a full-rescan reference ---------------------
