@@ -6,6 +6,14 @@ on a triangle has |N[a] symdiff N[b]| >= 2 (taking S = V(G) then verifies).
 Components with fewer than four vertices never admit one; a disconnected
 graph is decided per component.
 
+For a tree the rule shrinks to: a RED:IC exists iff n >= 4 and every
+support vertex (a neighbour of a leaf) has degree >= 3.  A tree is
+connected and has no triangles, and on n >= 3 vertices no closed twins
+either: closed twins u, v are adjacent (u lies in N[u] = N[v]), one of
+them has a third neighbour w since the tree is connected, and w, lying in
+both closed neighbourhoods, would close the triangle u, v, w.
+``tree_has_red_ic`` decides it on a parent array, with no ``Graph``.
+
 Plain ICs exist iff there are no closed twins.
 """
 
@@ -69,6 +77,24 @@ def exists_red_ic(g: Graph) -> NoCode | None:
             if (g.closed_nbhd(u) ^ g.closed_nbhd(v)).bit_count() < 2:
                 return NoCode("triangle", (u, v, ({a, b, c} - {u, v}).pop()))
     return None
+
+
+def tree_has_red_ic(parent: list[int]) -> bool:
+    """Whether a tree admits a RED:IC, given as a parent array: vertex 0 is
+    the root and every other vertex v has the edge v - parent[v].  The test
+    is n >= 4 and every support vertex of degree >= 3 (module docstring),
+    so it needs only the degrees, and no ``Graph``.
+    """
+    n = len(parent)
+    if n < 4:
+        return False
+    deg = [1] * n  # every vertex but the root has its parent
+    deg[0] = 0
+    for v in range(1, n):
+        deg[parent[v]] += 1
+    if deg[0] == 1 and deg[parent.index(0, 1)] < 3:  # the root is a leaf
+        return False
+    return all(deg[parent[v]] >= 3 for v in range(1, n) if deg[v] == 1)
 
 
 def has_red_ic(g: Graph) -> bool:

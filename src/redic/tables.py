@@ -9,9 +9,13 @@ Both row kinds run one census path, ``_census``.  A row counts its graphs'
 minima and so does not depend on their order, which lets the stream be
 split by position: with several threads, worker r enumerates and solves
 the graphs at positions r, r + threads, ... itself, and the pool carries
-only ints and module-level functions, never a graph.  Tree workers build
-only their own share of the trees; cubic workers each enumerate the whole
-cubic stream and keep their slice, one extra enumeration per extra worker.
+only ints and module-level functions, never a graph.  Tree workers walk
+the level sequences of their share and decide existence on each tree's
+parent array (``existence.tree_has_red_ic``): a rejected tree counts as having no code
+and is never built, so only the trees that admit a code (about a tenth)
+become a ``Graph`` and reach the solver.  Cubic workers each enumerate the
+whole cubic stream and keep their slice, one extra enumeration per extra
+worker.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .detection import CodeKind
-from .generators import cubic_graphs_cached, enum_trees
+from .existence import tree_has_red_ic
+from .generators import cubic_graphs_cached, tree_graph, tree_levels, tree_parents
 from .graphs import Graph
 from .solver import Budget, solve_min
 
@@ -98,33 +103,38 @@ def _solve_one(g: Graph, budget_nodes: int | None) -> int | None:
     return out.k if out.is_optimal else -1  # -1 marks a budget miss
 
 
-def _cubic_shard(n: int, res: int, mod: int) -> tuple[Graph, ...]:
-    """The cubic graphs at stream positions i with i % mod == res."""
-    return cubic_graphs_cached(n)[res::mod]
+def _solve_tree_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> list[int | None]:
+    """``_solve_one`` over the trees at stream positions i with
+    i % mod == res; a tree that admits no code is never built."""
+    return [_solve_one(tree_graph(parent), budget_nodes) if tree_has_red_ic(parent) else None
+            for parent in map(tree_parents, tree_levels(n, res, mod))]
 
 
-def _solve_shard(shard, n: int, res: int, mod: int, budget_nodes: int | None) -> list[int | None]:
-    return [_solve_one(g, budget_nodes) for g in shard(n, res, mod)]
+def _solve_cubic_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> list[int | None]:
+    """``_solve_one`` over the cubic graphs at stream positions i with
+    i % mod == res."""
+    return [_solve_one(g, budget_nodes) for g in cubic_graphs_cached(n)[res::mod]]
 
 
-def _census(shard, n: int, threads: int, budget_nodes: int | None) -> tuple[int, int, list[int], bool]:
-    """Solve the stream ``shard(n, 0, 1)``: (graphs, graphs admitting a
-    code, their solved minima, whether a budget ran out).  With several
-    threads, worker r enumerates and solves ``shard(n, r, threads)``
-    itself, so only ints and a module-level function cross the pool."""
+def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tuple[int, int, list[int], bool]:
+    """Solve the stream ``solve_shard(n, 0, 1, budget_nodes)``: (graphs,
+    graphs admitting a code, their solved minima, whether a budget ran
+    out).  With several threads, worker r runs ``solve_shard(n, r,
+    threads, budget_nodes)`` itself, so only ints and a module-level
+    function cross the pool."""
     if threads <= 1:
-        results = _solve_shard(shard, n, 0, 1, budget_nodes)
+        results = solve_shard(n, 0, 1, budget_nodes)
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(_solve_shard, [shard] * threads, [n] * threads, range(threads),
-                             [threads] * threads, [budget_nodes] * threads)
+            parts = pool.map(solve_shard, [n] * threads, range(threads), [threads] * threads,
+                             [budget_nodes] * threads)
             results = [k for part in parts for k in part]
     solved = [k for k in results if k is not None and k != -1]
     return len(results), sum(1 for k in results if k is not None), solved, -1 in results
 
 
 def tree_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> TreeRow:
-    trees, with_code, solved, partial = _census(enum_trees, n, threads, budget_nodes)
+    trees, with_code, solved, partial = _census(_solve_tree_shard, n, threads, budget_nodes)
     return TreeRow(
         n,
         trees=trees,
@@ -137,7 +147,7 @@ def tree_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> TreeR
 
 
 def cubic_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> CubicRow:
-    count, with_code, solved, partial = _census(_cubic_shard, n, threads, budget_nodes)
+    count, with_code, solved, partial = _census(_solve_cubic_shard, n, threads, budget_nodes)
     return CubicRow(
         n,
         count=count,

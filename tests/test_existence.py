@@ -1,4 +1,7 @@
+import os
 import random
+
+import pytest
 
 from redic.detection import CodeKind
 from redic.existence import (
@@ -7,10 +10,15 @@ from redic.existence import (
     exists_ic,
     exists_red_ic,
     has_red_ic,
+    tree_has_red_ic,
 )
+from redic.generators import enum_trees, tree_graph, tree_levels, tree_parents
 from redic.graphs import build_graph, complete_graph, cycle_graph, path_graph, star_graph
+from redic.tables import TREE_REFERENCE
 
 from literal import literal_verify
+
+STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
 
 def random_graph(rng, n, p=0.5):
@@ -78,3 +86,36 @@ def test_exists_ic_is_twin_freeness():
         assert closed_twins(g) == twins
         # the witness is the lexicographically least pair
         assert exists_ic(g) == (NoCode("closed-twins", twins[0]) if twins else None)
+
+
+@pytest.mark.parametrize("n", [
+    *range(1, 17),
+    pytest.param(17, marks=pytest.mark.skipif(not STRETCH, reason="about 3 s; set REDIC_STRETCH=1")),
+])
+def test_tree_rule_matches_exists_red_ic(n):
+    # the verdict on the parent array against the general test, tree by tree
+    # in stream order, and the accepted count against the frozen table
+    accepted = 0
+    for lev, tree in zip(tree_levels(n), enum_trees(n), strict=True):
+        verdict = tree_has_red_ic(tree_parents(lev))
+        assert verdict == (exists_red_ic(tree) is None), lev
+        accepted += verdict
+    assert accepted == (TREE_REFERENCE[n][1] if n >= 4 else 0)
+
+
+def test_tree_rule_on_any_parent_array():
+    # the stream roots every tree at a centre and numbers it in preorder; the
+    # rule takes any root and any numbering
+    assert not tree_has_red_ic([0])
+    assert not tree_has_red_ic([0, 0, 1, 2, 2])  # a leaf root whose support has degree 2
+    assert tree_has_red_ic([0, 0, 1, 1, 3, 3, 1, 6, 6])  # a leaf root, every support of degree 3
+    assert not tree_has_red_ic([0, 4, 1, 1, 0])  # the same with the root's child at 4
+    rng = random.Random(41)
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        parent = [0] + [rng.randrange(v) for v in range(1, n)]
+        label = [0] + rng.sample(range(1, n), n - 1)  # the root stays 0
+        relabeled = [0] * n
+        for v in range(1, n):
+            relabeled[label[v]] = label[parent[v]]
+        assert tree_has_red_ic(relabeled) == (exists_red_ic(tree_graph(relabeled)) is None), relabeled

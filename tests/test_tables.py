@@ -1,5 +1,10 @@
+import multiprocessing
+
+import pytest
+
 from redic import tables
-from redic.tables import CUBIC_REFERENCE, TREE_REFERENCE, cubic_row, diff_row, tree_row
+from redic.graphs import Graph
+from redic.tables import CUBIC_REFERENCE, TREE_REFERENCE, TreeRow, cubic_row, diff_row, tree_row
 
 
 def test_tree_reference_is_internally_consistent():
@@ -12,6 +17,49 @@ def test_tree_rows_small():
         row = tree_row(n)
         assert row.values() == TREE_REFERENCE[n]
         assert all(ok for _, _, _, ok in diff_row(row))
+
+
+def test_tiny_tree_rows_have_no_code():
+    for n in (1, 2, 3):
+        assert tree_row(n) == TreeRow(n, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [10, 12])
+def test_tree_census_builds_only_the_trees_with_a_code(monkeypatch, n, threads):
+    # existence is decided on the level sequence; a rejected tree never
+    # becomes a Graph, in the parent process or in a pool worker
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the counting patch only when forked")
+    built = multiprocessing.Value("i", 0)
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        with built.get_lock():
+            built.value += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    row = tree_row(n, threads=threads)
+    assert row.values() == TREE_REFERENCE[n]
+    assert built.value == row.with_code
+
+
+# (n, node cap) -> the row and its partial flag; a cap of 0 stops every
+# solve, a cap of 1 none at these n.  Rejected trees never reach the solver.
+CAPPED_TREE_ROWS = {
+    (10, 0): (106, 21, 0, 0, 0, True),
+    (10, 1): (106, 21, 0, 4, 17, False),
+    (12, 0): (551, 82, 0, 0, 0, True),
+    (12, 1): (551, 82, 0, 24, 58, False),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_capped_tree_rows_are_pinned(threads):
+    for (n, cap), expected in CAPPED_TREE_ROWS.items():
+        row = tree_row(n, threads=threads, budget_nodes=cap)
+        assert (*row.values(), row.partial) == expected, (n, cap)
 
 
 def test_cubic_rows_small():
