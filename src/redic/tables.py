@@ -7,20 +7,22 @@ counts match A002851.
 
 Both row kinds run one census path, ``_census``.  A row counts its graphs'
 minima and so does not depend on their order, which lets the stream be
-split by position: with several threads, worker r enumerates and solves
-the graphs at positions r, r + threads, ... itself, and the pool carries
-only ints and module-level functions, never a graph.  Tree workers walk
+split by position: with N threads, shard r holds the graphs at positions
+r, r + N, ...  The N processes include the caller: each row starts one
+process per extra shard, which enumerates and solves its shard itself
+while the caller solves shard 0, and only the shard's list of ints comes
+back over a pipe, never a graph.  Tree shards walk
 the level sequences of their share and decide existence on each tree's
 parent array (``existence.tree_has_red_ic``): a rejected tree counts as having no code
 and is never built, so only the trees that admit a code (about a tenth)
-become a ``Graph`` and reach the solver.  Cubic workers each enumerate the
+become a ``Graph`` and reach the solver.  Cubic shards each enumerate the
 whole cubic stream and keep their slice, one extra enumeration per extra
-worker.
+process.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
 
 from .detection import CodeKind
@@ -116,19 +118,47 @@ def _solve_cubic_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> 
     return [_solve_one(g, budget_nodes) for g in cubic_graphs_cached(n)[res::mod]]
 
 
+def _send_shard(conn, solve_shard, n: int, res: int, mod: int, budget_nodes: int | None) -> None:
+    """Body of a census child: solve one shard and send its list of ints."""
+    with conn:
+        conn.send(solve_shard(n, res, mod, budget_nodes))
+
+
 def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tuple[int, int, list[int], bool]:
     """Solve the stream ``solve_shard(n, 0, 1, budget_nodes)``: (graphs,
     graphs admitting a code, their solved minima, whether a budget ran
-    out).  With several threads, worker r runs ``solve_shard(n, r,
-    threads, budget_nodes)`` itself, so only ints and a module-level
-    function cross the pool."""
-    if threads <= 1:
-        results = solve_shard(n, 0, 1, budget_nodes)
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(solve_shard, [n] * threads, range(threads), [threads] * threads,
-                             [budget_nodes] * threads)
-            results = [k for part in parts for k in part]
+    out).  Shard r of N = ``threads`` is ``solve_shard(n, r, N,
+    budget_nodes)``.  The caller starts one process per shard r >= 1,
+    solves shard 0 itself meanwhile, then receives each child's list of
+    ints over a one-way pipe: N processes work, the caller included, and
+    only ints and a module-level function cross.  A child that exits
+    without sending raises RuntimeError; no child outlives the call."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    children = []
+    try:
+        for res in range(1, threads):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_shard,
+                                            args=(send, solve_shard, n, res, threads, budget_nodes))
+            child.start()
+            send.close()  # the child holds the only write end, so its exit ends the pipe
+            children.append((res, child, recv))
+        results = solve_shard(n, 0, threads, budget_nodes)
+        for res, child, recv in children:
+            try:
+                results += recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"census shard {res} exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            child.join()
+    finally:
+        for _, child, recv in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            recv.close()
     solved = [k for k in results if k is not None and k != -1]
     return len(results), sum(1 for k in results if k is not None), solved, -1 in results
 

@@ -1,4 +1,7 @@
+import contextlib
 import multiprocessing
+import signal
+import time
 
 import pytest
 
@@ -24,13 +27,13 @@ def test_tiny_tree_rows_have_no_code():
         assert tree_row(n) == TreeRow(n, 1, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("n", [10, 12])
 def test_tree_census_builds_only_the_trees_with_a_code(monkeypatch, n, threads):
     # existence is decided on the level sequence; a rejected tree never
-    # becomes a Graph, in the parent process or in a pool worker
+    # becomes a Graph, in the caller or in a shard's child process
     if threads > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers see the counting patch only when forked")
+        pytest.skip("child processes see the counting patch only when forked")
     built = multiprocessing.Value("i", 0)
     init = Graph.__init__
 
@@ -55,7 +58,7 @@ CAPPED_TREE_ROWS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_capped_tree_rows_are_pinned(threads):
     for (n, cap), expected in CAPPED_TREE_ROWS.items():
         row = tree_row(n, threads=threads, budget_nodes=cap)
@@ -81,17 +84,17 @@ def test_zero_budget_is_a_cap_not_unlimited():
 
 
 def test_threads_give_identical_rows():
-    # each pool worker enumerates and solves its own share of the stream
+    # each shard's process enumerates and solves its own share of the stream
     assert tree_row(8, threads=2) == tree_row(8, threads=1)
     assert tree_row(9, threads=2) == tree_row(9, threads=1)
     assert cubic_row(10, threads=2) == cubic_row(10, threads=1)
-    # a node-capped row: the -1 budget marker comes back from the workers
+    # a node-capped row: the -1 budget marker comes back from the child too
     capped = cubic_row(10, threads=2, budget_nodes=1)
     assert capped.partial and capped == cubic_row(10, threads=1, budget_nodes=1)
 
 
 def test_three_workers_give_identical_rows():
-    # n = 4 (two trees) and n = 6 (two cubic graphs) leave the third worker nothing
+    # n = 4 (two trees) and n = 6 (two cubic graphs) leave the third shard nothing
     for n in (4, 9):
         assert tree_row(n, threads=3) == tree_row(n, threads=1)
     for n in (6, 10):
@@ -107,3 +110,63 @@ def test_one_thread_reads_the_cubic_cache_once(monkeypatch):
     monkeypatch.setattr(tables, "cubic_graphs_cached", lambda n: calls.append(n) or cached(n))
     assert cubic_row(10).values() == CUBIC_REFERENCE[10]
     assert calls == [10]
+
+
+@pytest.mark.parametrize("row", [tree_row, cubic_row])
+@pytest.mark.parametrize("threads", [0, -3])
+def test_rows_reject_fewer_than_one_thread(row, threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        row(8, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_census_starts_one_process_per_extra_shard(monkeypatch, threads):
+    # the caller solves shard 0 itself, so a row of N shards starts N - 1 processes
+    starts = []
+    start = multiprocessing.Process.start
+    monkeypatch.setattr(multiprocessing.Process, "start", lambda self: starts.append(self) or start(self))
+    for n in (4, 9):
+        assert tree_row(n, threads=threads).values() == TREE_REFERENCE[n]
+    assert cubic_row(10, threads=threads).values() == CUBIC_REFERENCE[10]
+    assert len(starts) == 3 * (threads - 1)
+    assert multiprocessing.active_children() == []
+
+
+def _shard_1_fails(n, res, mod, budget_nodes):
+    if res == 1:
+        raise ValueError("shard 1 fails")
+    return [n]
+
+
+def _caller_fails(n, res, mod, budget_nodes):
+    if res == 0:
+        raise ValueError("the caller's shard fails")
+    time.sleep(60)  # still running when the caller fails: the row must stop it
+    return [n]
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    # a row that waits for a dead child or joins a live one would hang the suite
+    def expire(signum, frame):
+        pytest.fail(f"the row did not return within {seconds} s")  # not an OSError, which waits swallow
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_census_failures_leave_no_process(threads):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("child processes find this module's shard functions only when forked")
+    with _within(30), pytest.raises(RuntimeError, match="census shard 1 exited with code 1 "):
+        tables._census(_shard_1_fails, 5, threads, None)
+    assert multiprocessing.active_children() == []
+    with _within(30), pytest.raises(ValueError, match="the caller's shard fails"):
+        tables._census(_caller_fails, 5, threads, None)
+    assert multiprocessing.active_children() == []
