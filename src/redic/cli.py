@@ -249,7 +249,8 @@ def cmd_table(args) -> int:
             status = "FAIL"
             ok_all = False
         payload.append({"n": n, "values": row.values(), "status": status,
-                        "diffs": [d for d in diffs if not d[3]]})
+                        "diffs": [d for d in diffs if not d[3]],
+                        "nodes": row.nodes, "minima": dict(row.minima)})
         if not args.json:
             print("\t".join(map(str, (n, *row.values(), status))))
     if args.json:

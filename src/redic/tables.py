@@ -5,24 +5,32 @@ divergence is an immediate red flag for a regression in the enumerators or
 the solver.  Free-tree counts also match OEIS A000055; connected-cubic
 counts match A002851.
 
-Both row kinds run one census path, ``_census``.  A row counts its graphs'
-minima and so does not depend on their order, which lets the stream be
-split by position: with N threads, shard r holds the graphs at positions
-r, r + N, ...  The N processes include the caller: each row starts one
-process per extra shard, which enumerates and solves its shard itself
-while the caller solves shard 0, and only the shard's list of ints comes
-back over a pipe, never a graph.  Tree shards walk
-the level sequences of their share and decide existence on each tree's
-parent array (``existence.tree_has_red_ic``): a rejected tree counts as having no code
-and is never built, so only the trees that admit a code (about a tenth)
-become a ``Graph`` and reach the solver.  Cubic shards each enumerate the
-whole cubic stream and keep their slice, one extra enumeration per extra
-process.
+Both row kinds run one census path, ``_census``, which returns a row's
+per-graph results in stream order (each graph's minimum code size, None
+when it admits no code, -1 when the node budget ran out first) and the
+row's solver node total.  One helper, ``_row``, counts those results into
+a histogram of minima and derives either row type's columns from it, so
+on a complete row the minima columns account for every graph with a code.
+
+With N threads the stream is split by position: shard r holds the graphs
+at positions r, r + N, ..., and its results go back to those positions,
+so the result list is the same for every N.  The N processes include the
+caller: each row starts one process per extra shard, which enumerates and
+solves its shard itself while the caller solves shard 0, and only the
+shard's list of ints and its node total come back over a pipe, never a
+graph.  Tree shards walk the level sequences of their share and decide
+existence on each tree's parent array (``existence.tree_has_red_ic``): a
+rejected tree counts as having no code and is never built, so only the
+trees that admit a code (about a tenth) become a ``Graph`` and reach the
+solver.  Cubic shards each enumerate the whole cubic stream and keep
+their slice, one extra enumeration per extra process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .detection import CodeKind
@@ -31,22 +39,22 @@ from .generators import cubic_graphs_cached, tree_graph, tree_levels, tree_paren
 from .graphs import Graph
 from .solver import Budget, solve_min
 
-# n -> (trees, with code, minimum = n-2, = n-1, = n)
+# n -> (trees, with code, minimum < n-2, = n-2, = n-1, = n)
 TREE_REFERENCE = {
-    4: (2, 1, 0, 0, 1),
-    5: (3, 1, 0, 0, 1),
-    6: (6, 2, 0, 0, 2),
-    7: (11, 3, 0, 0, 3),
-    8: (23, 6, 0, 0, 6),
-    9: (47, 10, 0, 3, 7),
-    10: (106, 21, 0, 4, 17),
-    11: (235, 39, 0, 10, 29),
-    12: (551, 82, 0, 24, 58),
-    13: (1301, 167, 0, 64, 103),
-    14: (3159, 360, 13, 130, 217),
-    15: (7741, 766, 29, 323, 414),
-    16: (19320, 1692, 96, 744, 852),
-    17: (48629, 3726, 287, 1731, 1708),
+    4: (2, 1, 0, 0, 0, 1),
+    5: (3, 1, 0, 0, 0, 1),
+    6: (6, 2, 0, 0, 0, 2),
+    7: (11, 3, 0, 0, 0, 3),
+    8: (23, 6, 0, 0, 0, 6),
+    9: (47, 10, 0, 0, 3, 7),
+    10: (106, 21, 0, 0, 4, 17),
+    11: (235, 39, 0, 0, 10, 29),
+    12: (551, 82, 0, 0, 24, 58),
+    13: (1301, 167, 0, 0, 64, 103),
+    14: (3159, 360, 0, 13, 130, 217),
+    15: (7741, 766, 0, 29, 323, 414),
+    16: (19320, 1692, 0, 96, 744, 852),
+    17: (48629, 3726, 0, 287, 1731, 1708),
 }
 
 # n -> (cubic graphs, with code, lowest minimum, highest minimum)
@@ -71,13 +79,23 @@ class TreeRow:
     at_n_minus_1: int
     at_n: int
     partial: bool = False
+    below_n_minus_2: int = 0  # from n = 19 the tree bound falls below n - 2
+    nodes: int = 0  # solver nodes over the row, not a printed column
+    minima: tuple[tuple[int, int], ...] = ()  # (minimum, graphs), ascending
 
     # the table's header and frozen values: class attributes, not fields
-    COLUMNS = ("trees", "with_code", "min=n-2", "min=n-1", "min=n")
+    COLUMNS = ("trees", "with_code", "min<n-2", "min=n-2", "min=n-1", "min=n")
     REFERENCE = TREE_REFERENCE
 
-    def values(self) -> tuple[int, int, int, int, int]:
-        return (self.trees, self.with_code, self.at_n_minus_2, self.at_n_minus_1, self.at_n)
+    def values(self) -> tuple[int, ...]:
+        return (self.trees, self.with_code, self.below_n_minus_2, self.at_n_minus_2, self.at_n_minus_1,
+                self.at_n)
+
+    @staticmethod
+    def minima_columns(n: int, minima: Counter) -> dict[str, int]:
+        """Every minimum falls in one column: a code has at most n detectors."""
+        return {"below_n_minus_2": sum(c for k, c in minima.items() if k < n - 2),
+                "at_n_minus_2": minima[n - 2], "at_n_minus_1": minima[n - 1], "at_n": minima[n]}
 
 
 @dataclass(frozen=True)
@@ -88,6 +106,8 @@ class CubicRow:
     lowest: int | None
     highest: int | None
     partial: bool = False
+    nodes: int = 0
+    minima: tuple[tuple[int, int], ...] = ()
 
     COLUMNS = ("cubic", "with_code", "lowest", "highest")
     REFERENCE = CUBIC_REFERENCE
@@ -95,44 +115,56 @@ class CubicRow:
     def values(self):
         return (self.count, self.with_code, self.lowest, self.highest)
 
-
-def _solve_one(g: Graph, budget_nodes: int | None) -> int | None:
-    """Minimum code size of one graph, or None when it admits no code; -1
-    when the budget ran out first."""
-    out = solve_min(g, CodeKind.RED_IC, budget=Budget(max_nodes=budget_nodes))
-    if out.status == "infeasible":
-        return None
-    return out.k if out.is_optimal else -1  # -1 marks a budget miss
+    @staticmethod
+    def minima_columns(n: int, minima: Counter) -> dict[str, int | None]:
+        return {"lowest": min(minima, default=None), "highest": max(minima, default=None)}
 
 
-def _solve_tree_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> list[int | None]:
-    """``_solve_one`` over the trees at stream positions i with
+def _solve_all(graphs: Iterable[Graph | None], budget_nodes: int | None) -> tuple[list[int | None], int]:
+    """Each graph's minimum code size, None when it admits no code (a None
+    in ``graphs`` stands for a graph already known to admit none), -1 when
+    the budget ran out first; and the solver nodes spent over all of them."""
+    budget = Budget(max_nodes=budget_nodes)
+    results, nodes = [], 0
+    for g in graphs:
+        if g is None:
+            results.append(None)
+            continue
+        out = solve_min(g, CodeKind.RED_IC, budget=budget)
+        nodes += out.stats.nodes
+        results.append(None if out.status == "infeasible" else out.k if out.is_optimal else -1)
+    return results, nodes
+
+
+def _solve_tree_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> tuple[list[int | None], int]:
+    """``_solve_all`` over the trees at stream positions i with
     i % mod == res; a tree that admits no code is never built."""
-    return [_solve_one(tree_graph(parent), budget_nodes) if tree_has_red_ic(parent) else None
-            for parent in map(tree_parents, tree_levels(n, res, mod))]
+    return _solve_all((tree_graph(parent) if tree_has_red_ic(parent) else None
+                       for parent in map(tree_parents, tree_levels(n, res, mod))), budget_nodes)
 
 
-def _solve_cubic_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> list[int | None]:
-    """``_solve_one`` over the cubic graphs at stream positions i with
+def _solve_cubic_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> tuple[list[int | None], int]:
+    """``_solve_all`` over the cubic graphs at stream positions i with
     i % mod == res."""
-    return [_solve_one(g, budget_nodes) for g in cubic_graphs_cached(n)[res::mod]]
+    return _solve_all(cubic_graphs_cached(n)[res::mod], budget_nodes)
 
 
 def _send_shard(conn, solve_shard, n: int, res: int, mod: int, budget_nodes: int | None) -> None:
-    """Body of a census child: solve one shard and send its list of ints."""
+    """Body of a census child: solve one shard and send its results and node total."""
     with conn:
         conn.send(solve_shard(n, res, mod, budget_nodes))
 
 
-def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tuple[int, int, list[int], bool]:
-    """Solve the stream ``solve_shard(n, 0, 1, budget_nodes)``: (graphs,
-    graphs admitting a code, their solved minima, whether a budget ran
-    out).  Shard r of N = ``threads`` is ``solve_shard(n, r, N,
-    budget_nodes)``.  The caller starts one process per shard r >= 1,
-    solves shard 0 itself meanwhile, then receives each child's list of
-    ints over a one-way pipe: N processes work, the caller included, and
-    only ints and a module-level function cross.  A child that exits
-    without sending raises RuntimeError; no child outlives the call."""
+def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tuple[list[int | None], int]:
+    """Solve the stream ``solve_shard(n, 0, 1, budget_nodes)``: its
+    per-graph results in stream order and its solver node total.  Shard r
+    of N = ``threads`` is ``solve_shard(n, r, N, budget_nodes)``, whose
+    results go back to stream positions r, r + N, ..., so the list is the
+    same for every N.  The caller starts one process per shard r >= 1,
+    solves shard 0 itself meanwhile, then receives each child's results
+    over a one-way pipe: N processes work, the caller included, and only
+    ints and a module-level function cross.  A child that exits without
+    sending raises RuntimeError; no child outlives the call."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     children = []
@@ -144,10 +176,10 @@ def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tupl
             child.start()
             send.close()  # the child holds the only write end, so its exit ends the pipe
             children.append((res, child, recv))
-        results = solve_shard(n, 0, threads, budget_nodes)
+        shards = [solve_shard(n, 0, threads, budget_nodes)]
         for res, child, recv in children:
             try:
-                results += recv.recv()
+                shards.append(recv.recv())
             except EOFError:
                 child.join()
                 raise RuntimeError(f"census shard {res} exited with code {child.exitcode} "
@@ -159,40 +191,41 @@ def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tupl
                 child.terminate()
             child.join()
             recv.close()
-    solved = [k for k in results if k is not None and k != -1]
-    return len(results), sum(1 for k in results if k is not None), solved, -1 in results
+    results = [None] * sum(len(shard) for shard, _ in shards)
+    for res, (shard, _) in enumerate(shards):
+        results[res::threads] = shard
+    return results, sum(nodes for _, nodes in shards)
+
+
+def _row(row_type, n: int, results: list[int | None], nodes: int):
+    """A census row from its per-graph results: the graphs, those that
+    admit a code, and the histogram of their minima, from which the row
+    type derives its minima columns; a budget miss (-1) marks it partial."""
+    minima = Counter(results)
+    no_code = minima.pop(None, 0)
+    partial = minima.pop(-1, 0) > 0
+    return row_type(n, len(results), len(results) - no_code, **row_type.minima_columns(n, minima),
+                    partial=partial, nodes=nodes, minima=tuple(sorted(minima.items())))
 
 
 def tree_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> TreeRow:
-    trees, with_code, solved, partial = _census(_solve_tree_shard, n, threads, budget_nodes)
-    return TreeRow(
-        n,
-        trees=trees,
-        with_code=with_code,
-        at_n_minus_2=solved.count(n - 2),
-        at_n_minus_1=solved.count(n - 1),
-        at_n=solved.count(n),
-        partial=partial,
-    )
+    return _row(TreeRow, n, *_census(_solve_tree_shard, n, threads, budget_nodes))
 
 
 def cubic_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> CubicRow:
-    count, with_code, solved, partial = _census(_solve_cubic_shard, n, threads, budget_nodes)
-    return CubicRow(
-        n,
-        count=count,
-        with_code=with_code,
-        lowest=min(solved, default=None),
-        highest=max(solved, default=None),
-        partial=partial,
-    )
+    return _row(CubicRow, n, *_census(_solve_cubic_shard, n, threads, budget_nodes))
 
 
 def diff_row(row: TreeRow | CubicRow) -> list[tuple[str, int, int | None, bool]]:
     """(column, expected, got, ok) against the row type's reference; empty
-    if n is beyond the embedded range."""
+    if n is beyond the embedded range.  A reference whose length is not
+    the row's raises ValueError, so no column goes unchecked."""
     ref = row.REFERENCE.get(row.n)
     if ref is None:
         return []
-    return [(name, expected, got, expected == got and not row.partial)
-            for name, expected, got in zip(row.COLUMNS, ref, row.values())]
+    got = row.values()
+    if not len(row.COLUMNS) == len(ref) == len(got):
+        raise ValueError(f"{type(row).__name__} n={row.n}: {len(row.COLUMNS)} columns, "
+                         f"{len(ref)} reference values, {len(got)} values")
+    return [(name, expected, value, expected == value and not row.partial)
+            for name, expected, value in zip(row.COLUMNS, ref, got)]

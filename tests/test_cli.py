@@ -135,22 +135,29 @@ def test_table_output_is_bit_identical(capsys):
 
 
 def test_table_fail_and_no_reference_rows(capsys, monkeypatch):
-    monkeypatch.setitem(tables.TREE_REFERENCE, 4, (2, 1, 0, 1, 0))  # the row is (2, 1, 0, 0, 1)
+    monkeypatch.setitem(tables.TREE_REFERENCE, 4, (2, 1, 0, 0, 1, 0))  # the row is (2, 1, 0, 0, 0, 1)
     code, out, _ = run(capsys, "table1", "--max-n", "4")
-    assert code == 1 and out.splitlines()[1] == "4\t2\t1\t0\t0\t1\tFAIL"
+    assert code == 1 and out.splitlines()[1] == "4\t2\t1\t0\t0\t0\t1\tFAIL"
     code, out, _ = run(capsys, "table1", "--max-n", "4", "--json")
     assert code == 1
     assert json.loads(out) == {"command": "table-trees", "all_match": False, "rows": [
-        {"n": 4, "values": [2, 1, 0, 0, 1], "status": "FAIL",
-         "diffs": [["min=n-1", 1, 0, False], ["min=n", 0, 1, False]]}]}
+        {"n": 4, "values": [2, 1, 0, 0, 0, 1], "status": "FAIL",
+         "diffs": [["min=n-1", 1, 0, False], ["min=n", 0, 1, False]], "nodes": 1, "minima": {"4": 1}}]}
     monkeypatch.delitem(tables.TREE_REFERENCE, 4)
     code, out, _ = run(capsys, "table1", "--max-n", "4")
-    assert code == 0 and out.splitlines()[1] == "4\t2\t1\t0\t0\t1\tno-reference"
+    assert code == 0 and out.splitlines()[1] == "4\t2\t1\t0\t0\t0\t1\tno-reference"
     code, out, _ = run(capsys, "table1", "--max-n", "4", "--json")
     assert code == 0
-    assert json.loads(out)["rows"] == [{"n": 4, "values": [2, 1, 0, 0, 1], "status": "no-reference",
-                                        "diffs": []}]
+    assert json.loads(out)["rows"] == [{"n": 4, "values": [2, 1, 0, 0, 0, 1], "status": "no-reference",
+                                        "diffs": [], "nodes": 1, "minima": {"4": 1}}]
     assert json.loads(out)["all_match"]
+
+
+def test_table_reference_of_another_length_exits_2(capsys, monkeypatch):
+    # a reference row without the min<n-2 column is an error, not a PASS on five columns
+    monkeypatch.setitem(tables.TREE_REFERENCE, 4, (2, 1, 0, 0, 1))
+    code, _, err = run(capsys, "table1", "--max-n", "4")
+    assert code == 2 and err == "error: TreeRow n=4: 6 columns, 5 reference values, 6 values\n"
 
 
 def test_table2_json(capsys):
@@ -296,9 +303,9 @@ PINNED_OUTPUTS = {
     "construct g6-ring --t 3": ("c60006c869f570c2", "c7da5506f29fe358"),
     "construct q5": ("e52b53633ca0e893", "cc45df7a9b746ead"),
     "reduce phi.cnf": ("5c2fac9c377985d2", "f06c0375f03ad9c5"),
-    "table1 --max-n 8": ("686fc10786def16c", "5051dbab73021a1b"),
-    "table2 --max-n 10": ("7776c2124f7a718e", "be2360711a7507a0"),
-    "table2 --max-n 10 --budget-nodes 1": ("b0aecb3abaf4619a", "9309bea79af14041"),
+    "table1 --max-n 8": ("46808748f8f938f8", "bf99bff5aae2c03b"),
+    "table2 --max-n 10": ("7776c2124f7a718e", "cf037a685b18ea06"),
+    "table2 --max-n 10 --budget-nodes 1": ("b0aecb3abaf4619a", "86e511571d198dd4"),
     # exit 2: usage and I/O errors
     "solve": ("f63dde731e30a3f8", "f63dde731e30a3f8"),
     "solve --graph6 Cl --edgelist-file claw.edges": ("f63dde731e30a3f8", "f63dde731e30a3f8"),

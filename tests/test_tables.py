@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import multiprocessing
+import os
 import signal
 import time
 
@@ -7,12 +9,14 @@ import pytest
 
 from redic import tables
 from redic.graphs import Graph
-from redic.tables import CUBIC_REFERENCE, TREE_REFERENCE, TreeRow, cubic_row, diff_row, tree_row
+from redic.tables import CUBIC_REFERENCE, TREE_REFERENCE, CubicRow, TreeRow, cubic_row, diff_row, tree_row
+
+STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
 
 def test_tree_reference_is_internally_consistent():
-    for n, (_, with_code, a, b, c) in TREE_REFERENCE.items():
-        assert with_code == a + b + c, n  # every feasible tree sits at n-2, n-1 or n
+    for n, (_, with_code, *minima) in TREE_REFERENCE.items():
+        assert with_code == sum(minima), n  # every tree with a code sits in one minima column
 
 
 def test_tree_rows_small():
@@ -51,10 +55,10 @@ def test_tree_census_builds_only_the_trees_with_a_code(monkeypatch, n, threads):
 # (n, node cap) -> the row and its partial flag; a cap of 0 stops every
 # solve, a cap of 1 none at these n.  Rejected trees never reach the solver.
 CAPPED_TREE_ROWS = {
-    (10, 0): (106, 21, 0, 0, 0, True),
-    (10, 1): (106, 21, 0, 4, 17, False),
-    (12, 0): (551, 82, 0, 0, 0, True),
-    (12, 1): (551, 82, 0, 24, 58, False),
+    (10, 0): (106, 21, 0, 0, 0, 0, True),
+    (10, 1): (106, 21, 0, 0, 4, 17, False),
+    (12, 0): (551, 82, 0, 0, 0, 0, True),
+    (12, 1): (551, 82, 0, 0, 24, 58, False),
 }
 
 
@@ -135,14 +139,14 @@ def test_census_starts_one_process_per_extra_shard(monkeypatch, threads):
 def _shard_1_fails(n, res, mod, budget_nodes):
     if res == 1:
         raise ValueError("shard 1 fails")
-    return [n]
+    return [n], 0
 
 
 def _caller_fails(n, res, mod, budget_nodes):
     if res == 0:
         raise ValueError("the caller's shard fails")
     time.sleep(60)  # still running when the caller fails: the row must stop it
-    return [n]
+    return [n], 0
 
 
 @contextlib.contextmanager
@@ -170,3 +174,102 @@ def test_census_failures_leave_no_process(threads):
     with _within(30), pytest.raises(ValueError, match="the caller's shard fails"):
         tables._census(_caller_fails, 5, threads, None)
     assert multiprocessing.active_children() == []
+
+
+def test_diff_row_rejects_a_reference_of_another_length(monkeypatch):
+    # a reference that misses a column must not pass the row on the others
+    row = tree_row(4)
+    for ref in ((2, 1, 0, 0, 1), (2, 1, 0, 0, 0, 1, 0)):
+        monkeypatch.setitem(TREE_REFERENCE, 4, ref)
+        with pytest.raises(ValueError, match=f"TreeRow n=4: 6 columns, {len(ref)} reference values"):
+            diff_row(row)
+
+
+# stream-order results of a fake tree shard for n = 10: a graph without a
+# code, and minima in every column, four of them below n - 2
+FAKE_RESULTS = [5, None, 6, 7, 8, 9, 10, 7]
+
+
+def _fake_tree_shard(n, res, mod, budget_nodes):
+    share = FAKE_RESULTS[res::mod]
+    return share, sum(k is not None for k in share)  # one node per graph with a code
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_tree_rows_count_minima_below_n_minus_2(monkeypatch, threads):
+    # from n = 19 some trees have minimum n - 3: no tree row may drop them
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("child processes see the patched shard only when forked")
+    assert tables._census(_fake_tree_shard, 10, threads, None) == (FAKE_RESULTS, 7)
+    monkeypatch.setattr(tables, "_solve_tree_shard", _fake_tree_shard)
+    row = tree_row(10, threads=threads)
+    assert row == TreeRow(10, 8, 7, at_n_minus_2=1, at_n_minus_1=1, at_n=1, below_n_minus_2=4, nodes=7,
+                          minima=((5, 1), (6, 1), (7, 2), (8, 1), (9, 1), (10, 1)))
+    assert sum(row.values()[2:]) == row.with_code
+
+
+# (kind, n) -> (histogram of minima, solver nodes over the row, sha256 prefix
+# of the repr of the per-graph results in stream order); each graph was also
+# solved on its own with solve_min to the same minimum and node count.  The
+# node totals are 3,168 over the 3,150 trees with a code (n = 4..16) and
+# 21,341 over the cubic graphs (n = 6..14).
+CENSUS_PINS = {
+    ("tree", 4): ({4: 1}, 1, "87c63ccb48cafbc5"),
+    ("tree", 5): ({5: 1}, 1, "d3e4d0c62f5fc152"),
+    ("tree", 6): ({6: 2}, 2, "a2a2be7fa86992ec"),
+    ("tree", 7): ({7: 3}, 3, "c4844de4a7db7bd4"),
+    ("tree", 8): ({8: 6}, 6, "73aa41b748002443"),
+    ("tree", 9): ({8: 3, 9: 7}, 10, "6d17c26c0fd17e3d"),
+    ("tree", 10): ({9: 4, 10: 17}, 21, "e65dda8b96be0451"),
+    ("tree", 11): ({10: 10, 11: 29}, 39, "644b9b1f630d55da"),
+    ("tree", 12): ({11: 24, 12: 58}, 82, "c5193eda148cd2e7"),
+    ("tree", 13): ({12: 64, 13: 103}, 167, "64d88d3945cd9961"),
+    ("tree", 14): ({12: 13, 13: 130, 14: 217}, 360, "3355c193ef9caa2d"),
+    ("tree", 15): ({13: 29, 14: 323, 15: 414}, 768, "fdc1704cebda91d9"),
+    ("tree", 16): ({14: 96, 15: 744, 16: 852}, 1708, "c3f850162ccac961"),
+    ("cubic", 6): ({6: 2}, 2, "01cc9a5aeea1afec"),
+    ("cubic", 8): ({6: 4}, 74, "8a26b7ad3f421df7"),
+    ("cubic", 10): ({6: 4, 7: 6, 8: 4}, 270, "fc6684805d62592a"),
+    ("cubic", 12): ({8: 51, 9: 8, 10: 2, 12: 2}, 1829, "8da87e3ff2e72f4c"),
+    ("cubic", 14): ({8: 29, 9: 155, 10: 187, 11: 7, 12: 8}, 19166, "919c1785905e5c8c"),
+}
+
+STRETCH_CENSUS_PINS = {
+    ("tree", 17): ({15: 287, 16: 1731, 17: 1708}, 3754, "895951e501e13b41"),
+    ("cubic", 16): ({10: 1522, 11: 1228, 12: 419, 13: 13, 14: 7}, 244555, "6ff93393e827fce4"),
+}
+
+
+def _check_census_row(kind, n, threads, pins):
+    shard, row_type = {"tree": (tables._solve_tree_shard, TreeRow),
+                       "cubic": (tables._solve_cubic_shard, CubicRow)}[kind]
+    results, nodes = tables._census(shard, n, threads, None)
+    row = tables._row(row_type, n, results, nodes)
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
+    assert (dict(row.minima), row.nodes, digest) == pins[kind, n]
+    assert row.values() == row_type.REFERENCE[n] and not row.partial
+
+
+# threads vary fastest, so each row's children inherit a warm cubic cache
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("kind,n", list(CENSUS_PINS))
+def test_census_row_is_pinned(kind, n, threads):
+    _check_census_row(kind, n, threads, CENSUS_PINS)
+
+
+@pytest.mark.skipif(not STRETCH, reason="about 15 s; set REDIC_STRETCH=1")
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("kind,n", list(STRETCH_CENSUS_PINS))
+def test_stretch_census_row_is_pinned(kind, n, threads):
+    _check_census_row(kind, n, threads, STRETCH_CENSUS_PINS)
+
+
+@pytest.mark.skipif(not STRETCH, reason="about 8 s; set REDIC_STRETCH=1")
+def test_stretch_tree_rows_18_19_are_complete():
+    # not frozen in TREE_REFERENCE until an independent tree method agrees
+    for n, with_code in ((18, 8370), (19, 18866)):
+        row = tree_row(n, threads=2)
+        assert not row.partial and row.with_code == with_code
+        assert sum(row.values()[2:]) == with_code, n
+    # the tree bound certifies extremal_tree(19) at 16 = n - 3
+    assert row.below_n_minus_2 > 0
