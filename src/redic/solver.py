@@ -61,7 +61,7 @@ from itertools import repeat
 
 from . import existence
 from .detection import CodeKind, verify
-from .graphs import Graph, bits
+from .graphs import Graph, bits, torus
 from .symmetry import automorphisms
 
 __all__ = [
@@ -202,9 +202,10 @@ def lower_bound(g: Graph, kind: CodeKind) -> BoundReport:
     Always includes the counting bound ceil(log2(n+1)) (+1 for RED:IC,
     since dropping any one detector must leave an IC).  For RED:IC adds:
     ceil(4(n+1)/5) on trees, ceil(4n/7) on cubic graphs, and ceil(2n/5) on
-    torus products C_i box C_j built by the named builder with i, j >= 5
-    and at least one even -- the torus bound depends on the product
-    structure, so it keys on builder provenance, never on shape inference.
+    torus products C_i box C_j with i, j >= 5 and at least one even -- the
+    torus bound depends on the product structure, so it keys on builder
+    provenance, never on shape inference, and holds only when the graph is
+    the one ``torus(i, j)`` builds.
     """
     n = g.n
     log_b = n.bit_length()  # = ceil(log2(n+1))
@@ -221,9 +222,10 @@ def lower_bound(g: Graph, kind: CodeKind) -> BoundReport:
         cubic_b = -(-4 * n // 7)
         notes.append("cubic: share of a detector is at most 7/4")
     fam, params = g.provenance()
-    if fam == "torus":
+    if fam == "torus" and len(params) == 2:
         i, j = params
-        if i >= 5 and j >= 5 and (i % 2 == 0 or j % 2 == 0):
+        # n first, so that parameters naming a larger torus build none
+        if i >= 5 and j >= 5 and (i % 2 == 0 or j % 2 == 0) and n == i * j and g == torus(i, j):
             torus_b = -(-2 * n // 5)
             notes.append("torus product built with tileable dimensions")
     return BoundReport(log_b, tree_b, cubic_b, torus_b, tuple(notes))

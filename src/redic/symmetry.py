@@ -2,9 +2,14 @@
 
 ``automorphisms(g)`` reads ``g.meta`` and never infers symmetry from the
 shape: a torus, honeycomb quotient or hypercube made by its named builder
-gets its group, every other graph None.  Each group is transitive on the
-vertices and is held without being enumerated, as the stabiliser of
-vertex 0 plus one element per vertex taking 0 there.
+gets its group, every other graph None.  Each family names only
+permutations: ``moves`` and ``fixers``, which together generate its group,
+the fixers alone generating the stabiliser of vertex 0.  ``Automorphisms``
+derives the rest once, as the first level of a stabiliser chain (Sims;
+Seress, *Permutation Group Algorithms*, 2003): a breadth-first search from
+vertex 0 gives one element per vertex taking 0 there and checks that the
+group is transitive, and the closure of the fixers gives the stabiliser.
+The group itself is never enumerated.
 
 A permutation is a tuple p with p[v] the image of vertex v; _compose(p, q)
 applies q first.  Every element is a product of generators that
@@ -14,22 +19,15 @@ automorphism too.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graphs import Graph, bits
+from .graphs import Graph
 
 Perm = tuple[int, ...]
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
-
-
-def _product(n: int, perms: Iterable[Perm]) -> Perm:
-    out = tuple(range(n))
-    for p in perms:
-        out = _compose(out, p)
-    return out
 
 
 class PermutationGroup:
@@ -54,22 +52,47 @@ class PermutationGroup:
 
 
 class Automorphisms:
-    """A vertex-transitive group of automorphisms, never enumerated.
+    """A group of automorphisms transitive on the vertices, never enumerated.
 
-    It is held as the stabiliser of vertex 0 and a rule ``transversal(x)``
-    giving one element that takes 0 to x.  Every element is
-    ``transversal(x)`` times an element of the stabiliser, so the order is
-    n times the stabiliser's, and the stabiliser of x is its conjugate
-    t_x Stab(0) t_x^-1.
+    It is built from two lists of permutations, ``moves`` and ``fixers``:
+    together they generate the group, and the fixers must fix vertex 0 and
+    generate its whole stabiliser (the tests close each family's group to
+    check the latter).  A breadth-first search from 0 over the
+    generators gives ``transversal[x]``, an element taking 0 to x, and the
+    closure of the fixers gives ``stabiliser0``, every element fixing 0.
+    Every element is ``transversal[x]`` times an element of the stabiliser,
+    so the order is n times its size, and the stabiliser of x is its
+    conjugate t_x Stab(0) t_x^-1.  Raises ValueError when a fixer moves 0
+    or the generators do not take 0 to every vertex.
     """
 
     __slots__ = ("n", "generators", "transversal", "stabiliser0")
 
-    def __init__(self, n: int, generators: Sequence[Perm], transversal, stabiliser0: Sequence[Perm]):
+    def __init__(self, n: int, moves: Sequence[Perm], fixers: Sequence[Perm]):
+        if any(p[0] for p in fixers):
+            raise ValueError("a fixer moves vertex 0")
         self.n = n
-        self.generators = tuple(generators)
-        self.transversal = transversal
-        self.stabiliser0 = tuple(stabiliser0)
+        self.generators = gens = (*moves, *fixers)
+        t = [None] * n
+        t[0] = tuple(range(n))
+        reached = [0]
+        for x in reached:
+            for s in gens:
+                if t[s[x]] is None:
+                    t[s[x]] = _compose(s, t[x])
+                    reached.append(s[x])
+        if len(reached) < n:
+            raise ValueError(f"the generators take vertex 0 to {len(reached)} of {n} vertices")
+        self.transversal = tuple(t)
+        stab = [tuple(range(n))]
+        seen = set(stab)
+        for p in stab:
+            for s in fixers:
+                q = _compose(s, p)
+                if q not in seen:
+                    seen.add(q)
+                    stab.append(q)
+        self.stabiliser0 = tuple(stab)
 
     @property
     def order(self) -> int:
@@ -82,7 +105,7 @@ class Automorphisms:
         """All elements fixing x, or None when only the identity does."""
         if len(self.stabiliser0) == 1:
             return None
-        t = self.transversal(x)
+        t = self.transversal[x]
         inv = [0] * self.n
         for v, w in enumerate(t):
             inv[w] = v
@@ -90,73 +113,38 @@ class Automorphisms:
         return PermutationGroup([_compose(t, _compose(s, inv)) for s in self.stabiliser0])
 
 
-def _cosets(n: int, factors: Sequence[Sequence[Perm]]) -> list[Perm]:
-    """Every product f1 f2 ... fk with fi drawn from factors[i], in order."""
-    out = [tuple(range(n))]
-    for f in factors:
-        out = [_compose(p, q) for p in out for q in f]
-    return out
+def _grid(r: int, c: int, f) -> Perm:
+    """The map (a, b) -> f(a, b) on an r x c grid with wrap-around, where
+    vertex a * c + b sits at (a, b)."""
+    return tuple((a % r) * c + b % c for a, b in (f(a, b) for a in range(r) for b in range(c)))
 
 
 def _torus_group(i: int, j: int):
-    def perm(f):
-        return tuple((a % i) * j + b % j for a, b in (f(a, b) for a in range(i) for b in range(j)))
-
-    down, right = perm(lambda a, b: (a + 1, b)), perm(lambda a, b: (a, b + 1))
-    flips = [perm(lambda a, b: (-a, b)), perm(lambda a, b: (a, -b))]
+    flips = [_grid(i, j, lambda a, b: (-a, b)), _grid(i, j, lambda a, b: (a, -b))]
     if i == j:
-        flips.append(perm(lambda a, b: (b, a)))
-
-    def transversal(x):
-        a, b = divmod(x, j)
-        return _product(i * j, [down] * a + [right] * b)
-
-    stab = _cosets(i * j, [[tuple(range(i * j)), f] for f in flips])
-    return [down, right, *flips], transversal, stab
+        flips.append(_grid(i, j, lambda a, b: (b, a)))
+    return [_grid(i, j, lambda a, b: (a + 1, b)), _grid(i, j, lambda a, b: (a, b + 1))], flips
 
 
 def _honeycomb_group(m: int, n: int):
     if m % 2 or n % 2:
         raise ValueError(f"honeycomb_torus{(m, n)} needs even dimensions")
-
-    def perm(f):
-        return tuple((a % m) * n + b % n for a, b in (f(a, b) for a in range(m) for b in range(n)))
-
     # translations by (a, b) with a + b even keep the vertical edges; the
     # reflection in rows swaps the two parity classes
-    diag, across = perm(lambda a, b: (a + 1, b + 1)), perm(lambda a, b: (a, b + 2))
-    rows, cols = perm(lambda a, b: (1 - a, b)), perm(lambda a, b: (a, -b))
-
-    def shift(a, b):  # translation by (a, b), a + b even
-        a %= m
-        return [diag] * a + [across] * ((b - a) % n // 2)
-
-    def transversal(x):
-        a, b = divmod(x, n)
-        if (a + b) % 2 == 0:
-            return _product(m * n, shift(a, b))
-        return _product(m * n, shift(a - 1, b) + [rows])  # rows takes 0 to (1, 0)
-
-    return [diag, across, rows, cols], transversal, [tuple(range(m * n)), cols]
+    moves = [_grid(m, n, lambda a, b: (a + 1, b + 1)), _grid(m, n, lambda a, b: (a, b + 2)),
+             _grid(m, n, lambda a, b: (1 - a, b))]
+    return moves, [_grid(m, n, lambda a, b: (a, -b))]
 
 
 def _hypercube_group(d: int):
     n = 1 << d
-
-    def swap(k):  # exchange coordinates k and k + 1
-        return tuple(v ^ (0b11 << k) if (v >> k ^ v >> k + 1) & 1 else v for v in range(n))
-
     flips = [tuple(v ^ 1 << k for v in range(n)) for k in range(d)]
-    swaps = [swap(k) for k in range(d - 1)]
-
-    def transversal(x):
-        return _product(n, (flips[k] for k in bits(x)))
-
-    # S_{k+1} = the union over m of c_m S_k, where c_m = s_{k-m} ... s_{k-1}
-    # takes coordinate k to k - m
-    stab = _cosets(n, [[_product(n, swaps[k - m:k]) for m in range(k + 1)]
-                       for k in range(d - 1, 0, -1)])
-    return [*flips, *swaps], transversal, stab
+    if d < 2:
+        return flips, []
+    # exchanging coordinates 0 and 1 and rotating all d generate S_d
+    swap = tuple(v ^ 0b11 if (v ^ v >> 1) & 1 else v for v in range(n))
+    rotate = tuple((v << 1 | v >> d - 1) & n - 1 for v in range(n))
+    return flips, [swap, rotate]
 
 
 # a hypercube's vertex stabiliser is S_d on the coordinates, held as all d!
@@ -183,23 +171,27 @@ def automorphisms(g: Graph) -> Automorphisms | None:
     """The automorphism group that ``g.meta`` names, or None.
 
     Only builder provenance counts; nothing is inferred from the shape.
-    ``torus``: translations, both reflections and, when i == j, the
-    transpose.  ``honeycomb_torus``: the (1,1) and (0,2) translations and
-    the reflections (i,j) -> (1-i,j) and (i,j) -> (i,-j).  ``hypercube``:
-    XOR translations and coordinate permutations, for d <= 7 only.  Each of
-    these groups is transitive on the vertices.  Raises ValueError when a
-    generator is not an automorphism of ``g``.
+    Each family names its moves and its fixers (which fix vertex 0).
+    ``torus``: the unit translations; the two reflections and, when
+    i == j, the transpose.  ``honeycomb_torus``: the (1,1) and (0,2)
+    translations and the reflection (i,j) -> (1-i,j); the reflection
+    (i,j) -> (i,-j).  ``hypercube``: the XOR translations; the exchange of
+    coordinates 0 and 1 and the rotation of all d, for d <= 7 only.
+    Raises ValueError when one of them is not an automorphism of ``g``, or
+    as ``Automorphisms`` does.
     """
     fam, params = g.provenance()
+    if g.n == 0:  # no vertex 0 to move
+        return None
     if fam == "torus" and len(params) == 2:
-        gens, transversal, stab = _torus_group(*params)
+        moves, fixers = _torus_group(*params)
     elif fam == "honeycomb_torus" and len(params) == 2:
-        gens, transversal, stab = _honeycomb_group(*params)
+        moves, fixers = _honeycomb_group(*params)
     elif fam == "hypercube" and len(params) == 1 and params[0] <= _MAX_HYPERCUBE_DIM:
-        gens, transversal, stab = _hypercube_group(*params)
+        moves, fixers = _hypercube_group(*params)
     else:
         return None
-    for p in gens:
+    for p in (*moves, *fixers):
         if not _is_automorphism(g, p):
             raise ValueError(f"{fam}{params} names a map that is not an automorphism of this graph")
-    return Automorphisms(g.n, gens, transversal, stab)
+    return Automorphisms(g.n, moves, fixers)

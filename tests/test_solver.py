@@ -86,6 +86,16 @@ def test_torus_bound_requires_provenance():
     # odd-by-odd and small tori are excluded
     assert lower_bound(torus(5, 5), CodeKind.RED_IC).torus_bound is None
     assert lower_bound(torus(4, 6), CodeKind.RED_IC).torus_bound is None
+    # provenance that names another graph is not the torus: Q5 has 32 = 5 * 6
+    # vertices but its optimum 12 is below the torus bound 13
+    q5 = hypercube(5)
+    forged = Graph(q5.n, q5.adj, meta={"family": "torus", "params": (5, 6)})
+    assert lower_bound(forged, CodeKind.RED_IC).torus_bound is None
+    assert lower_bound(forged, CodeKind.RED_IC).value <= solve_min(q5).k == 12
+    # nor is a torus of another size
+    t = torus(5, 6)
+    misnamed = Graph(t.n, t.adj, meta={"family": "torus", "params": (6, 6)})
+    assert lower_bound(misnamed, CodeKind.RED_IC).torus_bound is None
 
 
 def test_solve_examples():

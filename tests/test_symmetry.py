@@ -1,7 +1,7 @@
 import pytest
 
 from redic.graphs import Graph, complete_graph, cycle_graph, cylinder, honeycomb_torus, hypercube, ladder, torus
-from redic.symmetry import automorphisms
+from redic.symmetry import Automorphisms, automorphisms
 
 
 def _compose(p, q):
@@ -23,13 +23,14 @@ def _closure(n, generators):
     torus(3, 3), torus(3, 4), torus(4, 4), torus(5, 5), torus(4, 6),
     honeycomb_torus(4, 4), honeycomb_torus(4, 6), honeycomb_torus(6, 4),
     hypercube(0), hypercube(1), hypercube(2), hypercube(3), hypercube(4),
+    torus(6, 6), honeycomb_torus(6, 6), hypercube(5),  # the lattice-search instances
 ], ids=repr)
 def test_provenance_group_is_what_its_generators_make(g):
     grp = automorphisms(g)
     group = _closure(g.n, grp.generators)
     assert len(group) == grp.order
-    assert {_compose(grp.transversal(x), s) for x in range(g.n) for s in grp.stabiliser0} == group
-    assert [grp.transversal(x)[0] for x in range(g.n)] == list(range(g.n))
+    assert {_compose(grp.transversal[x], s) for x in range(g.n) for s in grp.stabiliser0} == group
+    assert [grp.transversal[x][0] for x in range(g.n)] == list(range(g.n))
     edges = set(g.edges())
     for p in group:
         assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
@@ -54,6 +55,8 @@ def test_no_group_without_provenance():
     t = torus(4, 4)
     for g in (Graph(t.n, t.adj), cycle_graph(6), complete_graph(5), cylinder(5), ladder(4)):
         assert automorphisms(g) is None
+    # no vertex 0 for a group to move
+    assert automorphisms(Graph(0, (), meta={"family": "torus", "params": (0, 5)})) is None
 
 
 def test_false_provenance_raises():
@@ -68,3 +71,20 @@ def test_false_provenance_raises():
         automorphisms(Graph(t.n, t.adj, meta={"family": "torus", "params": (6, 6)}))
     with pytest.raises(ValueError, match="not an automorphism"):
         automorphisms(Graph(t.n, t.adj, meta={"family": "torus", "params": (9, 4)}))
+    h = honeycomb_torus(4, 8)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphisms(Graph(h.n, h.adj, meta={"family": "honeycomb_torus", "params": (8, 4)}))
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphisms(Graph(32, hypercube(5).adj, meta={"family": "honeycomb_torus", "params": (4, 8)}))
+
+
+def test_generators_must_reach_every_vertex():
+    # on the 3x3 torus, the column translation and the column reflection
+    # keep vertex 0 in its row: an orbit of 3, not a transitive group
+    right = tuple(v // 3 * 3 + (v + 1) % 3 for v in range(9))
+    flip = tuple(v // 3 * 3 + -v % 3 for v in range(9))
+    with pytest.raises(ValueError, match="take vertex 0 to 3 of 9 vertices"):
+        Automorphisms(9, [right], [flip])
+    with pytest.raises(ValueError, match="a fixer moves vertex 0"):
+        Automorphisms(9, [flip], [right])
+    assert Automorphisms(9, [right, tuple(range(3, 9)) + (0, 1, 2)], [flip]).order == 18
