@@ -29,6 +29,14 @@ free members at once.  So every active constraint enters a node with slack
 conflict.  Forcing is itself inclusion, so one pass over the tight
 constraints reaches the fixpoint.
 
+A node is cut when a lower bound on the detectors it still needs reaches
+the gap to the incumbent: a greedy disjoint packing of the active
+constraints, bucket by bucket of ``cnt``, or the domination deficit.  Each
+constraint the packing takes rules out those that meet its free members, a
+set that depends on those members alone, so the search caches it by them
+within a fixed byte budget.  A hit gives the int that a miss would build,
+so the cache changes no bound, node count or witness.
+
 The search branches on a vertex drawn from the most-constrained active
 constraint, include branch first, with ties broken toward the lowest vertex
 index.  Nothing is randomized, so runs are reproducible node for node.
@@ -235,6 +243,12 @@ class _BudgetExhausted(Exception):
     pass
 
 
+# bytes that ``_Search.kept`` may hold, counted as len(masks) * fb per
+# entry, one packed int; it holds the working set of every lattice instance
+# (torus 7x7: about 2.2 MB), and a cache that would pass it is emptied
+_KEPT_BYTES = 1 << 22
+
+
 class _Search:
     """Shared branch-and-bound core for minimization and K-feasibility.
 
@@ -250,6 +264,8 @@ class _Search:
     where it exceeds t, and returns the constraints it selects as the low
     bits of their fields.  ``_node`` backtracks by restoring the four ints
     it saved.  The ``inc`` ints take n * fb bytes per constraint in all.
+    ``kept`` is the packing bound's cache (see ``_need``), emptied before
+    it would pass ``_KEPT_BYTES``.
     ``greedy``, ``root_lower`` and ``run`` each start from ``_reset``.
     ``sym`` holds the current node's stabiliser H for orbital fixing, None
     when it is trivial or the graph has no group.
@@ -313,6 +329,8 @@ class _Search:
         self.dom = (1 << w * g.n) - 1  # the domination fields
         self.r0 = (kind.req + big) * ones  # no vertex included
         self.c0 = big * ones + sum(inc)  # every vertex free
+        self.kept = {}  # by a packed constraint's free members, what the packing keeps
+        self.kept_room = _KEPT_BYTES // (max(len(masks), 1) * fb)
 
     def _reset(self, chosen: int):
         """Set every counter for the assignment that includes exactly chosen."""
@@ -392,23 +410,6 @@ class _Search:
 
     # -- bounding ----------------------------------------------------------
 
-    def _order(self, active: int):
-        """Yield the active constraints by (free members, index), one bucket
-        of equal ``cnt`` at a time.  Sending a set of constraints drops them
-        from the rest of the order."""
-        C, ones, high, sh, w = self.C + self.over, self.ones, self.high, self.w - 1, self.w
-        while active:
-            C -= ones  # flags cnt > t, for the next bucket t = 1, 2, ...
-            bucket = active & ~((C & high) >> sh)  # so cnt == t
-            active ^= bucket
-            while bucket:
-                low = bucket & -bucket
-                drop = yield low.bit_length() // w
-                bucket ^= low
-                if drop:
-                    bucket &= ~drop
-                    active &= ~drop
-
     def _deficit(self, active: int, heavy: int) -> int:
         """The domination deficit: res summed over the active domination
         constraints, given those with res >= 2 (heavy)."""
@@ -423,29 +424,51 @@ class _Search:
         deficit over the largest closed neighbourhood.  Stops as soon as the
         bound reaches gap.  ``heavy`` is the active constraints with
         res >= 2; res never exceeds ``kind.req`` <= 2.
+
+        The packing takes the active constraints greedily by (cnt, index),
+        one bucket of equal ``cnt`` at a time, and each one it takes drops
+        every constraint that meets its free members ``take``: the OR of
+        ``inc[x]`` over x in take.  That conflict set depends on ``take``
+        alone, since ``inc`` is fixed for the search, so ``kept`` caches its
+        complement by ``take``; a hit returns the int a miss would build,
+        and the cache cannot change a bound.
         """
         ratio = -(-self._deficit(active, heavy) // self.max_cover)
         if ratio >= gap:
             return ratio
-        masks, inc, free, w = self.masks, self.inc, self.free, self.w
+        masks, inc, free, w, kept = self.masks, self.inc, self.free, self.w, self.kept
+        ones, sh = self.ones, w - 1
+        # every active constraint has cnt > res >= 1 (the slack invariant),
+        # so the bucket cnt == 1 is empty and the walk starts at cnt == 2
+        C = self.C + self.over - ones
         packed = 0
-        order = self._order(active)
-        i = next(order)
-        try:
-            while True:
-                packed += 1 + (heavy >> w * i & 1)
+        while active:
+            C -= ones  # high bits flag cnt > t, for the next bucket t = 2, 3, ...
+            rest = active & C >> sh  # each field's high bit moved to its low bit
+            bucket = active ^ rest  # so cnt == t
+            active = rest
+            while bucket:
+                low = bucket & -bucket
+                packed += 2 if heavy & low else 1
                 if packed >= gap:
                     return packed
-                # drop every constraint that meets the free members taken
-                drop = 0
-                take = masks[i] & free
-                while take:
-                    low = take & -take
-                    drop |= inc[low.bit_length() - 1]
-                    take ^= low
-                i = order.send(drop)
-        except StopIteration:
-            return packed if packed >= ratio else ratio
+                take = masks[low.bit_length() // w] & free
+                keep = kept.get(take)
+                if keep is None:
+                    # drop every constraint that meets the free members
+                    # taken, this one among them, since take is not empty
+                    drop = 0
+                    left = take
+                    while left:
+                        bit = left & -left
+                        drop |= inc[bit.bit_length() - 1]
+                        left ^= bit
+                    if len(kept) >= self.kept_room:
+                        kept.clear()
+                    kept[take] = keep = ~drop
+                bucket &= keep
+                active &= keep
+        return packed if packed >= ratio else ratio
 
     # -- branching -----------------------------------------------------------
 

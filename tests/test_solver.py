@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from redic import existence
+from redic import existence, solver
 from redic.detection import CodeKind, verify
 from redic.existence import closed_twins, exists_ic, exists_red_ic
 from redic.generators import enum_cubic
@@ -264,25 +264,30 @@ def test_pinned_node_counts():
         assert res.stats.nodes == nodes, d
 
 
+# the same instances as above and the lattice-search ones, built by their
+# named builders, so the search uses the group their provenance names:
+# (graph, kind, optimum, nodes, group order), then the refutations
+# (dimension, k, nodes) of feasible_at on the hypercube
+ORBITAL_PINS = [
+    (torus(4, 4), CodeKind.RED_IC, 10, 517, 128),
+    (honeycomb_torus(4, 4), CodeKind.RED_IC, 11, 117, 32),
+    (hypercube(4), CodeKind.IC, 7, 85, 384),
+    (hypercube(4), CodeKind.RED_IC, 10, 267, 384),
+    (hypercube(5), CodeKind.RED_IC, 12, 91, 3_840),
+    (torus(6, 6), CodeKind.RED_IC, 18, 11_845, 288),
+    (honeycomb_torus(6, 6), CodeKind.RED_IC, 24, 25_235, 72),
+    (hypercube(5), CodeKind.IC, 10, 893, 3_840),
+]
+ORBITAL_REFUTATIONS = [(4, 9, 267), (5, 11, 77)]
+
+
 def test_pinned_node_counts_with_orbital_fixing():
-    # the same instances and the lattice-search ones, built by their named
-    # builders, so the search uses the group their provenance names
-    red, ic = CodeKind.RED_IC, CodeKind.IC
-    for g, kind, k, nodes, order in [
-        (torus(4, 4), red, 10, 517, 128),
-        (honeycomb_torus(4, 4), red, 11, 117, 32),
-        (hypercube(4), ic, 7, 85, 384),
-        (hypercube(4), red, 10, 267, 384),
-        (hypercube(5), red, 12, 91, 3_840),
-        (torus(6, 6), red, 18, 11_845, 288),
-        (honeycomb_torus(6, 6), red, 24, 25_235, 72),
-        (hypercube(5), ic, 10, 893, 3_840),
-    ]:
+    for g, kind, k, nodes, order in ORBITAL_PINS:
         out = solve_min(g, kind)
         assert (out.k, out.stats.nodes, out.stats.group_order) == (k, nodes, order), (g.meta, kind)
         assert verify(g, out.witness, kind) is None
-    for d, k, nodes in [(4, 9, 267), (5, 11, 77)]:
-        res = feasible_at(hypercube(d), red, k)
+    for d, k, nodes in ORBITAL_REFUTATIONS:
+        res = feasible_at(hypercube(d), CodeKind.RED_IC, k)
         assert res.witness is None and res.exhaustive
         assert res.stats.nodes == nodes, d
     assert automorphisms(torus(7, 7)).order == 392
@@ -316,7 +321,7 @@ def _check_against_plain(g):
         assert verify(g, at.witness, kind) is None
 
 
-@pytest.mark.skipif(not STRETCH, reason="about 25 s; set REDIC_STRETCH=1")
+@pytest.mark.skipif(not STRETCH, reason="about 12-14 s; set REDIC_STRETCH=1")
 def test_stretch_torus_7x7_optimal_at_25():
     g = torus(7, 7)
     out = solve_min(g, CodeKind.RED_IC)
@@ -498,7 +503,7 @@ class CheckedSearch(_Search):
     already-assigned orbit members: every active constraint has slack >= 1,
     and the node's stabiliser maps the included and excluded sets onto
     themselves (checked on the generators of the whole group).  Also checks
-    that the bucketed order is the active constraints sorted by (cnt, index)."""
+    that the packing bound equals the rescan's, at a gap it cannot reach."""
 
     checked = 0
 
@@ -509,7 +514,8 @@ class CheckedSearch(_Search):
         assert counters == rescanned_counters(self)
         res, cnt, active = counters["res"], counters["cnt"], counters["active"]
         assert all(cnt[i] > res[i] for i in active)
-        assert list(self._order(self._unmet()[0])) == sorted(active, key=lambda i: (cnt[i], i))
+        unresolved = [(self.masks[i] & self.free, res[i], i) for i in active]
+        assert self._need(*self._unmet(), self.g.n + 1) == RescanSearch(self).need(unresolved)
         if self.sym is not None:
             perms = self.sym.generators if isinstance(self.sym, Automorphisms) else self.sym.elements
             for p in perms:
@@ -599,3 +605,53 @@ def test_counters_hold_under_orbital_fixing(g):
         assert search.checked > 0 and search.orbit_fixed > 0
         assert at_seed(search, seed)
         assert verify(g, search.best or incumbent, kind) is None
+
+
+def _outcomes():
+    """Every result and counter of the orbital pins and their refutations."""
+    out = []
+    for g, kind, *_ in ORBITAL_PINS:
+        o = solve_min(g, kind)
+        out.append((o.k, o.witness, o.stats.nodes, o.stats.pruned, o.stats.forced))
+    for d, k, _ in ORBITAL_REFUTATIONS:
+        r = feasible_at(hypercube(d), CodeKind.RED_IC, k)
+        out.append((r.witness, r.exhaustive, r.stats.nodes, r.stats.pruned, r.stats.forced))
+    return out
+
+
+def test_conflict_cache_cannot_change_a_result(monkeypatch):
+    # with no room the cache is emptied before every insert, so each packed
+    # constraint's conflict set is built afresh
+    cached = _outcomes()
+    monkeypatch.setattr(solver, "_KEPT_BYTES", 0)
+    g = hypercube(4)
+    search = _Search(g, CodeKind.RED_IC, None)
+    assert search.kept_room == 0
+    assert search.run(0, cap=g.n, stop_at_first=False)
+    assert len(search.kept) == 1
+    assert _outcomes() == cached
+
+
+class PeakDict(dict):
+    """A dict that records the most entries it has held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+@pytest.mark.parametrize("g, kind, nodes, budget", [
+    (torus(6, 6), CodeKind.RED_IC, 11_845, solver._KEPT_BYTES),
+    (torus(6, 6), CodeKind.RED_IC, 11_845, 100_000),  # 396 entries, fewer than the search makes
+    (wheel(64), CodeKind.IC, 65, 20 * 2_145 * 2),  # 20 entries of two-byte fields
+], ids=["torus-6x6", "torus-6x6-small", "wheel-64-small"])
+def test_conflict_cache_stays_within_its_budget(monkeypatch, g, kind, nodes, budget):
+    monkeypatch.setattr(solver, "_KEPT_BYTES", budget)
+    seed = mask_of(forced_detectors(g, kind))
+    search = _Search(g, kind, None)
+    search.kept = PeakDict()
+    assert search.run(seed, cap=search.greedy(seed).bit_count(), stop_at_first=False)
+    assert search.nodes == nodes
+    assert 0 < search.kept.peak * len(search.masks) * search.w // 8 <= budget
