@@ -76,60 +76,56 @@ def delta(g: Graph, detectors: Iterable[int] | int, u: int, v: int) -> frozenset
     return frozenset(bits((g.closed_nbhd(u) ^ g.closed_nbhd(v)) & s))
 
 
-def _detector_reach(closed: list[int], su: int) -> tuple[int, int]:
-    """The vertices that share at least one, and at least two, detectors with
-    u, given ``su`` = N[u] & S: unions of the N[x] over the detectors x in
-    ``su``, u itself among them when ``su`` is not empty."""
-    once = twice = 0
-    while su:
-        low = su & -su
-        nx = closed[low.bit_length() - 1]
-        twice |= once & nx
-        once |= nx
-        su ^= low
-    return once, twice
-
-
 def verify(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> Violation | None:
     """Check the code conditions; return None on pass, else the first violation.
 
     Violations are reported deterministically: all vertices are checked for
     domination in ascending order, then pairs in lexicographic order.  With
-    c_v = |N[v] & S|, the detector difference of a pair is
-
-        |(N[u] symdiff N[v]) & S| = c_u + c_v - 2 |N[u] & N[v] & S|,
-
-    so once every vertex meets the threshold t = ``kind.req``, a pair that
-    shares no detector has a difference of c_u + c_v >= 2t >= t and passes,
-    at any distance.  A pair fails only when twice its shared detectors
-    exceed c_u + c_v - t >= c_u; where c_u >= 2 (always for RED:IC), v must
-    share two detectors with u.  So for each u only the v > u that share a
-    detector with u, or two where c_u >= 2, are counted, one AND each;
-    skipping the others never changes which pair fails first.
+    view(v) = N[v] & S, the detector difference of a pair is the symmetric
+    difference of its views.  Once every view holds t = ``kind.req``
+    detectors, a pair fails exactly when its views are equal or, for t = 2,
+    when one view is the other plus one detector; the argument holds for
+    t <= 2 only.  So the views are grouped in one dict, and each view is
+    looked up there, for t = 2 also each view minus one of its detectors:
+    every failing pair is met, and the least is reported.  The dict is keyed
+    by ``hash(view)`` to a bucket of vertices, so that no view is kept
+    alive; each match re-derives the view and compares it exactly, since
+    sparse masks collide by structure (hash({i, i+61}) == hash({i+1})).
     """
     s = _smask(g, detectors)
     req = kind.req
     closed = g._closed
-    cnt = []
+    groups: dict[int, list[int]] = {}
+    best = None
     for v in range(g.n):
-        c = (closed[v] & s).bit_count()
+        view = closed[v] & s
+        c = view.bit_count()
         if c < req:
             return Violation("undominated", v, count=c)
-        cnt.append(c)
-    for u in range(g.n):
-        su = closed[u] & s
-        cu = cnt[u]
-        once, twice = _detector_reach(closed, su)
-        others = (twice if cu >= 2 else once) >> (u + 1)
-        v = u
-        while others:
-            k = (others & -others).bit_length()
-            v += k
-            others >>= k
-            if cu + cnt[v] - 2 * (su & closed[v]).bit_count() < req:
-                d = (closed[u] ^ closed[v]) & s
-                return Violation("undistinguished", u, v, delta=frozenset(bits(d)))
-    return None
+        group = groups.setdefault(hash(view), [])
+        for x in group:
+            if closed[x] & s == view:
+                if best is None or (x, v) < best:
+                    best = (x, v)
+                break
+        group.append(v)
+    if req == 2:
+        for w in range(g.n):
+            view = rest = closed[w] & s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                less = view ^ low
+                for x in groups.get(hash(less), ()):
+                    if closed[x] & s == less:
+                        pair = (x, w) if x < w else (w, x)
+                        if best is None or pair < best:
+                            best = pair
+                        break
+    if best is None:
+        return None
+    u, v = best
+    return Violation("undistinguished", u, v, delta=frozenset(bits((closed[u] ^ closed[v]) & s)))
 
 
 def is_valid_code(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> bool:
@@ -169,11 +165,12 @@ def robustness_check(g: Graph, detectors: Iterable[int] | int) -> RobustnessFail
     """Behavioral fault-tolerance: S and every S minus one detector must be an IC.
 
     S passes exactly when ``verify(g, S, RED_IC)`` passes, which decides the
-    verdict.  Only a failure is explained, as the literal check would: the
-    base violation when S is not an IC, else the first x in ascending order
-    for which ``verify(g, S - {x}, IC)`` fails, with that violation.  That
-    costs up to |S| + 1 more verifications, so a late critical detector on
-    a large failing set is slow.
+    verdict with one grouping of the views.  Only a failure is explained, as
+    the literal check would: the base violation when S is not an IC, else
+    the first x in ascending order for which ``verify(g, S - {x}, IC)``
+    fails, with that violation.  That costs up to |S| + 1 more
+    verifications, each grouping all n views again, so a late critical
+    detector on a large failing set is slow.
     """
     s = _smask(g, detectors)
     if verify(g, s, CodeKind.RED_IC) is None:

@@ -312,17 +312,29 @@ def build_reduction(phi: CnfFormula) -> tuple[Graph, int]:
 
 
 def brute_force_sat(phi: CnfFormula) -> bool:
-    """Truth over all 2^N assignments; the independent oracle."""
+    """Truth over all 2^N assignments at once; the independent oracle.
+
+    Bit a of a 2^N-bit table stands for assignment a, in which variable v
+    is true when bit v - 1 of a is.  A clause is the OR of its literals'
+    tables (the complement for a negated literal), the formula the AND of
+    its clauses."""
     phi.validate()
-    if phi.n_vars > 24:
+    n = phi.n_vars
+    if n > 24:
         raise ValueError("too many variables for the brute-force oracle")
-    for assign in range(1 << phi.n_vars):
-        if all(
-            any((assign >> (abs(l) - 1) & 1) == (1 if l > 0 else 0) for l in cl)
-            for cl in phi.clauses
-        ):
-            return True
-    return False
+    table: list[int] = []
+    for i in range(n):  # from the tables over 2^i assignments to 2^(i+1)
+        w = 1 << i
+        for j, t in enumerate(table):
+            table[j] = t | t << w
+        table.append(((1 << w) - 1) << w)
+    sat = full = (1 << (1 << n)) - 1
+    for cl in phi.clauses:
+        any_true = 0
+        for l in cl:
+            any_true |= table[l - 1] if l > 0 else full ^ table[-l - 1]
+        sat &= any_true
+    return sat != 0
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Reference checks written from the definitions, for tests to compare against.
 
 ``literal_verify`` is the all-pairs bitset loop ``detection.verify`` ran
-before it learned to skip pairs that share no detector: every vertex is
-counted, then every pair, each on n-bit masks, in the same order and with
-the same certificates.  It shares no pair logic with the library.
-``literal_robustness_check`` is the definition of fault tolerance run
-literally: |S| + 1 calls of ``literal_verify``.  ``literal_constraint_masks``
-is the solver's constraint list from its definition, by breadth-first
-search on neighbour sets, sharing no code with ``detection`` or ``solver``.
+before it learned to skip pairs, and later to group vertices by their
+views: every vertex is counted, then every pair, each on n-bit masks, in
+the same order and with the same certificates.  It shares no pair logic
+with the library.  ``literal_robustness_check`` is the definition of fault
+tolerance run literally: |S| + 1 calls of ``literal_verify``.
+``literal_constraint_masks`` is the solver's constraint list from its
+definition, by breadth-first search on neighbour sets, sharing no code
+with ``detection`` or ``solver``.  ``literal_sat`` is the loop
+``reduction.brute_force_sat`` ran before it evaluated every assignment at
+once: each assignment in turn, each clause checked literal by literal.
 """
 
 from collections import deque
@@ -63,3 +66,14 @@ def literal_constraint_masks(g):
                         queue.append(y)
         pairs.update(closed[u] ^ closed[v] for v in dist if v > u)
     return closed + sorted(pairs)
+
+
+def literal_sat(phi):
+    """True when some assignment of the N variables satisfies every clause."""
+    for assign in range(1 << phi.n_vars):
+        if all(
+            any((assign >> (abs(l) - 1) & 1) == (1 if l > 0 else 0) for l in cl)
+            for cl in phi.clauses
+        ):
+            return True
+    return False

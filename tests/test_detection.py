@@ -188,21 +188,46 @@ def test_monotonicity():
                 checked += 1
 
 
+def _hash_colliding_graph(rng):
+    """A cycle on 123-140 vertices with random chords of length 60-62.
+
+    hash(int) is the value mod 2^61 - 1, so hash({i, i+61}) == hash({i+1}):
+    the sparse views of such a graph often share a hash without being equal.
+    """
+    n = rng.randint(123, 140)
+    p = rng.uniform(0.1, 1.0)
+    return build_graph(n, [(u, (u + d) % n) for u in range(n) for d in (1, 60, 61, 62)
+                           if d == 1 or rng.random() < p])
+
+
 def test_verify_equals_literal_check():
-    """The whole certificate matches the all-pairs loop, not just the verdict."""
+    """The whole certificate matches the all-pairs loop, not just the verdict.
+
+    The last 100 inputs are graphs whose distinct views may share a hash(),
+    counted apart so that the colliding case cannot stop being tested.
+    """
     rng = random.Random(17)
     seen = Counter()
-    for _ in range(3000):
-        n = rng.randint(1, 40)
-        g = random_graph(rng, n, rng.uniform(0.05, 0.7))
-        frac = rng.uniform(0.3, 1.0)
-        s = mask_of(v for v in range(n) if rng.random() < frac)
+    collided = Counter()
+    for i in range(3100):
+        if i < 3000:
+            n = rng.randint(1, 40)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+            frac = rng.uniform(0.3, 1.0)
+        else:
+            g = _hash_colliding_graph(rng)
+            frac = rng.choice((1.0, rng.uniform(0.3, 1.0)))
+        s = mask_of(v for v in range(g.n) if rng.random() < frac)
+        views = {g.closed_nbhd(v) & s for v in range(g.n)}
+        collides = len({hash(view) for view in views}) < len(views)
         for kind in (CodeKind.IC, CodeKind.RED_IC):
             got = verify(g, s, kind)
             assert got == literal_verify(g, s, kind), (g.adj, s, kind)
             seen[kind, got and got.kind] += 1
+            collided[kind, got and got.kind] += collides
     for kind in (CodeKind.IC, CodeKind.RED_IC):
         assert min(seen[kind, k] for k in (None, "undominated", "undistinguished")) >= 300, seen
+        assert min(collided[kind, k] for k in (None, "undominated", "undistinguished")) >= 10, collided
 
 
 def test_verify_equals_literal_check_on_q10():

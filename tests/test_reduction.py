@@ -1,3 +1,7 @@
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from redic.detection import CodeKind
@@ -16,7 +20,7 @@ from redic.reduction import (
 )
 from redic.solver import forced_detectors
 
-from literal import literal_verify
+from literal import literal_sat, literal_verify
 
 
 def test_parse_dimacs():
@@ -85,10 +89,26 @@ def test_reduction_forced_floor():
 def test_brute_force_sat():
     assert brute_force_sat(CnfFormula(3, ((1, 2, 3),)))
     signs = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
-    core = CnfFormula(3, tuple(tuple(s * v for s, v in zip(sg, (1, 2, 3))) for sg in signs))
+    all_clauses = [tuple(s * v for s, v in zip(sg, (1, 2, 3))) for sg in signs]
+    core = CnfFormula(3, tuple(all_clauses))
     assert not brute_force_sat(core)
     with pytest.raises(ValueError):
         brute_force_sat(CnfFormula(25, ((1, 2, 3),)))
+    # the 162 sweep formulas, then seeded random ones, against the loop
+    formulas = [CnfFormula(3, sub) for m in range(1, 5) for sub in combinations(all_clauses, m)]
+    assert len(formulas) == 162
+    rng = random.Random(29)
+    for _ in range(500):
+        n = rng.randint(3, 14)
+        formulas.append(CnfFormula(n, tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(rng.randint(n, 8 * n)))))
+    verdicts = Counter()
+    for phi in formulas:
+        got = brute_force_sat(phi)
+        assert got == literal_sat(phi), phi
+        verdicts[got] += 1
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts
 
 
 def test_reduction_report_single_clause_and_core():
