@@ -1,4 +1,8 @@
-"""Existence tests: does a graph admit any RED:IC (or IC) at all?
+"""Existence tests: why does a graph admit no RED:IC (or IC)?
+
+A code exists iff V itself is one, that is iff every constraint of the
+solver has at least t members, and the solver decides it that way; this
+module names the reason when it fails, with the offending vertices.
 
 For a connected graph on n >= 4 vertices a RED:IC exists iff there are no
 closed twins, every support vertex has degree >= 3, and every edge lying

@@ -19,15 +19,18 @@ subtraction, a question about every constraint at once (which are active,
 which tight, which have a given ``cnt``) is a few word-parallel operations,
 and backtracking restores a snapshot of the counters.
 
-Slack invariant: a constraint's slack ``cnt - res`` is |mask| - t minus
-its excluded members, so it starts at |mask| - t >= 0 once a code exists
-(V itself is one).  Including a vertex lowers ``res`` and ``cnt`` together
-and never changes a slack; excluding one lowers by one only the slacks of
-its own constraints, and a constraint whose slack reaches 0 forces all its
-free members at once.  So every active constraint enters a node with slack
->= 1, no exclusion takes a slack below 0, and the search never meets a
-conflict.  Forcing is itself inclusion, so one pass over the tight
-constraints reaches the fixpoint.
+Slack invariant: a constraint's slack ``cnt - res`` is |mask| - t minus its
+excluded members, so it starts at |mask| - t.  A code exists iff V itself
+is one, iff no slack starts below 0 (``existence`` only explains a graph
+that fails), and the members of a constraint whose slack starts at 0 lie in
+every code: the search starts with nothing assigned, and its first
+propagation includes them.  Including a vertex lowers ``res`` and ``cnt``
+together and never changes a slack; excluding one lowers by one only the
+slacks of its own constraints, and a constraint whose slack reaches 0
+forces all its free members at once.  So every active constraint enters a
+node with slack >= 1, no exclusion takes a slack below 0, and the search
+never meets a conflict.  Forcing is itself inclusion, so one pass over the
+tight constraints reaches the fixpoint.
 
 A node is cut when a lower bound on the detectors it still needs reaches
 the gap to the incumbent: a greedy disjoint packing of the active
@@ -48,9 +51,8 @@ one are searched plainly.  Each node carries H, the stabiliser of its
 branching decisions: the root has the whole group, the include-x child
 Stab_H(x), and the exclude child excludes the whole H-orbit of x and keeps
 H.  Orbit invariant: H maps the included set and the excluded set of
-every node onto themselves, since the seed and propagation are
-automorphism-invariant, the include child fixes x and the exclude child
-excludes a whole H-orbit.  So the H-orbit of a free branch vertex holds
+every node onto themselves, since propagation is automorphism-invariant,
+the include child fixes x and the exclude child excludes a whole H-orbit.  So the H-orbit of a free branch vertex holds
 no assigned vertex.  Soundness: automorphisms preserve every constraint,
 so h in H maps each completion of a node to a completion of the same
 size.  A completion that avoids x but contains some y = h(x) of the orbit
@@ -154,38 +156,18 @@ class FeasibilityResult:
 
 
 def forced_detectors(g: Graph, kind: CodeKind = CodeKind.RED_IC) -> frozenset[int]:
-    """Vertices provably contained in every RED:IC of g.
-
-    Union of: all leaves and all support vertices; all neighbors of a
-    degree-3 support vertex; every v beginning a path v-w-u whose interior
-    w and endpoint u both have degree 2.  Raises on infeasible input, and
-    returns the empty set for plain ICs (these rules need the doubled
-    thresholds).
+    """Vertices contained in every code of the kind: the members of every
+    constraint with exactly t members, which the search includes at its
+    root.  For RED:IC this covers the leaves and their supports, every
+    neighbour of a degree-3 support, and both ends of a four-vertex path
+    whose inner vertices have degree 2; on cubic graphs, where none of
+    these apply, it is often not empty.
+    Raises ValueError when no code of the kind exists.
     """
-    if kind is CodeKind.RED_IC and existence.exists_red_ic(g) is not None:
-        raise ValueError("no RED:IC exists for this graph")
-    return frozenset(bits(_forced_mask(g, kind)))
-
-
-def _forced_mask(g: Graph, kind: CodeKind) -> int:
-    """``forced_detectors`` as a mask, for a graph known to have a code."""
-    if kind is not CodeKind.RED_IC:
-        return 0
-    forced = 0
-    deg = g.degrees()
-    for v in range(g.n):
-        if deg[v] == 1:
-            forced |= g.closed_nbhd(v)  # leaf and its support
-            s = next(bits(g.adj[v]))
-            if deg[s] == 3:
-                forced |= g.closed_nbhd(s)  # neighbors of a degree-3 support
-        elif deg[v] == 2:
-            a, b = bits(g.adj[v])
-            if deg[a] == 2:
-                forced |= 1 << b
-            if deg[b] == 2:
-                forced |= 1 << a
-    return forced
+    masks = _constraint_masks(g)
+    if _no_code(g, kind, masks) is not None:
+        raise ValueError(f"no {kind.value} code exists for this graph")
+    return frozenset(v for m in masks if m.bit_count() == kind.req for v in bits(m))
 
 
 @dataclass(frozen=True)
@@ -239,6 +221,39 @@ def lower_bound(g: Graph, kind: CodeKind) -> BoundReport:
     return BoundReport(log_b, tree_b, cubic_b, torus_b, tuple(notes))
 
 
+def _constraint_masks(g: Graph) -> list[int]:
+    """The constraint list: N[v] for every vertex in order, then the distinct
+    masks N[u] ^ N[v] of the pairs u < v at distance <= 2, sorted.  A
+    farther pair's mask is N[u] | N[v], implied by domination."""
+    closed = g._closed
+    pair_masks = set()
+    for u, cu in enumerate(closed):
+        ball = 0  # the union of N[x] over x in N[u]
+        rest = cu
+        while rest:
+            low = rest & -rest
+            ball |= closed[low.bit_length() - 1]
+            rest ^= low
+        ball >>= u + 1  # bit j now stands for vertex u + 1 + j
+        while ball:
+            low = ball & -ball
+            pair_masks.add(cu ^ closed[u + low.bit_length()])
+            ball ^= low
+    return [*closed, *sorted(pair_masks)]
+
+
+def _no_code(g: Graph, kind: CodeKind, masks: list[int]) -> existence.NoCode | None:
+    """Why no code of the kind exists, or None: asks ``existence`` only when
+    a constraint has fewer than t members, or for the empty graph, which by
+    its convention has no RED:IC."""
+    if g.n and min(map(int.bit_count, masks)) >= kind.req:
+        return None
+    reason = existence.exists_red_ic(g) if kind is CodeKind.RED_IC else existence.exists_ic(g)
+    if reason is None and g.n:
+        raise RuntimeError(f"a constraint has fewer than {kind.req} members, but existence finds a code")
+    return reason
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -266,12 +281,13 @@ class _Search:
     it saved.  The ``inc`` ints take n * fb bytes per constraint in all.
     ``kept`` is the packing bound's cache (see ``_need``), emptied before
     it would pass ``_KEPT_BYTES``.
-    ``greedy``, ``root_lower`` and ``run`` each start from ``_reset``.
+    ``masks`` is the list ``_constraint_masks`` built, for a graph with a
+    code.  ``greedy``, ``root_lower`` and ``run`` each start from ``_reset``.
     ``sym`` holds the current node's stabiliser H for orbital fixing, None
     when it is trivial or the graph has no group.
     """
 
-    def __init__(self, g: Graph, kind: CodeKind, budget: Budget | None):
+    def __init__(self, g: Graph, kind: CodeKind, budget: Budget | None, masks: list[int]):
         self.g = g
         self.kind = kind
         self.budget = budget or Budget()
@@ -287,26 +303,9 @@ class _Search:
         self.stop_at_first = False
         self.done = False
 
-        closed = g._closed
-        # the pairs u < v at distance <= 2, v in the union of N[x] over x
-        # in N[u]; a farther pair's mask is N[u] | N[v], implied by domination
-        pair_masks = set()
-        for u, cu in enumerate(closed):
-            ball = 0
-            rest = cu
-            while rest:
-                low = rest & -rest
-                ball |= closed[low.bit_length() - 1]
-                rest ^= low
-            ball >>= u + 1  # bit j now stands for vertex u + 1 + j
-            while ball:
-                low = ball & -ball
-                pair_masks.add(cu ^ closed[u + low.bit_length()])
-                ball ^= low
-        # domination constraints first, one per vertex, then the pairs
-        self.masks = masks = [*closed, *sorted(pair_masks)]
+        self.masks = masks
         self.n_dom = g.n
-        self.max_cover = max(map(int.bit_count, closed), default=1)
+        self.max_cover = max(map(int.bit_count, g._closed), default=1)
         self.big = big = max(map(int.bit_count, masks), default=0)
         fb = 1  # bytes per field, a power of two so that a field is one array item
         while 1 << (8 * fb - 1) <= 2 * big + 2:
@@ -332,14 +331,14 @@ class _Search:
         self.kept = {}  # by a packed constraint's free members, what the packing keeps
         self.kept_room = _KEPT_BYTES // (max(len(masks), 1) * fb)
 
-    def _reset(self, chosen: int):
-        """Set every counter for the assignment that includes exactly chosen."""
-        self.chosen = chosen
-        self.free = self.g.full_mask() & ~chosen
-        inc = self.inc
-        taken = sum(map(inc.__getitem__, bits(chosen)))
-        self.R = self.r0 - taken
-        self.C = self.c0 - taken
+    def _reset(self) -> int:
+        """Set every counter for the root, where nothing is assigned, and
+        propagate; as ``_force``.  The root's forced set is the members of
+        every constraint with exactly t members (``forced_detectors``)."""
+        self.chosen = 0
+        self.free = self.g.full_mask()
+        self.R, self.C = self.r0, self.c0
+        return self._force()
 
     def _unmet(self) -> tuple[int, int]:
         """The active constraints (res >= 1), and those with res >= 2."""
@@ -402,11 +401,6 @@ class _Search:
         self.free ^= forced
         self.chosen |= forced
         return forced.bit_count()
-
-    def _start(self, seed_mask: int) -> int:
-        """Reset to the seed and propagate; as ``_force``."""
-        self._reset(seed_mask)
-        return self._force()
 
     # -- bounding ----------------------------------------------------------
 
@@ -543,15 +537,15 @@ class _Search:
         return forced
 
     def root_lower(self) -> int:
-        self._start(0)
+        self._reset()
         active, heavy = self._unmet()
         return self.chosen.bit_count() + (self._need(active, heavy, self.g.n + 1) if active else 0)
 
-    def greedy(self, seed_mask: int) -> int:
-        """Deterministic greedy cover used as the initial incumbent: add the
-        free vertex with the most residual requirement over the active
-        constraints containing it, lowest index on ties."""
-        self._start(seed_mask)
+    def greedy(self) -> int:
+        """Deterministic greedy cover used as the initial incumbent: from the
+        root, add the free vertex with the most residual requirement over the
+        active constraints containing it, lowest index on ties."""
+        self._reset()
         inc = self.inc
         while True:
             active, heavy = self._unmet()
@@ -566,19 +560,18 @@ class _Search:
                     best_x = x
             self._include(best_x)
 
-    def run(self, seed_mask: int, cap: int, stop_at_first: bool) -> bool:
-        """Explore from the seed; returns False when the budget ran out.
+    def run(self, cap: int, stop_at_first: bool) -> bool:
+        """Explore from the root; returns False when the budget ran out.
 
-        The seed is always the forced-detector set, which every
-        automorphism maps onto itself, so orbital fixing starts from the
-        whole group.  Either way the counters are restored to the seed.
+        The root's forced set is automorphism-invariant, so orbital fixing
+        starts from the whole group.  Either way the counters are restored
+        to the root.
         """
         self.cap = cap
         self.stop_at_first = stop_at_first
         self.sym = self.group
-        self._reset(seed_mask)
-        seed = self.R, self.C, self.chosen, self.free
-        forced = self._force()
+        forced = self._reset()
+        root = self.R, self.C, self.chosen, self.free
         try:
             self._tick()
             self.forced += forced
@@ -587,22 +580,19 @@ class _Search:
         except _BudgetExhausted:
             return False
         finally:
-            self.R, self.C, self.chosen, self.free = seed
+            self.R, self.C, self.chosen, self.free = root
 
     def stats(self, t0: float) -> SolverStats:
         return SolverStats(self.nodes, time.perf_counter() - t0, self.forced, self.pruned,
                            self.orbit_fixed, self.group.order if self.group is not None else 1)
 
 
-def _prelude(
-    g: Graph, kind: CodeKind, budget: Budget | None
-) -> tuple[existence.NoCode | None, _Search | None, int]:
-    """Ask existence for the kind once: the reason no code exists, or the
-    search and its seed, the mask of forced detectors."""
-    reason = existence.exists_red_ic(g) if kind is CodeKind.RED_IC else existence.exists_ic(g)
-    if reason is not None:
-        return reason, None, 0
-    return None, _Search(g, kind, budget), _forced_mask(g, kind)
+def _prelude(g: Graph, kind: CodeKind, budget: Budget | None) -> tuple[existence.NoCode | None, _Search | None]:
+    """The reason no code exists, or the search; decided from the constraint
+    list before it is packed, so a graph without a code packs nothing."""
+    masks = _constraint_masks(g)
+    reason = _no_code(g, kind, masks)
+    return reason, None if reason is not None else _Search(g, kind, budget, masks)
 
 
 def _verified(g: Graph, mask: int, kind: CodeKind) -> tuple[int, ...]:
@@ -621,19 +611,19 @@ def solve_min(
     """Minimum code size with witness, or bounds when the budget runs out.
 
     The incumbent starts from a deterministic greedy completion of the
-    forced detectors (V(G) itself is feasible once existence holds), so a
+    root's forced detectors (V(G) itself is a code once one exists), so a
     budget-limited run still reports a valid upper bound and witness.
     """
     t0 = time.perf_counter()
-    reason, search, seed = _prelude(g, kind, budget)
+    reason, search = _prelude(g, kind, budget)
     if reason is not None:
         return SolveOutcome("infeasible", g.n, reason=reason,
                             stats=SolverStats(0, time.perf_counter() - t0))
     if g.n == 0:
         return SolveOutcome("optimal", 0, k=0, witness=(), lower=0, upper=0,
                             stats=SolverStats(0, time.perf_counter() - t0))
-    incumbent = search.greedy(seed)
-    completed = search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
+    incumbent = search.greedy()
+    completed = search.run(cap=incumbent.bit_count(), stop_at_first=False)
     best = search.best if search.best is not None else incumbent
     k = best.bit_count()
     lower = k if completed else min(max(lower_bound(g, kind).value, search.root_lower()), k)
@@ -655,10 +645,10 @@ def feasible_at(
     the search was cut short.
     """
     t0 = time.perf_counter()
-    reason, search, seed = _prelude(g, kind, budget)
+    reason, search = _prelude(g, kind, budget)
     if reason is not None or k < 0:
         return FeasibilityResult(None, True, SolverStats(0, time.perf_counter() - t0))
-    completed = search.run(seed, cap=min(k, g.n) + 1, stop_at_first=True)
+    completed = search.run(cap=min(k, g.n) + 1, stop_at_first=True)
     stats = search.stats(t0)
     if search.best is not None:
         return FeasibilityResult(_verified(g, search.best, kind), True, stats)

@@ -11,6 +11,9 @@ definition, by breadth-first search on neighbour sets, sharing no code
 with ``detection`` or ``solver``.  ``literal_sat`` is the loop
 ``reduction.brute_force_sat`` ran before it evaluated every assignment at
 once: each assignment in turn, each clause checked literal by literal.
+``rule_forced`` is the RED:IC forced-detector set by the three degree rules
+the solver seeded its search with before it read forcing off its
+constraints; the constraint set contains it.
 """
 
 from collections import deque
@@ -77,3 +80,24 @@ def literal_sat(phi):
         ):
             return True
     return False
+
+
+def rule_forced(g):
+    """For a graph with a RED:IC: every leaf and its support, every neighbour
+    of a degree-3 support, and every v beginning a path v-w-u whose interior
+    w and endpoint u both have degree 2."""
+    deg = [g.degree(v) for v in range(g.n)]
+    forced = set()
+    for v in range(g.n):
+        nbrs = list(bits(g.adj[v]))
+        if deg[v] == 1:
+            forced |= {v, nbrs[0]}
+            if deg[nbrs[0]] == 3:
+                forced |= set(bits(g.closed_nbhd(nbrs[0])))
+        elif deg[v] == 2:
+            a, b = nbrs
+            if deg[a] == 2:
+                forced.add(b)
+            if deg[b] == 2:
+                forced.add(a)
+    return frozenset(forced)

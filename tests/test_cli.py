@@ -282,16 +282,16 @@ PINNED_OUTPUTS = {
     "verify --family star --params 3 --detectors 0,1,2,3": ("449392ce9267c83d", "a23125e9b0cd2d7f"),
     "verify --graph6 Cl --detectors 0,1,2 --kind ic": ("098ba274e7d71c2a", "1d7a330dcf25cddd"),
     "verify --graph6 Cl --detectors 0,1,2": ("342b919cc9d30296", "ed1c57bb6eec9953"),
-    "solve --family cycle --params 7": ("85f47cdcae78c47e", "491de8e1e9f1ca06"),
+    "solve --family cycle --params 7": ("85f47cdcae78c47e", "a063aeeb91eb426d"),
     "solve --family cycle --params 7 --budget-nodes 0": ("101874224e3a7cd1", "9937fcd4bf538f9d"),
     "solve --family hypercube --params 4 --kind ic": ("473961e96068c235", "75dd45443719ec68"),
     "solve --family path --params 6": ("cf9965d3bb7785f7", "2f760ccf50881a55"),
-    "solve --graph6-file claw.g6": ("4cf3a2e38d2d5a42", "8df02891ef998c0f"),
-    "solve --edgelist-file claw.edges": ("4cf3a2e38d2d5a42", "8df02891ef998c0f"),
+    "solve --graph6-file claw.g6": ("4cf3a2e38d2d5a42", "ee8d3a70207da1fd"),
+    "solve --edgelist-file claw.edges": ("4cf3a2e38d2d5a42", "ee8d3a70207da1fd"),
     "exists --family complete --params 5": ("3c99c4d847042254", "88b9dd24b89d640b"),
     "exists --family star --params 3": ("8e1e87e0f875adcb", "6eefe383e48a4bc9"),
-    "feasible --graph6 Cl --k 4": ("78fea103fc5e4a50", "8e6409b223d79e82"),
-    "feasible --graph6 Cl --k 3": ("3eb7e15ba99027a5", "bd4813dd8deb15ae"),
+    "feasible --graph6 Cl --k 4": ("78fea103fc5e4a50", "be0c0799a149599c"),
+    "feasible --graph6 Cl --k 3": ("3eb7e15ba99027a5", "104860a348797e24"),
     "feasible --graph6 Cl --k 4 --budget-nodes 0": ("baab6acbec3d5e03", "acf7be5189ea47a0"),
     "bounds --family torus --params 6,6": ("759ad3b3954a98e2", "cc4a57e15a1bdd4c"),
     "bounds --family hypercube --params 4 --kind ic": ("b7e68e4a188867c8", "c5569e7f5ac631f1"),

@@ -16,7 +16,7 @@ from redic.generators import enum_trees, tree_graph, tree_levels, tree_parents
 from redic.graphs import build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from redic.tables import TREE_REFERENCE
 
-from literal import literal_verify
+from literal import literal_constraint_masks, literal_verify
 
 STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
@@ -86,6 +86,45 @@ def test_exists_ic_is_twin_freeness():
         assert closed_twins(g) == twins
         # the witness is the lexicographically least pair
         assert exists_ic(g) == (NoCode("closed-twins", twins[0]) if twins else None)
+
+
+def _with_pendant_paths(rng, g):
+    """g with up to three paths of 1-3 new vertices, each hung from a vertex."""
+    n, edges = g.n, g.edges()
+    for _ in range(rng.randint(0, 3) if g.n else 0):
+        at = rng.randrange(g.n)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((at, n))
+            at, n = n, n + 1
+    return build_graph(n, edges)
+
+
+def _theorem_graphs():
+    """Every graph of networkx's atlas (0-7 vertices), then seeded random
+    graphs on up to 30 vertices, many disconnected or with pendant paths."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    for h in graph_atlas_g():
+        yield build_graph(h.number_of_nodes(), list(h.edges()))
+    rng = random.Random(43)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 21), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
+        yield _with_pendant_paths(rng, g)
+
+
+def test_theorem_is_the_constraint_check():
+    # a code exists iff V itself is one, iff every constraint mask has at
+    # least t members; the empty graph has no RED:IC by convention
+    seen = disconnected = pendant = large = 0
+    for g in _theorem_graphs():
+        least = min(map(int.bit_count, literal_constraint_masks(g)), default=0)
+        assert (exists_ic(g) is None) == (least >= 1 or g.n == 0), g.edges()
+        assert (exists_red_ic(g) is None) == (least >= 2), g.edges()
+        seen += 1
+        disconnected += g.n > 0 and not g.is_connected()
+        pendant += any(g.degree(v) == 1 for v in range(g.n))
+        large += g.n >= 20
+    assert (seen, disconnected, pendant, large) == (1253 + 400, 456, 916, 89)
 
 
 @pytest.mark.parametrize("n", [

@@ -22,10 +22,10 @@ from redic.graphs import (
     star_graph,
     torus,
 )
-from redic.solver import Budget, _Search, feasible_at, forced_detectors, lower_bound, solve_min
+from redic.solver import Budget, _constraint_masks, _Search, feasible_at, forced_detectors, lower_bound, solve_min
 from redic.symmetry import Automorphisms, automorphisms
 
-from literal import literal_constraint_masks, literal_verify
+from literal import literal_constraint_masks, literal_verify, rule_forced
 
 
 STRETCH = bool(os.environ.get("REDIC_STRETCH"))
@@ -43,16 +43,33 @@ def brute_minimum(g, kind):
     return None
 
 
-def test_existence_is_asked_once_per_call(monkeypatch):
+def search_for(g, kind, budget=None, cls=_Search):
+    return cls(g, kind, budget, _constraint_masks(g))
+
+
+def test_existence_is_asked_only_to_explain(monkeypatch):
+    # the solver decides existence from its constraints, and asks the
+    # existence rule only for the reason a graph has no code
     calls = []
-    real = existence.exists_red_ic
-    monkeypatch.setattr(existence, "exists_red_ic", lambda g: calls.append(g) or real(g))
+    for name in ("exists_red_ic", "exists_ic"):
+        real = getattr(existence, name)
+        monkeypatch.setattr(existence, name, lambda g, real=real: calls.append(g) or real(g))
     g = hypercube(3)
-    for run in (lambda: solve_min(g), lambda: feasible_at(g, CodeKind.RED_IC, g.n - 1),
-                lambda: solve_min(path_graph(5))):
+    for run, asked in [(lambda: solve_min(g), 0), (lambda: feasible_at(g, CodeKind.RED_IC, g.n - 1), 0),
+                       (lambda: solve_min(g, CodeKind.IC), 0), (lambda: solve_min(path_graph(5)), 1)]:
         calls.clear()
         run()
-        assert len(calls) == 1
+        assert len(calls) == asked
+
+
+def test_existence_disagreeing_with_the_constraints_is_refused(monkeypatch):
+    # path_graph(5) has a pair mask {0}, so no RED:IC; an existence rule
+    # that finds none must not send the search off with a negative slack
+    monkeypatch.setattr(existence, "exists_red_ic", lambda g: None)
+    with pytest.raises(RuntimeError, match="fewer than 2 members"):
+        solve_min(path_graph(5))
+    with pytest.raises(RuntimeError):
+        feasible_at(path_graph(5), CodeKind.RED_IC, 5)
 
 
 def test_forced_detectors_examples():
@@ -60,9 +77,16 @@ def test_forced_detectors_examples():
     for n in (4, 5, 8):
         assert forced_detectors(cycle_graph(n)) == set(range(n))
     assert forced_detectors(hypercube(3)) == frozenset()
+    # every pair mask of K_{3,3} has two members; the degree rules find none
+    k33 = complete_multipartite([3, 3])
+    assert forced_detectors(k33) == set(range(6)) and rule_forced(k33) == frozenset()
+    assert solve_min(k33).k == 6
     with pytest.raises(ValueError):
         forced_detectors(path_graph(5))
     assert forced_detectors(star_graph(3), CodeKind.IC) == frozenset()
+    assert forced_detectors(path_graph(3), CodeKind.IC) == {0, 2}  # N[1] ^ N[0] = {2}
+    with pytest.raises(ValueError):
+        forced_detectors(build_graph(3, [(0, 1), (1, 2), (0, 2)]), CodeKind.IC)  # closed twins
 
 
 def test_lower_bound_values():
@@ -158,11 +182,13 @@ def test_forced_set_inside_every_minimum_witness():
         g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.2, 0.7))
         if exists_red_ic(g) is not None:
             continue
-        forced = forced_detectors(g)
-        kmin = brute_minimum(g, CodeKind.RED_IC)
-        for combo in combinations(range(g.n), kmin):
-            if literal_verify(g, combo, CodeKind.RED_IC) is None:
-                assert forced <= set(combo)
+        assert rule_forced(g) <= forced_detectors(g)
+        for kind in CodeKind:
+            forced = forced_detectors(g, kind)
+            kmin = brute_minimum(g, kind)
+            for combo in combinations(range(g.n), kmin):
+                if literal_verify(g, combo, kind) is None:
+                    assert forced <= set(combo)
         seen += 1
 
 
@@ -365,9 +391,7 @@ def test_constraint_list_matches_literal_reference():
         p = rng.choice([0.03, 0.08, 0.15, 0.3])
         g = build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
         disconnected += not g.is_connected()
-        expected = literal_constraint_masks(g)
-        for kind in CodeKind:
-            assert _Search(g, kind, None).masks == expected, (g.n, g.adj, kind)
+        assert _constraint_masks(g) == literal_constraint_masks(g), (g.n, g.adj)
     assert disconnected >= 30
 
 
@@ -525,9 +549,11 @@ class CheckedSearch(_Search):
         super()._node()
 
 
-def at_seed(search, seed):
-    """The assignment and every counter are back at the seed."""
-    return (search.chosen == seed and search.free == search.g.full_mask() & ~seed
+def at_root(search):
+    """The assignment and every counter are back at the root: what the
+    rescan's propagation includes from nothing assigned."""
+    root = RescanSearch(search).propagate(0, 0)[0]
+    return (search.chosen == root and search.free == search.g.full_mask() & ~root
             and maintained_counters(search) == rescanned_counters(search))
 
 
@@ -540,16 +566,16 @@ def test_incremental_counters_match_rescan():
         if (exists_red_ic(g) if kind is CodeKind.RED_IC else exists_ic(g)) is not None:
             continue
         seen += 1
-        seed = mask_of(forced_detectors(g, kind))
-        search = CheckedSearch(g, kind, None)
+        search = search_for(g, kind, cls=CheckedSearch)
         ref = RescanSearch(search)
-        incumbent = search.greedy(seed)
-        assert incumbent == ref.greedy(seed)
-        assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
+        incumbent = search.greedy()
+        assert incumbent == ref.greedy(0)
+        assert search.run(cap=incumbent.bit_count(), stop_at_first=False)
         assert search.checked > 0
-        assert at_seed(search, seed)
+        assert at_root(search)
+        assert search.chosen == mask_of(forced_detectors(g, kind))  # the root's forced set
         ref.cap = incumbent.bit_count()
-        ref.dfs(seed, 0)
+        ref.dfs(0, 0)
         best = ref.best if ref.best is not None else incumbent
         out = solve_min(g, kind)
         assert (out.witness, out.stats.nodes) == (tuple(bits(best)), ref.nodes)
@@ -558,16 +584,16 @@ def test_incremental_counters_match_rescan():
         below = feasible_at(g, kind, out.k - 1)
         ref_below = RescanSearch(search)
         ref_below.cap, ref_below.stop_at_first = out.k, True
-        ref_below.dfs(seed, 0)
+        ref_below.dfs(0, 0)
         assert below.witness is None and below.stats.nodes == ref_below.nodes
 
 
-def test_interrupted_run_restores_the_seed():
+def test_interrupted_run_restores_the_root():
     g = hypercube(4)
-    search = CheckedSearch(g, CodeKind.RED_IC, Budget(max_nodes=200))
-    assert not search.run(0, cap=g.n, stop_at_first=False)
+    search = search_for(g, CodeKind.RED_IC, Budget(max_nodes=200), CheckedSearch)
+    assert not search.run(cap=g.n, stop_at_first=False)
     assert search.nodes == search.checked == 200
-    assert at_seed(search, 0)
+    assert at_root(search)
 
 
 def wheel(rim):
@@ -581,15 +607,14 @@ def test_two_byte_fields_on_a_wheel():
     for kind, k, nodes in [(CodeKind.IC, 32, 65), (CodeKind.RED_IC, 64, 1)]:
         out = solve_min(g, kind)
         assert (out.k, out.stats.nodes) == (k, nodes), kind
-        seed = mask_of(forced_detectors(g, kind))
-        search = CheckedSearch(g, kind, None)
+        search = search_for(g, kind, cls=CheckedSearch)
         assert search.w == 16
-        incumbent = search.greedy(seed)
-        assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
-        assert search.nodes == search.checked == nodes and at_seed(search, seed)
+        incumbent = search.greedy()
+        assert search.run(cap=incumbent.bit_count(), stop_at_first=False)
+        assert search.nodes == search.checked == nodes and at_root(search)
         ref = RescanSearch(search)
         ref.cap = incumbent.bit_count()
-        ref.dfs(seed, 0)
+        ref.dfs(0, 0)
         assert ref.nodes == nodes and (ref.best or incumbent).bit_count() == k
 
 
@@ -598,12 +623,11 @@ def test_counters_hold_under_orbital_fixing(g):
     # each member of an orbit is looked at again before it is excluded, so no
     # vertex is excluded after propagation has included it
     for kind in (CodeKind.IC, CodeKind.RED_IC):
-        seed = mask_of(forced_detectors(g, kind))
-        search = CheckedSearch(g, kind, None)
-        incumbent = search.greedy(seed)
-        assert search.run(seed, cap=incumbent.bit_count(), stop_at_first=False)
+        search = search_for(g, kind, cls=CheckedSearch)
+        incumbent = search.greedy()
+        assert search.run(cap=incumbent.bit_count(), stop_at_first=False)
         assert search.checked > 0 and search.orbit_fixed > 0
-        assert at_seed(search, seed)
+        assert at_root(search)
         assert verify(g, search.best or incumbent, kind) is None
 
 
@@ -625,9 +649,9 @@ def test_conflict_cache_cannot_change_a_result(monkeypatch):
     cached = _outcomes()
     monkeypatch.setattr(solver, "_KEPT_BYTES", 0)
     g = hypercube(4)
-    search = _Search(g, CodeKind.RED_IC, None)
+    search = search_for(g, CodeKind.RED_IC)
     assert search.kept_room == 0
-    assert search.run(0, cap=g.n, stop_at_first=False)
+    assert search.run(cap=g.n, stop_at_first=False)
     assert len(search.kept) == 1
     assert _outcomes() == cached
 
@@ -649,9 +673,8 @@ class PeakDict(dict):
 ], ids=["torus-6x6", "torus-6x6-small", "wheel-64-small"])
 def test_conflict_cache_stays_within_its_budget(monkeypatch, g, kind, nodes, budget):
     monkeypatch.setattr(solver, "_KEPT_BYTES", budget)
-    seed = mask_of(forced_detectors(g, kind))
-    search = _Search(g, kind, None)
+    search = search_for(g, kind)
     search.kept = PeakDict()
-    assert search.run(seed, cap=search.greedy(seed).bit_count(), stop_at_first=False)
+    assert search.run(cap=search.greedy().bit_count(), stop_at_first=False)
     assert search.nodes == nodes
     assert 0 < search.kept.peak * len(search.masks) * search.w // 8 <= budget
