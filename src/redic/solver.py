@@ -101,8 +101,10 @@ class Budget:
 @dataclass
 class SolverStats:
     """Search counters: nodes visited, seconds, vertices included by
-    propagation, nodes cut by the lower bound, vertices excluded by orbital
-    fixing, and the order of the symmetry group used (1 for none)."""
+    propagation (the root's forced set among them once the search visits
+    the root, which a node cap of 0 prevents, although the witness then
+    contains that set), nodes cut by the lower bound, vertices excluded by
+    orbital fixing, and the order of the symmetry group used (1 for none)."""
 
     nodes: int = 0
     elapsed: float = 0.0
@@ -282,7 +284,9 @@ class _Search:
     ``kept`` is the packing bound's cache (see ``_need``), emptied before
     it would pass ``_KEPT_BYTES``.
     ``masks`` is the list ``_constraint_masks`` built, for a graph with a
-    code.  ``greedy``, ``root_lower`` and ``run`` each start from ``_reset``.
+    code.  ``root`` holds the four ints at the root, propagated once on
+    construction, which forced ``root_forced`` vertices; ``greedy``,
+    ``root_lower`` and ``run`` each start by restoring it.
     ``sym`` holds the current node's stabiliser H for orbital fixing, None
     when it is trivial or the graph has no group.
     """
@@ -326,19 +330,13 @@ class _Search:
         self.top = ((1 << (w - 1)) - 1) * ones  # 2^(w-1) - 1 in every field
         self.over = self.top - big * ones  # flags R > big, that is res >= 1
         self.dom = (1 << w * g.n) - 1  # the domination fields
-        self.r0 = (kind.req + big) * ones  # no vertex included
-        self.c0 = big * ones + sum(inc)  # every vertex free
         self.kept = {}  # by a packed constraint's free members, what the packing keeps
         self.kept_room = _KEPT_BYTES // (max(len(masks), 1) * fb)
-
-    def _reset(self) -> int:
-        """Set every counter for the root, where nothing is assigned, and
-        propagate; as ``_force``.  The root's forced set is the members of
-        every constraint with exactly t members (``forced_detectors``)."""
-        self.chosen = 0
-        self.free = self.g.full_mask()
-        self.R, self.C = self.r0, self.c0
-        return self._force()
+        # the root: nothing assigned, then propagated (``forced_detectors``)
+        self.chosen, self.free = 0, g.full_mask()
+        self.R, self.C = (kind.req + big) * ones, big * ones + sum(inc)
+        self.root_forced = self._force()
+        self.root = self.R, self.C, self.chosen, self.free
 
     def _unmet(self) -> tuple[int, int]:
         """The active constraints (res >= 1), and those with res >= 2."""
@@ -537,7 +535,7 @@ class _Search:
         return forced
 
     def root_lower(self) -> int:
-        self._reset()
+        self.R, self.C, self.chosen, self.free = self.root
         active, heavy = self._unmet()
         return self.chosen.bit_count() + (self._need(active, heavy, self.g.n + 1) if active else 0)
 
@@ -545,7 +543,7 @@ class _Search:
         """Deterministic greedy cover used as the initial incumbent: from the
         root, add the free vertex with the most residual requirement over the
         active constraints containing it, lowest index on ties."""
-        self._reset()
+        self.R, self.C, self.chosen, self.free = self.root
         inc = self.inc
         while True:
             active, heavy = self._unmet()
@@ -563,24 +561,24 @@ class _Search:
     def run(self, cap: int, stop_at_first: bool) -> bool:
         """Explore from the root; returns False when the budget ran out.
 
-        The root's forced set is automorphism-invariant, so orbital fixing
-        starts from the whole group.  Either way the counters are restored
-        to the root.
+        The root's forced set counts in ``forced`` once the root node is
+        visited, so a node cap of 0 counts none.  Automorphisms map the set
+        onto itself, so orbital fixing starts from the whole group.  Either
+        way the counters are restored to the root.
         """
         self.cap = cap
         self.stop_at_first = stop_at_first
         self.sym = self.group
-        forced = self._reset()
-        root = self.R, self.C, self.chosen, self.free
+        self.R, self.C, self.chosen, self.free = self.root
         try:
             self._tick()
-            self.forced += forced
+            self.forced += self.root_forced
             self._node()
             return True
         except _BudgetExhausted:
             return False
         finally:
-            self.R, self.C, self.chosen, self.free = root
+            self.R, self.C, self.chosen, self.free = self.root
 
     def stats(self, t0: float) -> SolverStats:
         return SolverStats(self.nodes, time.perf_counter() - t0, self.forced, self.pruned,

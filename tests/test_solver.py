@@ -1,6 +1,6 @@
 import os
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -594,6 +594,65 @@ def test_interrupted_run_restores_the_root():
     assert not search.run(cap=g.n, stop_at_first=False)
     assert search.nodes == search.checked == 200
     assert at_root(search)
+
+
+class CountingSearch(_Search):
+    """Counts propagation passes and exclusions."""
+
+    forces = excludes = 0
+
+    def _force(self):
+        self.forces += 1
+        return super()._force()
+
+    def _exclude(self, x):
+        self.excludes += 1
+        return super()._exclude(x)
+
+
+def _root_cases():
+    """Seeded random graphs with a code of the kind, then Q4 for both kinds."""
+    rng = random.Random(26)
+    cases = []
+    while len(cases) < 30:
+        g = random_graph(rng, rng.randint(8, 16), rng.uniform(0.2, 0.7))
+        kind = CodeKind.IC if len(cases) % 2 else CodeKind.RED_IC
+        if (exists_red_ic(g) if kind is CodeKind.RED_IC else exists_ic(g)) is None:
+            cases.append((g, kind))
+    return cases + [(hypercube(4), CodeKind.IC), (hypercube(4), CodeKind.RED_IC)]
+
+
+def test_root_is_propagated_once():
+    excluded = 0
+    for g, kind in _root_cases():
+        search = search_for(g, kind, cls=CountingSearch)
+        assert search.forces == 1
+        incumbent = search.greedy()
+        search.root_lower()
+        assert search.forces == 1
+        assert search.run(cap=incumbent.bit_count(), stop_at_first=False)
+        assert search.forces == 1 + search.excludes
+        excluded += search.excludes
+    assert excluded > 0
+
+
+@pytest.mark.parametrize("budget", [None, Budget(max_nodes=3)], ids=["unbudgeted", "nodes<=3"])
+def test_entry_points_in_any_order(budget):
+    # every order that does not end with greedy, which leaves the assignment
+    # where its cover stopped
+    orders = [o for o in permutations(("greedy", "run", "root_lower")) if o[-1] != "greedy"]
+    for g, kind in _root_cases():
+        cap = search_for(g, kind).greedy().bit_count()
+        seen = set()
+        for order in orders:
+            search = search_for(g, kind, budget)
+            calls = {"greedy": search.greedy, "root_lower": search.root_lower,
+                     "run": lambda: (search.run(cap=cap, stop_at_first=False), search.best)}
+            results = {name: calls[name]() for name in order}
+            assert at_root(search)
+            seen.add((tuple(sorted(results.items())), search.nodes, search.forced, search.pruned,
+                      search.orbit_fixed))
+        assert len(seen) == 1, (g.adj, kind)
 
 
 def wheel(rim):
