@@ -43,7 +43,7 @@ labeling until none is left, which is the maximum.
 from __future__ import annotations
 
 import logging
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -284,7 +284,7 @@ def enum_cubic(n: int) -> Iterator[Graph]:
     yield from _grow_cubic([0], [], n)
 
 
-@lru_cache(maxsize=4)
+@cache
 def cubic_graphs_cached(n: int) -> tuple[Graph, ...]:
     """Materialized ``enum_cubic`` stream; graphs are immutable, reuse is safe."""
     return tuple(enum_cubic(n))

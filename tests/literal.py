@@ -13,14 +13,20 @@ with ``detection`` or ``solver``.  ``literal_sat`` is the loop
 once: each assignment in turn, each clause checked literal by literal.
 ``rule_forced`` is the RED:IC forced-detector set by the three degree rules
 the solver seeded its search with before it read forcing off its
-constraints; the constraint set contains it.
+constraints; the constraint set contains it.  ``random_graph`` is the one
+seeded G(n, p) the property tests draw from: one ``rng.random()`` per pair
+u < v, in lexicographic order, so every seeded stream is fixed.
 """
 
 from collections import deque
 from itertools import combinations
 
 from redic.detection import CodeKind, RobustnessFailure, Violation
-from redic.graphs import bits, mask_of
+from redic.graphs import bits, build_graph, mask_of
+
+
+def random_graph(rng, n, p=0.5):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def literal_verify(g, detectors, kind):

@@ -5,7 +5,6 @@ lines as they pass.  All comparisons are exact; runtime ceilings are the
 stated desk-scale targets.
 """
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -19,7 +18,6 @@ from redic.existence import closed_twins, exists_red_ic
 from redic.generators import cubic_graphs_cached
 from redic.graphs import (
     bits,
-    build_graph,
     cycle_graph,
     cylinder,
     honeycomb_torus,
@@ -32,9 +30,7 @@ from redic.graphs import (
 )
 from redic.solver import feasible_at, lower_bound, solve_min
 
-from literal import literal_robustness_check, literal_verify
-
-STRETCH = bool(os.environ.get("REDIC_STRETCH"))
+from literal import literal_robustness_check, literal_verify, random_graph
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -78,7 +74,7 @@ def test_criterion_02_stretch_trees():
     report(2, ok, f"stretch tree rows n=14..15 match as well ({time.perf_counter() - t0:.1f} s)")
 
 
-@pytest.mark.skipif(not STRETCH, reason="a minute of extra rows; set REDIC_STRETCH=1")
+@pytest.mark.stretch(reason="about 2 s")
 def test_criterion_02_trees_to_17():
     for n in (16, 17):
         row = tables.tree_row(n)
@@ -91,7 +87,7 @@ def test_criterion_03_cubic_table(cubic_rows):
     report(3, not bad, "cubic summary n=6..14 matches reference exactly")
 
 
-@pytest.mark.skipif(not STRETCH, reason="about 20 s; set REDIC_STRETCH=1")
+@pytest.mark.stretch(reason="about 7 s")
 def test_criterion_03_stretch_cubic_16():
     row = tables.cubic_row(16)
     assert row.values() == tables.CUBIC_REFERENCE[16] and not row.partial
@@ -213,10 +209,6 @@ def test_criterion_10_min_density_rings(cubic_rows):
     report(10, ok, detail)
 
 
-def _random_graph(rng, n, p=0.5):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
 def test_criterion_11_property_suites():
     t0 = time.perf_counter()
     rng = random.Random(2024)
@@ -224,14 +216,14 @@ def test_criterion_11_property_suites():
 
     # doubled thresholds behave exactly like single-fault robustness
     for _ in range(300):
-        g = _random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8))
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8))
         s = [v for v in range(g.n) if rng.random() < 0.6]
         ok &= (verify(g, s, CodeKind.RED_IC) is None) == (literal_robustness_check(g, s) is None)
 
     # existence test against the all-detectors oracle
     seen = 0
     while seen < 500:
-        g = _random_graph(rng, rng.randint(4, 12), rng.uniform(0.2, 0.7))
+        g = random_graph(rng, rng.randint(4, 12), rng.uniform(0.2, 0.7))
         if not g.is_connected():
             continue
         ok &= (exists_red_ic(g) is None) == (
@@ -240,7 +232,7 @@ def test_criterion_11_property_suites():
 
     # exact solver against subset enumeration, plus the counting laws
     for _ in range(200):
-        g = _random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.85))
+        g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.85))
         expect = None
         for k in range(g.n + 1):
             if expect is not None:
@@ -271,7 +263,7 @@ def test_criterion_11_property_suites():
 
     # serialization round trip
     for _ in range(500):
-        g = _random_graph(rng, rng.randint(0, 30), rng.uniform(0.1, 0.9))
+        g = random_graph(rng, rng.randint(0, 30), rng.uniform(0.1, 0.9))
         ok &= parse_graph6(write_graph6(g)) == g
 
     elapsed = time.perf_counter() - t0

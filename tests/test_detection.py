@@ -20,11 +20,7 @@ from redic.constructions import double_hypercube_code, extremal_tree, q5_code_se
 from redic.graphs import bits, build_graph, cycle_graph, mask_of, star_graph, torus
 from redic.solver import solve_min
 
-from literal import literal_robustness_check, literal_verify
-
-
-def random_graph(rng, n, p=0.5):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from literal import literal_robustness_check, literal_verify, random_graph
 
 
 def test_domination_examples():

@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -16,13 +15,7 @@ from redic.generators import enum_trees, tree_graph, tree_levels, tree_parents
 from redic.graphs import build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from redic.tables import TREE_REFERENCE
 
-from literal import literal_constraint_masks, literal_verify
-
-STRETCH = bool(os.environ.get("REDIC_STRETCH"))
-
-
-def random_graph(rng, n, p=0.5):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from literal import literal_constraint_masks, literal_verify, random_graph
 
 
 def random_connected(rng, n):
@@ -129,7 +122,7 @@ def test_theorem_is_the_constraint_check():
 
 @pytest.mark.parametrize("n", [
     *range(1, 17),
-    pytest.param(17, marks=pytest.mark.skipif(not STRETCH, reason="about 3 s; set REDIC_STRETCH=1")),
+    pytest.param(17, marks=pytest.mark.stretch(reason="about 3 s")),
 ])
 def test_tree_rule_matches_exists_red_ic(n):
     # the verdict on the parent array against the general test, tree by tree

@@ -1,6 +1,5 @@
 import hashlib
 import io
-import os
 import random
 from functools import cache
 from itertools import permutations
@@ -13,6 +12,7 @@ from redic.generators import (
     _column_value,
     are_isomorphic,
     canonical_key,
+    cubic_graphs_cached,
     enum_cubic,
     enum_trees,
     read_graph6_stream,
@@ -25,8 +25,6 @@ TREE_COUNTS = {
     13: 1301, 14: 3159, 15: 7741, 16: 19320,
 }
 CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
-
-STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
 
 @cache
@@ -75,8 +73,7 @@ def test_tree_code_separates_isomorphism_classes():
 
 @pytest.mark.parametrize("n", [
     *range(1, 15),
-    *(pytest.param(n, marks=pytest.mark.skipif(not STRETCH, reason="set REDIC_STRETCH=1"))
-      for n in (15, 16)),
+    *(pytest.param(n, marks=pytest.mark.stretch(reason="about 1 s")) for n in (15, 16)),
 ])
 def test_trees_are_pairwise_non_isomorphic(n):
     trees = list(enum_trees(n))
@@ -155,19 +152,13 @@ CUBIC_STREAM_DIGESTS = {
 }
 
 
-@cache
-def cubic_graphs(n: int) -> list:
-    return list(enum_cubic(n))
-
-
 @pytest.mark.parametrize("n,digest", [
-    pytest.param(n, digest, marks=pytest.mark.skipif(
-        n > 14 and not STRETCH, reason="about 8 s; set REDIC_STRETCH=1"))
+    pytest.param(n, digest, marks=[pytest.mark.stretch(reason="about 8 s")] if n > 14 else [])
     for n, digest in sorted(CUBIC_STREAM_DIGESTS.items())
 ])
 def test_cubic_stream_is_pinned(n, digest):
     # the order is part of the contract: g14_gadget_search reports parent indices
-    stream = b"".join(write_graph6(g) + b"\n" for g in cubic_graphs(n))
+    stream = b"".join(write_graph6(g) + b"\n" for g in cubic_graphs_cached(n))
     assert hashlib.sha256(stream).hexdigest()[:16] == digest
 
 
@@ -213,8 +204,7 @@ TREE_STREAM_DIGESTS = {
 
 
 @pytest.mark.parametrize("n,digest", [
-    pytest.param(n, digest, marks=pytest.mark.skipif(
-        n > 16 and not STRETCH, reason="about 4 s; set REDIC_STRETCH=1"))
+    pytest.param(n, digest, marks=[pytest.mark.stretch(reason="about 4 s")] if n > 16 else [])
     for n, digest in sorted(TREE_STREAM_DIGESTS.items())
 ])
 def test_tree_stream_is_pinned(n, digest):
@@ -402,7 +392,7 @@ def test_maximal_encodings_have_non_decreasing_earliest_neighbours():
     # the lemma behind attaching each new cubic vertex to the lowest
     # unsaturated vertex
     rng = random.Random(31)
-    keys = [(g.n, *_columns(list(g.adj))) for n in range(4, 15, 2) for g in cubic_graphs(n)]
+    keys = [(g.n, *_columns(list(g.adj))) for n in range(4, 15, 2) for g in cubic_graphs_cached(n)]
     for _ in range(500):
         n = rng.randint(2, 10)
         p = rng.uniform(0.2, 0.8)

@@ -26,10 +26,7 @@ from redic.graphs import (
     write_graph6,
 )
 
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return build_graph(n, edges)
+from literal import random_graph
 
 
 def test_build_cycle_and_claw():

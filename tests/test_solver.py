@@ -1,4 +1,3 @@
-import os
 import random
 from itertools import combinations, permutations
 
@@ -25,14 +24,7 @@ from redic.graphs import (
 from redic.solver import Budget, _constraint_masks, _Search, feasible_at, forced_detectors, lower_bound, solve_min
 from redic.symmetry import Automorphisms, automorphisms
 
-from literal import literal_constraint_masks, literal_verify, rule_forced
-
-
-STRETCH = bool(os.environ.get("REDIC_STRETCH"))
-
-
-def random_graph(rng, n, p=0.5):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from literal import literal_constraint_masks, literal_verify, random_graph, rule_forced
 
 
 def brute_minimum(g, kind):
@@ -347,7 +339,7 @@ def _check_against_plain(g):
         assert verify(g, at.witness, kind) is None
 
 
-@pytest.mark.skipif(not STRETCH, reason="about 12-14 s; set REDIC_STRETCH=1")
+@pytest.mark.stretch(reason="about 12-14 s")
 def test_stretch_torus_7x7_optimal_at_25():
     g = torus(7, 7)
     out = solve_min(g, CodeKind.RED_IC)
@@ -368,7 +360,7 @@ def test_orbital_fixing_matches_plain_search(g):
     _check_against_plain(g)
 
 
-@pytest.mark.skipif(not STRETCH, reason="minutes of plain search; set REDIC_STRETCH=1")
+@pytest.mark.stretch(reason="minutes of plain search")
 @pytest.mark.parametrize("g", [g for g in _vertex_transitive(36) if g.n > 24 and g.meta["family"] != "hypercube"],
                          ids=_name)
 def test_stretch_orbital_fixing_matches_plain_search(g):

@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import multiprocessing
-import os
 import signal
 import time
 
@@ -10,8 +9,6 @@ import pytest
 from redic import tables
 from redic.graphs import Graph
 from redic.tables import CUBIC_REFERENCE, TREE_REFERENCE, CubicRow, TreeRow, cubic_row, diff_row, tree_row
-
-STRETCH = bool(os.environ.get("REDIC_STRETCH"))
 
 
 def test_tree_reference_is_internally_consistent():
@@ -257,14 +254,14 @@ def test_census_row_is_pinned(kind, n, threads):
     _check_census_row(kind, n, threads, CENSUS_PINS)
 
 
-@pytest.mark.skipif(not STRETCH, reason="about 15 s; set REDIC_STRETCH=1")
+@pytest.mark.stretch(reason="about 15 s")
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("kind,n", list(STRETCH_CENSUS_PINS))
 def test_stretch_census_row_is_pinned(kind, n, threads):
     _check_census_row(kind, n, threads, STRETCH_CENSUS_PINS)
 
 
-@pytest.mark.skipif(not STRETCH, reason="about 8 s; set REDIC_STRETCH=1")
+@pytest.mark.stretch(reason="about 8 s")
 def test_stretch_tree_rows_18_19_are_complete():
     # not frozen in TREE_REFERENCE until an independent tree method agrees
     for n, with_code in ((18, 8370), (19, 18866)):
