@@ -32,6 +32,15 @@ node with slack >= 1, no exclusion takes a slack below 0, and the search
 never meets a conflict.  Forcing is itself inclusion, so one pass over the
 tight constraints reaches the fixpoint.
 
+Closed root: let F be the union of the constraints with exactly t members,
+those whose slack starts at 0.  When every constraint has at least t
+members in F, the root's propagation leaves none active, so F is a code
+contained in every code, the unique minimum.  ``_prelude`` decides this
+from the constraint list, ORing F together in the pass that looks for a
+constraint with fewer than t members, and returns F before anything is
+packed, with the counters the search would report: one node, |F| forced,
+nothing pruned.  A node cap of 0 admits no node, so it goes to the search.
+
 A node is cut when a lower bound on the detectors it still needs reaches
 the gap to the incumbent: a greedy disjoint packing of the active
 constraints, bucket by bucket of ``cnt``, or the domination deficit.  Each
@@ -166,10 +175,10 @@ def forced_detectors(g: Graph, kind: CodeKind = CodeKind.RED_IC) -> frozenset[in
     these apply, it is often not empty.
     Raises ValueError when no code of the kind exists.
     """
-    masks = _constraint_masks(g)
-    if _no_code(g, kind, masks) is not None:
+    reason, forced = _root(g, kind, _constraint_masks(g))
+    if reason is not None:
         raise ValueError(f"no {kind.value} code exists for this graph")
-    return frozenset(v for m in masks if m.bit_count() == kind.req for v in bits(m))
+    return frozenset(bits(forced))
 
 
 @dataclass(frozen=True)
@@ -244,16 +253,26 @@ def _constraint_masks(g: Graph) -> list[int]:
     return [*closed, *sorted(pair_masks)]
 
 
-def _no_code(g: Graph, kind: CodeKind, masks: list[int]) -> existence.NoCode | None:
-    """Why no code of the kind exists, or None: asks ``existence`` only when
-    a constraint has fewer than t members, or for the empty graph, which by
-    its convention has no RED:IC."""
-    if g.n and min(map(int.bit_count, masks)) >= kind.req:
-        return None
+def _root(g: Graph, kind: CodeKind, masks: list[int]) -> tuple[existence.NoCode | None, int]:
+    """Why no code of the kind exists, or None; and F, the union of the
+    constraints with exactly t members (0 without a code).  Asks
+    ``existence`` only when a constraint has fewer than t members, or for
+    the empty graph, which by its convention has no RED:IC."""
+    t = kind.req
+    forced = 0
+    if g.n:
+        for m in masks:
+            size = m.bit_count()
+            if size <= t:
+                if size < t:
+                    break
+                forced |= m
+        else:
+            return None, forced
     reason = existence.exists_red_ic(g) if kind is CodeKind.RED_IC else existence.exists_ic(g)
     if reason is None and g.n:
-        raise RuntimeError(f"a constraint has fewer than {kind.req} members, but existence finds a code")
-    return reason
+        raise RuntimeError(f"a constraint has fewer than {t} members, but existence finds a code")
+    return reason, 0
 
 
 class _BudgetExhausted(Exception):
@@ -585,12 +604,34 @@ class _Search:
                            self.orbit_fixed, self.group.order if self.group is not None else 1)
 
 
-def _prelude(g: Graph, kind: CodeKind, budget: Budget | None) -> tuple[existence.NoCode | None, _Search | None]:
-    """The reason no code exists, or the search; decided from the constraint
-    list before it is packed, so a graph without a code packs nothing."""
+def _prelude(
+    g: Graph, kind: CodeKind, budget: Budget | None
+) -> tuple[existence.NoCode | None, int | None, _Search | None]:
+    """The reason no code exists; else F when the root closes (every
+    constraint has at least t members in it) and the budget admits the
+    root node; else the search.  Decided from the constraint list before
+    it is packed, so neither a graph without a code nor a closed root
+    packs."""
     masks = _constraint_masks(g)
-    reason = _no_code(g, kind, masks)
-    return reason, None if reason is not None else _Search(g, kind, budget, masks)
+    reason, forced = _root(g, kind, masks)
+    if reason is not None:
+        return reason, None, None
+    cap = (budget or Budget()).max_nodes
+    if cap is None or cap > 0:
+        t = kind.req
+        for m in masks:
+            if (m & forced).bit_count() < t:
+                break
+        else:
+            return None, forced, None
+    return None, None, _Search(g, kind, budget, masks)
+
+
+def _closed_stats(g: Graph, forced: int, t0: float) -> SolverStats:
+    """The counters of a search that closes at its root: one node, F forced."""
+    group = automorphisms(g)
+    return SolverStats(1, time.perf_counter() - t0, forced.bit_count(),
+                       group_order=group.order if group is not None else 1)
 
 
 def _verified(g: Graph, mask: int, kind: CodeKind) -> tuple[int, ...]:
@@ -613,13 +654,17 @@ def solve_min(
     budget-limited run still reports a valid upper bound and witness.
     """
     t0 = time.perf_counter()
-    reason, search = _prelude(g, kind, budget)
+    reason, closed, search = _prelude(g, kind, budget)
     if reason is not None:
         return SolveOutcome("infeasible", g.n, reason=reason,
                             stats=SolverStats(0, time.perf_counter() - t0))
     if g.n == 0:
         return SolveOutcome("optimal", 0, k=0, witness=(), lower=0, upper=0,
                             stats=SolverStats(0, time.perf_counter() - t0))
+    if closed is not None:
+        k = closed.bit_count()
+        return SolveOutcome("optimal", g.n, k=k, witness=_verified(g, closed, kind), lower=k, upper=k,
+                            stats=_closed_stats(g, closed, t0))
     incumbent = search.greedy()
     completed = search.run(cap=incumbent.bit_count(), stop_at_first=False)
     best = search.best if search.best is not None else incumbent
@@ -643,9 +688,12 @@ def feasible_at(
     the search was cut short.
     """
     t0 = time.perf_counter()
-    reason, search = _prelude(g, kind, budget)
+    reason, closed, search = _prelude(g, kind, budget)
     if reason is not None or k < 0:
         return FeasibilityResult(None, True, SolverStats(0, time.perf_counter() - t0))
+    if closed is not None:
+        stats = _closed_stats(g, closed, t0)
+        return FeasibilityResult(_verified(g, closed, kind) if k >= closed.bit_count() else None, True, stats)
     completed = search.run(cap=min(k, g.n) + 1, stop_at_first=True)
     stats = search.stats(t0)
     if search.best is not None:

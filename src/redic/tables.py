@@ -21,8 +21,11 @@ shard's list of ints and its node total come back over a pipe, never a
 graph.  Tree shards walk the level sequences of their share and decide
 existence on each tree's parent array (``existence.tree_has_red_ic``): a
 rejected tree counts as having no code and is never built, so only the
-trees that admit a code (about a tenth) become a ``Graph`` and reach the
-solver.  Cubic shards each enumerate the whole cubic stream and keep
+trees that admit a code (about a tenth) become a ``Graph`` and reach
+``solve_min``.  Most of those close at the root (2,866 of the 3,150 for
+n = 4..16): the members of their constraints with exactly two members
+already form a code, which ``solve_min`` returns without packing a
+search.  Cubic shards each enumerate the whole cubic stream and keep
 their slice, one extra enumeration per extra process.
 """
 

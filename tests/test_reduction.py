@@ -14,7 +14,6 @@ from redic.reduction import (
     f_gadget,
     find_f_gadget,
     find_h_gadget,
-    h_gadget,
     parse_dimacs,
     verify_reduction,
 )

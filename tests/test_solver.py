@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from redic import existence, solver
 from redic.detection import CodeKind, verify
 from redic.existence import closed_twins, exists_ic, exists_red_ic
-from redic.generators import enum_cubic
+from redic.generators import enum_cubic, enum_trees
 from redic.graphs import (
     Graph,
     bits,
@@ -626,6 +627,76 @@ def test_root_is_propagated_once():
         assert search.forces == 1 + search.excludes
         excluded += search.excludes
     assert excluded > 0
+
+
+def _trees_with_code():
+    """Every tree on n <= 13 vertices with a RED:IC, and every one on
+    n <= 10 with an IC, each with its kind."""
+    return [(g, kind) for n in range(1, 14) for g in enum_trees(n) for kind in CodeKind
+            if (kind is CodeKind.RED_IC or n <= 10)
+            and (exists_red_ic(g) if kind is CodeKind.RED_IC else exists_ic(g)) is None]
+
+
+def _closes(g, kind):
+    """Whether F, the union of the constraints with exactly t members, has
+    at least t members in every constraint, on the literal constraint list."""
+    masks = literal_constraint_masks(g)
+    forced = 0
+    for m in masks:
+        if m.bit_count() == kind.req:
+            forced |= m
+    return all((m & forced).bit_count() >= kind.req for m in masks)
+
+
+def _search_always(g, kind, budget):
+    """``solver._prelude`` without the closed root: a graph with a code gets the search."""
+    masks = _constraint_masks(g)
+    reason, _ = solver._root(g, kind, masks)
+    return reason, None, None if reason is not None else _Search(g, kind, budget, masks)
+
+
+def _closed_calls(g, kind, budget):
+    """``solve_min``, then ``feasible_at`` one below its k and at it, each
+    with ``elapsed`` zeroed, so that equality compares every other field."""
+    out = solve_min(g, kind, budget)
+    return [replace(r, stats=replace(r.stats, elapsed=0.0))
+            for r in (out, feasible_at(g, kind, out.k - 1, budget), feasible_at(g, kind, out.k, budget))]
+
+
+CLOSED_BUDGETS = [None, Budget(max_nodes=0), Budget(max_nodes=1)]
+
+
+def test_closed_root_reports_what_the_search_reports(monkeypatch):
+    cases = [(g, kind, budget) for g, kind in _trees_with_code() for budget in CLOSED_BUDGETS]
+    closed = [_closed_calls(*case) for case in cases]
+    monkeypatch.setattr(solver, "_prelude", _search_always)
+    for case, fast in zip(cases, closed):
+        assert _closed_calls(*case) == fast, (case[0].adj, case[1], case[2])
+
+
+def test_closed_root_builds_no_search(monkeypatch):
+    cases = _trees_with_code()
+    closing = [(g, kind) for g, kind in cases if _closes(g, kind)]
+    # 317 of the 332 RED:IC trees close, and 2 of the 200 IC trees (P1, P3)
+    assert (len(cases), len(closing)) == (532, 319)
+
+    def refuse(*args):
+        raise AssertionError("a closed root built a search")
+
+    monkeypatch.setattr(solver, "_Search", refuse)
+    for g, kind in closing:
+        forced = forced_detectors(g, kind)
+        for budget in (None, Budget(max_nodes=1)):
+            out = solve_min(g, kind, budget)
+            assert (out.status, out.witness, out.stats.nodes) == ("optimal", tuple(sorted(forced)), 1)
+            assert feasible_at(g, kind, out.k - 1, budget).witness is None
+            assert feasible_at(g, kind, out.k, budget).witness == out.witness
+    built = []
+    monkeypatch.setattr(solver, "_Search", lambda *args: built.append(args[0]) or _Search(*args))
+    for g in (hypercube(3), torus(4, 4)):
+        solve_min(g)
+        feasible_at(g, CodeKind.RED_IC, g.n - 1)
+    assert len(built) == 4
 
 
 @pytest.mark.parametrize("budget", [None, Budget(max_nodes=3)], ids=["unbudgeted", "nodes<=3"])
