@@ -29,6 +29,13 @@ from itertools import combinations
 from .graphs import Graph, bits
 
 
+_MESSAGES = {
+    "too-small": "component ({}) has fewer than 4 vertices",
+    "closed-twins": "closed twins ({})",
+    "triangle": "triangle edge ({}) has closed-neighborhood difference below 2",
+}
+
+
 @dataclass(frozen=True)
 class NoCode:
     """Structured reason a code cannot exist, with the offending vertices."""
@@ -37,13 +44,9 @@ class NoCode:
     witness: tuple[int, ...]
 
     def __str__(self) -> str:
-        w = ",".join(map(str, self.witness))
-        return {
-            "too-small": f"component ({w}) has fewer than 4 vertices",
-            "closed-twins": f"closed twins ({w})",
-            "support-degree": f"support vertex {self.witness[0]} has degree 2 or less",
-            "triangle": f"triangle edge ({w}) has closed-neighborhood difference below 2",
-        }[self.why]
+        if self.why == "support-degree":  # the witness is (support, leaf); name the support
+            return " ".join(["support vertex", *map(str, self.witness[:1]), "has degree 2 or less"])
+        return _MESSAGES[self.why].format(",".join(map(str, self.witness)))
 
 
 def closed_twins(g: Graph) -> list[tuple[int, int]]:

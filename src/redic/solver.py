@@ -17,7 +17,13 @@ fixed-width field per constraint, and ``inc[v]`` has a 1 in the field of
 each constraint containing v.  So assigning a vertex is one big-int
 subtraction, a question about every constraint at once (which are active,
 which tight, which have a given ``cnt``) is a few word-parallel operations,
-and backtracking restores a snapshot of the counters.
+and backtracking restores a snapshot of the counters.  The fields run in
+reverse: of L constraints, constraint i has field L - 1 - i, so the lowest
+index among flagged constraints is the highest set bit, which
+``int.bit_length`` finds without a scan.  And no operation on a packed
+int takes a negative operand: ``a & ~b`` is written ``a ^ (a & b)``, since
+in CPython an AND with a negative int of thousands of bits costs about
+three times one between non-negative ints.
 
 Slack invariant: a constraint's slack ``cnt - res`` is |mask| - t minus its
 excluded members, so it starts at |mask| - t.  A code exists iff V itself
@@ -289,17 +295,21 @@ class _Search:
     """Shared branch-and-bound core for minimization and K-feasibility.
 
     The current assignment lives in ``chosen`` (included vertices), ``free``
-    (unassigned ones) and two packed counters: constraint i owns the w-bit
-    field at bit ``w * i`` of ``R``, which holds ``res + big``, and of
-    ``C``, which holds ``cnt + big``, where ``big`` is the largest mask
-    size.  w is 8 times the least power of two fb with 2^(w-1) > 2 * big + 2,
-    so every field stays in [0, 2^(w-1)) and no carry or borrow crosses
-    into the next; ``C - R`` then holds every slack.  Including x is
+    (unassigned ones) and two packed counters: of the L constraints,
+    constraint i owns the w-bit field at bit ``w * (L - 1 - i)`` of ``R``,
+    which holds ``res + big``, and of ``C``, which holds ``cnt + big``,
+    where ``big`` is the largest mask size; ``field_masks`` lists the masks
+    in field order, so the domination constraints hold the top n fields.
+    w is 8 times the least power of two fb with 2^(w-1) > 2 * big + 2, so
+    every field stays in [0, 2^(w-1)) and no carry or borrow crosses into
+    the next; ``C - R`` then holds every slack.  Including x is
     ``R -= inc[x]; C -= inc[x]``, excluding it ``C -= inc[x]``.  A query
     adds ``top - t`` to every field, which sets a field's high bit exactly
     where it exceeds t, and returns the constraints it selects as the low
-    bits of their fields.  ``_node`` backtracks by restoring the four ints
-    it saved.  The ``inc`` ints take n * fb bytes per constraint in all.
+    bits of their fields; the highest such bit is the lowest index.  Every
+    packed operand stays non-negative (``a ^ (a & b)`` for ``a & ~b``, and
+    ``kept`` holds ``ones ^ drop``).  ``_node`` backtracks by restoring the
+    four ints it saved.  The ``inc`` ints take n * fb bytes per constraint in all.
     ``kept`` is the packing bound's cache (see ``_need``), emptied before
     it would pass ``_KEPT_BYTES``.
     ``masks`` is the list ``_constraint_masks`` built, for a graph with a
@@ -339,7 +349,8 @@ class _Search:
         # of every mask into one int, one field per constraint; shifted right
         # by r, its low field bits say which constraints contain k*w + r
         per = -(-g.n // w)  # groups per mask
-        groups = memoryview(b"".join(map(int.to_bytes, masks, repeat(per * fb), repeat("little"))))
+        self.field_masks = field_masks = masks[::-1]  # the constraint of each field, bottom field first
+        groups = memoryview(b"".join(map(int.to_bytes, field_masks, repeat(per * fb), repeat("little"))))
         groups = groups.cast("BHIQ"[fb.bit_length() - 1])
         self.inc = inc = []  # per vertex, a 1 in the field of each constraint containing it
         for k in range(per):
@@ -348,7 +359,7 @@ class _Search:
         self.high = ones << (w - 1)
         self.top = ((1 << (w - 1)) - 1) * ones  # 2^(w-1) - 1 in every field
         self.over = self.top - big * ones  # flags R > big, that is res >= 1
-        self.dom = (1 << w * g.n) - 1  # the domination fields
+        self.dom = (1 << w * len(masks)) - (1 << w * (len(masks) - g.n))  # the domination fields, on top
         self.kept = {}  # by a packed constraint's free members, what the packing keeps
         self.kept_room = _KEPT_BYTES // (max(len(masks), 1) * fb)
         # the root: nothing assigned, then propagated (``forced_detectors``)
@@ -401,18 +412,24 @@ class _Search:
         reaches the fixpoint.
         """
         R = self.R
-        tight = R + self.over & ~(self.C - R + self.top) & self.high
+        active = R + self.over & self.high
+        tight = active ^ (active & self.C - R + self.top)  # active, and slack not above 0
         if not tight:
             return 0
-        masks, w = self.masks, self.w
+        field_masks, w = self.field_masks, self.w
         forced = 0
         while tight:
             hi = tight.bit_length() - 1
-            forced |= masks[hi // w]
+            forced |= field_masks[hi // w]
             tight ^= 1 << hi
         forced &= self.free
         inc = self.inc
-        taken = sum(map(inc.__getitem__, bits(forced)))
+        taken = 0
+        left = forced
+        while left:
+            x = left.bit_length() - 1
+            taken += inc[x]
+            left ^= 1 << x
         self.R = R - taken
         self.C -= taken
         self.free ^= forced
@@ -441,13 +458,13 @@ class _Search:
         every constraint that meets its free members ``take``: the OR of
         ``inc[x]`` over x in take.  That conflict set depends on ``take``
         alone, since ``inc`` is fixed for the search, so ``kept`` caches its
-        complement by ``take``; a hit returns the int a miss would build,
-        and the cache cannot change a bound.
+        complement within ``ones`` by ``take``; a hit returns the int a miss
+        would build, and the cache cannot change a bound.
         """
         ratio = -(-self._deficit(active, heavy) // self.max_cover)
         if ratio >= gap:
             return ratio
-        masks, inc, free, w, kept = self.masks, self.inc, self.free, self.w, self.kept
+        field_masks, inc, free, w, kept = self.field_masks, self.inc, self.free, self.w, self.kept
         ones, sh = self.ones, w - 1
         # every active constraint has cnt > res >= 1 (the slack invariant),
         # so the bucket cnt == 1 is empty and the walk starts at cnt == 2
@@ -459,11 +476,11 @@ class _Search:
             bucket = active ^ rest  # so cnt == t
             active = rest
             while bucket:
-                low = bucket & -bucket
-                packed += 2 if heavy & low else 1
+                hi = bucket.bit_length() - 1  # the lowest constraint index of the bucket
+                packed += 2 if heavy >> hi & 1 else 1
                 if packed >= gap:
                     return packed
-                take = masks[low.bit_length() // w] & free
+                take = field_masks[hi // w] & free
                 keep = kept.get(take)
                 if keep is None:
                     # drop every constraint that meets the free members
@@ -476,7 +493,7 @@ class _Search:
                         left ^= bit
                     if len(kept) >= self.kept_room:
                         kept.clear()
-                    kept[take] = keep = ~drop
+                    kept[take] = keep = ones ^ drop
                 bucket &= keep
                 active &= keep
         return packed if packed >= ratio else ratio
@@ -490,19 +507,21 @@ class _Search:
         least = 0
         while not least:
             slack -= ones  # flags slack > s, for s = 1, 2, ...
-            least = active & ~((slack & high) >> sh)  # so slack == s
-        light = least & ~heavy  # res = 1, so the least cnt of this slack
+            least = active ^ (active & (slack & high) >> sh)  # so slack == s
+        light = least ^ (least & heavy)  # res = 1, so the least cnt of this slack
         if light:
             least = light
-        i = (least & -least).bit_length() // self.w
+        left = self.field_masks[(least.bit_length() - 1) // self.w] & self.free
         inc = self.inc
         best_x = -1
         best_score = -1
-        for x in bits(self.masks[i] & self.free):
+        while left:  # from the highest vertex down, so ties go to the lowest
+            x = left.bit_length() - 1
             score = (active & inc[x]).bit_count()
-            if score > best_score:
+            if score >= best_score:
                 best_score = score
                 best_x = x
+            left ^= 1 << x
         return best_x
 
     # -- search ------------------------------------------------------------
@@ -510,7 +529,9 @@ class _Search:
     def _node(self):
         """Search below the current assignment, which propagation has closed."""
         R, C, chosen, free = self.R, self.C, self.chosen, self.free
-        active, heavy = self._unmet()
+        high, sh = self.high, self.w - 1
+        U = R + self.over  # as ``_unmet``
+        active = (U & high) >> sh
         if not active:
             size = chosen.bit_count()
             if size < self.cap:
@@ -519,6 +540,7 @@ class _Search:
                 if self.stop_at_first:
                     self.done = True
             return
+        heavy = (U - self.ones & high) >> sh
         gap = self.cap - chosen.bit_count()
         if self._need(active, heavy, gap) >= gap:
             self.pruned += 1
@@ -526,7 +548,8 @@ class _Search:
         x = self._branch_vertex(active, heavy)
         sym = self.sym
         self._tick()
-        self._include(x)
+        a, bit = self.inc[x], 1 << x  # as ``_include``
+        self.R, self.C, self.free, self.chosen = R - a, C - a, free ^ bit, chosen | bit
         if sym is not None:
             self.sym = sym.stabiliser(x)
         self._node()

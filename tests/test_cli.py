@@ -77,6 +77,12 @@ def test_solve_infeasible_exits_1(capsys):
     assert code == 1 and "support" in out
 
 
+def test_solve_empty_graph_exits_1_with_its_reason(capsys):
+    # graph6 '?' is the graph on no vertices, which has no RED:IC
+    code, out, _ = run(capsys, "solve", "--graph6", "?")
+    assert (code, out) == (1, "no red-ic code exists: component () has fewer than 4 vertices\n")
+
+
 def test_exists(capsys):
     code, out, _ = run(capsys, "exists", "--family", "complete", "--params", "5")
     assert code == 1 and "twins" in out

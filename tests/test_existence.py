@@ -25,6 +25,20 @@ def random_connected(rng, n):
             return g
 
 
+@pytest.mark.parametrize("why, witness, text", [
+    ("too-small", (), "component () has fewer than 4 vertices"),
+    ("too-small", (0, 1, 2), "component (0,1,2) has fewer than 4 vertices"),
+    ("closed-twins", (), "closed twins ()"),
+    ("closed-twins", (3, 4), "closed twins (3,4)"),
+    ("support-degree", (), "support vertex has degree 2 or less"),
+    ("support-degree", (1, 0), "support vertex 1 has degree 2 or less"),
+    ("triangle", (), "triangle edge () has closed-neighborhood difference below 2"),
+    ("triangle", (0, 1, 2), "triangle edge (0,1,2) has closed-neighborhood difference below 2"),
+])
+def test_reason_text(why, witness, text):
+    assert str(NoCode(why, witness)) == text
+
+
 def test_closed_twins_examples():
     k5 = complete_graph(5)
     assert len(closed_twins(k5)) == 10

@@ -340,7 +340,7 @@ def _check_against_plain(g):
         assert verify(g, at.witness, kind) is None
 
 
-@pytest.mark.stretch(reason="about 12-14 s")
+@pytest.mark.stretch(reason="about 7-12 s")
 def test_stretch_torus_7x7_optimal_at_25():
     g = torus(7, 7)
     out = solve_min(g, CodeKind.RED_IC)
@@ -495,16 +495,18 @@ def rescanned_counters(search):
 
 
 def fields(search, packed):
-    """The fields of a packed counter, one int per constraint, offset removed."""
+    """The fields of a packed counter, one int per constraint in constraint
+    order (field f holds constraint L - 1 - f), offset removed."""
     fb = search.w // 8
     raw = packed.to_bytes(len(search.masks) * fb, "little")  # raises on a borrow out of the top field
-    return [int.from_bytes(raw[at:at + fb], "little") - search.big for at in range(0, len(raw), fb)]
+    return [int.from_bytes(raw[at:at + fb], "little") - search.big for at in range(0, len(raw), fb)][::-1]
 
 
 def members(search, flags):
     """The constraints a query flags, each by the low bit of its field."""
-    out = {b // search.w for b in bits(flags)}
-    assert flags == sum(1 << search.w * i for i in out)
+    last = len(search.masks) - 1
+    out = {last - b // search.w for b in bits(flags)}
+    assert flags == sum(1 << search.w * (last - i) for i in out)
     return out
 
 
@@ -514,15 +516,33 @@ def maintained_counters(search):
             "active": members(search, active), "dom_deficit": search._deficit(active, heavy)}
 
 
+class BoundedDict(dict):
+    """A dict whose every stored value must lie in [0, top]."""
+
+    def __init__(self, top):
+        super().__init__()
+        self.top = top
+
+    def __setitem__(self, key, value):
+        assert 0 <= value <= self.top
+        super().__setitem__(key, value)
+
+
 class CheckedSearch(_Search):
     """Recomputes every counter from the in and out masks at each node, and
     checks the two invariants that let the search skip conflicts and
     already-assigned orbit members: every active constraint has slack >= 1,
     and the node's stabiliser maps the included and excluded sets onto
     themselves (checked on the generators of the whole group).  Also checks
-    that the packing bound equals the rescan's, at a gap it cannot reach."""
+    that the packing bound equals the rescan's, at a gap it cannot reach,
+    that the branch vertex is the rescan's, and that every value the packing
+    caches lies in [0, ones]."""
 
     checked = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.kept = BoundedDict(self.ones)
 
     def _node(self):
         assert self.chosen & self.free == 0
@@ -533,6 +553,8 @@ class CheckedSearch(_Search):
         assert all(cnt[i] > res[i] for i in active)
         unresolved = [(self.masks[i] & self.free, res[i], i) for i in active]
         assert self._need(*self._unmet(), self.g.n + 1) == RescanSearch(self).need(unresolved)
+        if active:
+            assert self._branch_vertex(*self._unmet()) == RescanSearch(self).branch_vertex(unresolved)
         if self.sym is not None:
             perms = self.sym.generators if isinstance(self.sym, Automorphisms) else self.sym.elements
             for p in perms:
