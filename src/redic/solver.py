@@ -41,9 +41,9 @@ tight constraints reaches the fixpoint.
 Closed root: let F be the union of the constraints with exactly t members,
 those whose slack starts at 0.  When every constraint has at least t
 members in F, the root's propagation leaves none active, so F is a code
-contained in every code, the unique minimum.  ``_prelude`` decides this
-from the constraint list, ORing F together in the pass that looks for a
-constraint with fewer than t members, and returns F before anything is
+contained in every code, the unique minimum.  ``_root`` ORs F together in
+the pass that looks for a constraint with fewer than t members, and
+``_solve`` returns F, once ``_closes`` has checked it, before anything is
 packed, with the counters the search would report: one node, |F| forced,
 nothing pruned.  A node cap of 0 admits no node, so it goes to the search.
 
@@ -103,7 +103,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for the search; None means unlimited.
+    """Caps for the search; None means unlimited, and a negative or NaN cap
+    raises ValueError.
 
     A node cap gives the same outcome on every machine.  A wall-clock cap
     is checked every 256 nodes, so where it stops depends on machine speed.
@@ -111,6 +112,11 @@ class Budget:
 
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        for name, cap in (("max_nodes", self.max_nodes), ("max_seconds", self.max_seconds)):
+            if cap is not None and not cap >= 0:  # NaN compares false
+                raise ValueError(f"{name} must be at least 0, got {cap}")
 
 
 @dataclass
@@ -181,7 +187,7 @@ def forced_detectors(g: Graph, kind: CodeKind = CodeKind.RED_IC) -> frozenset[in
     these apply, it is often not empty.
     Raises ValueError when no code of the kind exists.
     """
-    reason, forced = _root(g, kind, _constraint_masks(g))
+    reason, _, forced = _root(g, kind)
     if reason is not None:
         raise ValueError(f"no {kind.value} code exists for this graph")
     return frozenset(bits(forced))
@@ -259,11 +265,12 @@ def _constraint_masks(g: Graph) -> list[int]:
     return [*closed, *sorted(pair_masks)]
 
 
-def _root(g: Graph, kind: CodeKind, masks: list[int]) -> tuple[existence.NoCode | None, int]:
-    """Why no code of the kind exists, or None; and F, the union of the
-    constraints with exactly t members (0 without a code).  Asks
-    ``existence`` only when a constraint has fewer than t members, or for
-    the empty graph, which by its convention has no RED:IC."""
+def _root(g: Graph, kind: CodeKind) -> tuple[existence.NoCode | None, list[int], int]:
+    """Why no code of the kind exists, or None; the constraint list; and F,
+    the union of the constraints with exactly t members (0 without a code).
+    Asks ``existence`` only when a constraint has fewer than t members, or
+    for the empty graph, which by its convention has no RED:IC."""
+    masks = _constraint_masks(g)
     t = kind.req
     forced = 0
     if g.n:
@@ -274,11 +281,21 @@ def _root(g: Graph, kind: CodeKind, masks: list[int]) -> tuple[existence.NoCode 
                     break
                 forced |= m
         else:
-            return None, forced
+            return None, masks, forced
     reason = existence.exists_red_ic(g) if kind is CodeKind.RED_IC else existence.exists_ic(g)
     if reason is None and g.n:
         raise RuntimeError(f"a constraint has fewer than {t} members, but existence finds a code")
-    return reason, 0
+    return reason, masks, 0
+
+
+def _closes(masks: list[int], forced: int, kind: CodeKind) -> bool:
+    """Whether every constraint has at least t members in F, so that the
+    root's propagation leaves none active and F is the unique minimum."""
+    t = kind.req
+    for m in masks:
+        if (m & forced).bit_count() < t:
+            return False
+    return True
 
 
 class _BudgetExhausted(Exception):
@@ -627,42 +644,45 @@ class _Search:
                            self.orbit_fixed, self.group.order if self.group is not None else 1)
 
 
-def _prelude(
-    g: Graph, kind: CodeKind, budget: Budget | None
-) -> tuple[existence.NoCode | None, int | None, _Search | None]:
-    """The reason no code exists; else F when the root closes (every
-    constraint has at least t members in it) and the budget admits the
-    root node; else the search.  Decided from the constraint list before
-    it is packed, so neither a graph without a code nor a closed root
-    packs."""
-    masks = _constraint_masks(g)
-    reason, forced = _root(g, kind, masks)
-    if reason is not None:
-        return reason, None, None
-    cap = (budget or Budget()).max_nodes
-    if cap is None or cap > 0:
-        t = kind.req
-        for m in masks:
-            if (m & forced).bit_count() < t:
-                break
-        else:
-            return None, forced, None
-    return None, None, _Search(g, kind, budget, masks)
-
-
-def _closed_stats(g: Graph, forced: int, t0: float) -> SolverStats:
-    """The counters of a search that closes at its root: one node, F forced."""
-    group = automorphisms(g)
-    return SolverStats(1, time.perf_counter() - t0, forced.bit_count(),
-                       group_order=group.order if group is not None else 1)
-
-
 def _verified(g: Graph, mask: int, kind: CodeKind) -> tuple[int, ...]:
     """The witness mask as a tuple, once ``verify`` has passed it."""
     bad = verify(g, mask, kind)
     if bad is not None:
         raise RuntimeError(f"solver produced an invalid witness: {bad}")
     return tuple(bits(mask))
+
+
+def _solve(
+    g: Graph, kind: CodeKind, budget: Budget | None, k: int | None
+) -> tuple[existence.NoCode | None, tuple[int, ...] | None, int | None, bool, SolverStats]:
+    """The root decision, then the closed root or one search, for a minimum
+    (k None) or for the first code of size <= k.  Returns why no code
+    exists, the verified witness (None when none was found), a lower bound
+    on the minimum when the budget cut a minimising search short, whether
+    the answer is exhaustive, and the counters."""
+    t0 = time.perf_counter()
+    reason, masks, forced = _root(g, kind)
+    if reason is not None:
+        return reason, None, None, True, SolverStats(0, time.perf_counter() - t0)
+    lower = None
+    if (budget is None or budget.max_nodes != 0) and _closes(masks, forced, kind):
+        best = forced if k is None or forced.bit_count() <= k else None
+        completed, group = True, automorphisms(g)
+        stats = SolverStats(1, time.perf_counter() - t0, forced.bit_count(),
+                            group_order=group.order if group is not None else 1)
+    else:
+        search = _Search(g, kind, budget, masks)
+        if k is None:
+            incumbent = search.greedy()
+            completed = search.run(cap=incumbent.bit_count(), stop_at_first=False)
+            best = search.best if search.best is not None else incumbent
+            if not completed:
+                lower = min(max(lower_bound(g, kind).value, search.root_lower()), best.bit_count())
+        else:
+            completed = search.run(cap=min(k, g.n) + 1, stop_at_first=True)
+            best = search.best
+        stats = search.stats(t0)
+    return None, None if best is None else _verified(g, best, kind), lower, completed, stats
 
 
 def solve_min(
@@ -676,26 +696,12 @@ def solve_min(
     root's forced detectors (V(G) itself is a code once one exists), so a
     budget-limited run still reports a valid upper bound and witness.
     """
-    t0 = time.perf_counter()
-    reason, closed, search = _prelude(g, kind, budget)
+    reason, witness, lower, completed, stats = _solve(g, kind, budget, None)
     if reason is not None:
-        return SolveOutcome("infeasible", g.n, reason=reason,
-                            stats=SolverStats(0, time.perf_counter() - t0))
-    if g.n == 0:
-        return SolveOutcome("optimal", 0, k=0, witness=(), lower=0, upper=0,
-                            stats=SolverStats(0, time.perf_counter() - t0))
-    if closed is not None:
-        k = closed.bit_count()
-        return SolveOutcome("optimal", g.n, k=k, witness=_verified(g, closed, kind), lower=k, upper=k,
-                            stats=_closed_stats(g, closed, t0))
-    incumbent = search.greedy()
-    completed = search.run(cap=incumbent.bit_count(), stop_at_first=False)
-    best = search.best if search.best is not None else incumbent
-    k = best.bit_count()
-    lower = k if completed else min(max(lower_bound(g, kind).value, search.root_lower()), k)
-    stats = search.stats(t0)
-    return SolveOutcome("optimal" if completed else "bounded", g.n, k=k,
-                        witness=_verified(g, best, kind), lower=lower, upper=k, stats=stats)
+        return SolveOutcome("infeasible", g.n, reason=reason, stats=stats)
+    k = len(witness)
+    return SolveOutcome("optimal" if completed else "bounded", g.n, k=k, witness=witness,
+                        lower=k if completed else lower, upper=k, stats=stats)
 
 
 def feasible_at(
@@ -710,15 +716,7 @@ def feasible_at(
     code exists.  With a budget, witness=None and exhaustive=False means
     the search was cut short.
     """
-    t0 = time.perf_counter()
-    reason, closed, search = _prelude(g, kind, budget)
-    if reason is not None or k < 0:
-        return FeasibilityResult(None, True, SolverStats(0, time.perf_counter() - t0))
-    if closed is not None:
-        stats = _closed_stats(g, closed, t0)
-        return FeasibilityResult(_verified(g, closed, kind) if k >= closed.bit_count() else None, True, stats)
-    completed = search.run(cap=min(k, g.n) + 1, stop_at_first=True)
-    stats = search.stats(t0)
-    if search.best is not None:
-        return FeasibilityResult(_verified(g, search.best, kind), True, stats)
-    return FeasibilityResult(None, completed, stats)
+    if k < 0:
+        return FeasibilityResult(None, True)
+    _, witness, _, completed, stats = _solve(g, kind, budget, k)
+    return FeasibilityResult(witness, completed, stats)

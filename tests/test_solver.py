@@ -238,6 +238,25 @@ def test_budget_returns_bounds():
     assert full.is_optimal and out.lower <= full.k <= out.upper
 
 
+def test_bad_budgets_are_rejected():
+    for cap in (dict(max_nodes=-5), dict(max_nodes=-1), dict(max_seconds=-0.5), dict(max_seconds=float("nan"))):
+        with pytest.raises(ValueError, match="must be at least 0"):
+            Budget(**cap)
+    Budget(max_nodes=0, max_seconds=0.0)  # 0 is a cap, not an error
+
+
+def test_negative_k_builds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("k < 0 built a constraint list or a search")
+
+    monkeypatch.setattr(solver, "_constraint_masks", refuse)
+    monkeypatch.setattr(solver, "_Search", refuse)
+    for g in (torus(4, 4), path_graph(5), build_graph(0, [])):
+        for kind in CodeKind:
+            res = feasible_at(g, kind, -1)
+            assert (res.witness, res.exhaustive, res.stats.nodes) == (None, True, 0)
+
+
 def test_wall_clock_budget_is_honoured():
     # the clock is read every 256 nodes; torus 6x6 needs 11,845 to finish
     g = torus(6, 6)
@@ -248,10 +267,27 @@ def test_wall_clock_budget_is_honoured():
     assert (res.witness, res.exhaustive, res.stats.nodes) == (None, False, 256)
 
 
+def _pinned(out):
+    """A solve's status, k, witness, lower, upper, nodes and forced."""
+    return out.status, out.k, out.witness, out.lower, out.upper, out.stats.nodes, out.stats.forced
+
+
 def test_empty_and_tiny_graphs():
+    # the empty graph's IC is the empty set, found at the root as on any
+    # other graph; by convention the empty graph has no RED:IC
     empty = build_graph(0, [])
-    assert solve_min(empty, CodeKind.IC).k == 0
-    assert solve_min(empty, CodeKind.RED_IC).status == "infeasible"
+    ic, red, capped = CodeKind.IC, CodeKind.RED_IC, Budget(max_nodes=0)
+    assert _pinned(solve_min(empty, ic)) == ("optimal", 0, (), 0, 0, 1, 0)
+    assert _pinned(solve_min(empty, ic, capped)) == ("bounded", 0, (), 0, 0, 0, 0)
+    assert _pinned(solve_min(path_graph(4), ic, capped))[:5] == ("bounded", 3, (0, 1, 2), 3, 3)
+    out = solve_min(empty, red)
+    assert _pinned(out) == ("infeasible", None, None, None, None, 0, 0)
+    assert out.reason.why == "too-small"
+    for k in (0, 1):
+        for kind, budget, expected in [(ic, None, ((), True, 1, 0)), (ic, capped, (None, False, 0, 0)),
+                                       (red, None, (None, True, 0, 0)), (red, capped, (None, True, 0, 0))]:
+            res = feasible_at(empty, kind, k, budget)
+            assert (res.witness, res.exhaustive, res.stats.nodes, res.stats.forced) == expected, (kind, budget, k)
     single = build_graph(1, [])
     assert solve_min(single, CodeKind.IC).k == 1
     assert solve_min(single, CodeKind.RED_IC).status == "infeasible"
@@ -670,13 +706,6 @@ def _closes(g, kind):
     return all((m & forced).bit_count() >= kind.req for m in masks)
 
 
-def _search_always(g, kind, budget):
-    """``solver._prelude`` without the closed root: a graph with a code gets the search."""
-    masks = _constraint_masks(g)
-    reason, _ = solver._root(g, kind, masks)
-    return reason, None, None if reason is not None else _Search(g, kind, budget, masks)
-
-
 def _closed_calls(g, kind, budget):
     """``solve_min``, then ``feasible_at`` one below its k and at it, each
     with ``elapsed`` zeroed, so that equality compares every other field."""
@@ -691,7 +720,7 @@ CLOSED_BUDGETS = [None, Budget(max_nodes=0), Budget(max_nodes=1)]
 def test_closed_root_reports_what_the_search_reports(monkeypatch):
     cases = [(g, kind, budget) for g, kind in _trees_with_code() for budget in CLOSED_BUDGETS]
     closed = [_closed_calls(*case) for case in cases]
-    monkeypatch.setattr(solver, "_prelude", _search_always)
+    monkeypatch.setattr(solver, "_closes", lambda *args: False)
     for case, fast in zip(cases, closed):
         assert _closed_calls(*case) == fast, (case[0].adj, case[1], case[2])
 

@@ -82,6 +82,8 @@ def test_budget_marks_partial():
 def test_zero_budget_is_a_cap_not_unlimited():
     assert cubic_row(8, budget_nodes=0).partial
     assert not cubic_row(8, budget_nodes=None).partial
+    with pytest.raises(ValueError, match="max_nodes must be at least 0"):
+        tree_row(9, budget_nodes=-1)
 
 
 def test_threads_give_identical_rows():
