@@ -4,14 +4,26 @@ Trees are level sequences (the depth of each vertex in preorder, rooted at
 a centre), stepped through one per isomorphism class by the algorithm of
 Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15, 1986) in constant
 amortized time; vertex i is entry i.  Cubic graphs are generated
-natively by an orderly algorithm: graphs are grown one vertex at a time and
-a partial graph survives only if its column-major upper-triangle encoding
-is the lexicographic maximum over all relabelings.  Restricting each new
-vertex to attach to at least one earlier vertex is sound because the
-maximal encoding of a connected graph never contains an empty column, and
-prefixes of maximal encodings are maximal for the induced subgraph -- so
-every isomorphism class is emitted exactly once, with no explicit
-duplicate store.
+natively by an orderly algorithm (Read, Ann. Discrete Math. 2, 1978):
+graphs are grown one vertex at a time, and a graph is emitted only if its
+column-major upper-triangle encoding is the lexicographic maximum over all
+relabelings.  Restricting each new vertex to attach to at least one
+earlier vertex is sound because the maximal encoding of a connected graph
+never contains an empty column, and prefixes of maximal encodings are
+maximal for the induced subgraph -- so every isomorphism class is emitted
+exactly once, with no explicit duplicate store.
+
+The maximality test runs on every complete graph, but on a partial graph
+only when it has two or more candidate children; one with fewer leaves the
+decision to its child.  This is sound because a child of a non-maximal
+graph is not maximal: the parent's better labeling, with the new vertex
+put last, beats the child at the same column.  So a rejection is never
+lost, only made further down, and every emitted graph is still tested.
+Since the prefixes of a maximal complete graph are maximal and pass the
+same filters, the emitted stream is the same, in the same order, as when
+every partial graph is tested.  A partial graph with no children is never
+tested, and the test of one with a single child could have spared at most
+that child's test.
 
 Each new vertex is moreover attached to the lowest vertex that still has
 degree < 3 (Brinkmann's cubic generator, J. Graph Theory 23, 1996, rests
@@ -114,6 +126,9 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
     the sequences.  The same list is yielded each time and changed in place
     by the next step: read it, or copy it, before asking for the next.
     """
+    for name, value in (("n", n), ("res", res), ("mod", mod)):
+        if not isinstance(value, int):
+            raise ValueError(f"tree_levels needs an integer {name}, got {value!r}")
     if n < 1:
         raise ValueError("trees need n >= 1")
     if mod < 1 or not 0 <= res < mod:
@@ -276,6 +291,8 @@ def enum_cubic(n: int) -> Iterator[Graph]:
 
     Odd n yields nothing (the degree sum would be odd); a note is logged.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"enum_cubic needs an integer n, got {n!r}")
     if n < 4:
         return
     if n % 2:
@@ -291,10 +308,26 @@ def cubic_graphs_cached(n: int) -> tuple[Graph, ...]:
 
 
 def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
-    k = len(adj)
-    if k == n:
-        yield Graph(n, adj)
+    """The maximal completions of a partial graph, in stream order.  The
+    canonicity test runs only where it can prune: on a complete graph, and
+    on a partial graph with two or more children (module docstring)."""
+    if len(adj) == n:
+        if _better_labeling(adj, cols) is None:
+            yield Graph(n, adj)
         return
+    children = _children(adj, cols, n)
+    if len(children) > 1 and _better_labeling(adj, cols) is not None:
+        return
+    for child in children:
+        yield from _grow_cubic(*child, n)
+
+
+def _children(adj: list[int], cols: list[int], n: int) -> list[tuple[list[int], list[int]]]:
+    """The candidate children of a partial graph as (adjacency, columns),
+    in stream order: each way of joining vertex k to earlier vertices that
+    the degree arithmetic, the lowest-open-vertex rule and the swap check
+    allow.  None of them is tested for canonicity here."""
+    k = len(adj)
     # Degree arithmetic, decided once per level: can the partial graph still
     # close to 3-regular once the new vertex joins?  No deficit may exceed
     # the future vertices' count (simple graph), so a deficit of future + 1
@@ -305,9 +338,10 @@ def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
     future = n - k - 1
     deficits = [3 - a.bit_count() for a in adj]
     if max(deficits) > future + 1:
-        return
+        return []
     must = mask_of(v for v, d in enumerate(deficits) if d == future + 1)
     open_verts = [v for v in range(k) if deficits[v] > 0]
+    children = []
     for size in (3, 2, 1):
         total = sum(deficits) + 3 - 2 * size
         if (size > len(open_verts) or total > 3 * future or (total - future) % 2
@@ -326,9 +360,8 @@ def _grow_cubic(adj: list[int], cols: list[int], n: int) -> Iterator[Graph]:
                 continue
             new_adj = [a | ((mask >> v & 1) << k) for v, a in enumerate(adj)]
             new_adj.append(mask)
-            new_cols = cols + [new_col]
-            if _better_labeling(new_adj, new_cols) is None:
-                yield from _grow_cubic(new_adj, new_cols, n)
+            children.append((new_adj, cols + [new_col]))
+    return children
 
 
 # -- canonical certificates (for tests and de-duplication) -----------------

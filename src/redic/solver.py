@@ -103,8 +103,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for the search; None means unlimited, and a negative or NaN cap
-    raises ValueError.
+    """Caps for the search; None means unlimited.  A negative or NaN cap,
+    or a node cap that is not an integer, raises ValueError.
 
     A node cap gives the same outcome on every machine.  A wall-clock cap
     is checked every 256 nodes, so where it stops depends on machine speed.
@@ -114,6 +114,8 @@ class Budget:
     max_seconds: float | None = None
 
     def __post_init__(self):
+        if self.max_nodes is not None and not isinstance(self.max_nodes, int):
+            raise ValueError(f"max_nodes must be an integer, got {self.max_nodes!r}")
         for name, cap in (("max_nodes", self.max_nodes), ("max_seconds", self.max_seconds)):
             if cap is not None and not cap >= 0:  # NaN compares false
                 raise ValueError(f"{name} must be at least 0, got {cap}")

@@ -87,7 +87,7 @@ def test_criterion_03_cubic_table(cubic_rows):
     report(3, not bad, "cubic summary n=6..14 matches reference exactly")
 
 
-@pytest.mark.stretch(reason="about 7 s")
+@pytest.mark.stretch(reason="about 5-6 s")
 def test_criterion_03_stretch_cubic_16():
     row = tables.cubic_row(16)
     assert row.values() == tables.CUBIC_REFERENCE[16] and not row.partial

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -279,6 +281,49 @@ sys.exit(main(["table1", "--max-n", "10"]))
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 7
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def console_step() -> str:
+    """The shell lines of the workflow's "Installed console script" step:
+    the literal block under its ``run: |``, dedented."""
+    lines = WORKFLOW.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.strip() == "- name: Installed console script")
+    run_line = lines[i + 1]
+    assert run_line.strip() == "run: |", run_line
+    indent = len(run_line) - len(run_line.lstrip())
+    block = []
+    for line in lines[i + 2:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)) + "\n"
+
+
+def run_console(script: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``script`` under ``bash -eo pipefail``, as the workflow runs a step,
+    with ``redic`` standing for ``python -m redic.cli`` on this source tree."""
+    prelude = f'redic() {{ {shlex.quote(sys.executable)} -m redic.cli "$@"; }}\n'
+    env = {**os.environ, "PYTHONPATH": str(Path(redic.__file__).parents[1])}
+    return subprocess.run(["bash", "-eo", "pipefail", "-c", prelude + script], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=600)
+
+
+def test_console_harness_fails_on_a_failing_line(tmp_path):
+    assert "redic table2" in console_step()
+    for script in ("redic exists --family path --params 5\necho reached\n",
+                   "redic exists --family path --params 5 | cat\necho reached\n"):
+        proc = run_console(script, tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "no: support vertex 1 has degree 2 or less\n")
+
+
+@pytest.mark.stretch(reason="about 4-5 s")
+def test_stretch_ci_console_step(tmp_path):
+    # every pinned exit code and output of the workflow's console step
+    proc = run_console(console_step(), tmp_path)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 # Each invocation runs in text form and with --json, in a directory holding

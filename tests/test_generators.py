@@ -16,6 +16,7 @@ from redic.generators import (
     enum_cubic,
     enum_trees,
     read_graph6_stream,
+    tree_levels,
 )
 from redic.graphs import Graph6Error, bits, build_graph, complete_graph, cycle_graph, write_graph6
 
@@ -107,6 +108,8 @@ def test_streams_are_deterministic_and_restartable():
 def test_odd_cubic_is_empty():
     assert list(enum_cubic(7)) == []
     assert list(enum_cubic(3)) == []
+    with pytest.raises(ValueError, match="integer n, got 7.5"):  # was empty, as if odd
+        list(enum_cubic(7.5))
 
 
 def test_canonical_key_invariant_under_relabeling():
@@ -153,7 +156,7 @@ CUBIC_STREAM_DIGESTS = {
 
 
 @pytest.mark.parametrize("n,digest", [
-    pytest.param(n, digest, marks=[pytest.mark.stretch(reason="about 8 s")] if n > 14 else [])
+    pytest.param(n, digest, marks=[pytest.mark.stretch(reason="about 4-5 s")] if n > 14 else [])
     for n, digest in sorted(CUBIC_STREAM_DIGESTS.items())
 ])
 def test_cubic_stream_is_pinned(n, digest):
@@ -162,8 +165,9 @@ def test_cubic_stream_is_pinned(n, digest):
     assert hashlib.sha256(stream).hexdigest()[:16] == digest
 
 
-def test_cubic_canonicity_test_count(monkeypatch):
-    # the enumeration's work as a count, the same on every machine
+def _canonicity_tests(monkeypatch, n: int) -> int:
+    """The ``_better_labeling`` calls of ``enum_cubic(n)``: the enumeration's
+    work as a count, the same on every machine."""
     calls = 0
     test = generators._better_labeling
 
@@ -173,13 +177,32 @@ def test_cubic_canonicity_test_count(monkeypatch):
         return test(adj, cols)
 
     monkeypatch.setattr(generators, "_better_labeling", counted)
-    counts = {}
-    for n in (10, 12, 14):
-        calls = 0
-        for _ in enum_cubic(n):
-            pass
-        counts[n] = calls
-    assert counts == {10: 190, 12: 878, 14: 5096}
+    for _ in enum_cubic(n):
+        pass
+    return calls
+
+
+def test_cubic_canonicity_test_count(monkeypatch):
+    # only complete graphs and partial graphs with two or more children are
+    # tested (190 / 878 / 5,096 when every child was)
+    counts = {n: _canonicity_tests(monkeypatch, n) for n in (10, 12, 14)}
+    assert counts == {10: 116, 12: 549, 14: 3109}
+
+
+@pytest.mark.stretch(reason="about 3-5 s")
+def test_stretch_cubic_canonicity_test_count_16(monkeypatch):
+    assert _canonicity_tests(monkeypatch, 16) == 21312  # 36,177 when every child was tested
+
+
+def test_prefixes_of_emitted_cubic_graphs_are_maximal():
+    # why a partial graph with at most one child may skip its test: every
+    # prefix of an emitted graph passes the test it would have run, so no
+    # skipped test would have cut a branch that leads to the stream
+    for n in range(4, 13, 2):
+        for g in enum_cubic(n):
+            for j in range(1, n):
+                prefix = [a & (1 << j + 1) - 1 for a in g.adj[:j + 1]]
+                assert _better_labeling(prefix, _columns(prefix)) is None, (write_graph6(g), j)
 
 
 TREE_STREAM_DIGESTS = {
@@ -228,6 +251,13 @@ def test_tree_shards_interleave_to_the_stream(mod):
 def test_tree_shard_out_of_range_raises(res, mod):
     with pytest.raises(ValueError, match="shard"):
         next(enum_trees(6, res, mod))
+
+
+@pytest.mark.parametrize("n,res,mod,name", [(5, 0.5, 2, "res"), (5, 0, 2.0, "mod"), (5.0, 0, 1, "n")])
+def test_tree_levels_rejects_non_integer_arguments(n, res, mod, name):
+    # 0.5 matched no stream position, so the shard was silently empty
+    with pytest.raises(ValueError, match=f"integer {name}, got"):
+        list(tree_levels(n, res, mod))
 
 
 def _columns(adj: list[int]) -> list[int]:

@@ -245,6 +245,14 @@ def test_bad_budgets_are_rejected():
     Budget(max_nodes=0, max_seconds=0.0)  # 0 is a cap, not an error
 
 
+@pytest.mark.parametrize("cap", [2.5, 3.0, "3"])
+def test_non_integer_node_caps_are_rejected(cap):
+    # a fractional cap was accepted, and solve_min(torus(4, 4)) under 2.5 returned bounded
+    with pytest.raises(ValueError, match="max_nodes must be an integer"):
+        Budget(max_nodes=cap)
+    Budget(max_seconds=2.5)  # a time cap may be fractional
+
+
 def test_negative_k_builds_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("k < 0 built a constraint list or a search")
