@@ -61,19 +61,20 @@ index.  Nothing is randomized, so runs are reproducible node for node.
 
 Orbital fixing (Margot, Math. Programming 2002; Ostrowski, Linderoth, Rossi
 and Smriglio, Math. Programming 2011) uses the automorphism group that the
-graph's builder provenance names (``symmetry.automorphisms``); graphs without
-one are searched plainly.  Each node carries H, the stabiliser of its
-branching decisions: the root has the whole group, the include-x child
+graph's builder provenance names (``symmetry.automorphisms``); graphs
+without one are searched plainly.  Each node carries H, the stabiliser of
+its branching decisions: the root has the whole group, the include-x child
 Stab_H(x), and the exclude child excludes the whole H-orbit of x and keeps
-H.  Orbit invariant: H maps the included set and the excluded set of
-every node onto themselves, since propagation is automorphism-invariant,
-the include child fixes x and the exclude child excludes a whole H-orbit.  So the H-orbit of a free branch vertex holds
-no assigned vertex.  Soundness: automorphisms preserve every constraint,
-so h in H maps each completion of a node to a completion of the same
-size.  A completion that avoids x but contains some y = h(x) of the orbit
-therefore has an image h^-1 S that contains x, in the include child, which
-is searched first; the exclude child may drop every such completion.  For
-the same reason the exclude child is skipped when propagation forces a
+H, a ``symmetry.PermutationGroup`` held by its generators.  Orbit invariant:
+H maps the included and excluded sets of every node onto themselves, since
+propagation is automorphism-invariant, the include child fixes x and the
+exclude child excludes a whole H-orbit.  So the H-orbit of a free branch
+vertex holds no assigned vertex.  Soundness: automorphisms preserve every
+constraint, so h in H maps each completion of a node to a completion of the
+same size.  A completion that avoids x but contains some y = h(x) of the
+orbit therefore has an image h^-1 S that contains x, in the include child,
+which is searched first; the exclude child may drop every such completion.
+For the same reason the exclude child is skipped when propagation forces a
 member of the orbit in while the orbit is being excluded.
 """
 

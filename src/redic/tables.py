@@ -123,11 +123,10 @@ class CubicRow:
         return {"lowest": min(minima, default=None), "highest": max(minima, default=None)}
 
 
-def _solve_all(graphs: Iterable[Graph | None], budget_nodes: int | None) -> tuple[list[int | None], int]:
+def _solve_all(graphs: Iterable[Graph | None], budget: Budget) -> tuple[list[int | None], int]:
     """Each graph's minimum code size, None when it admits no code (a None
     in ``graphs`` stands for a graph already known to admit none), -1 when
     the budget ran out first; and the solver nodes spent over all of them."""
-    budget = Budget(max_nodes=budget_nodes)
     results, nodes = [], 0
     for g in graphs:
         if g is None:
@@ -139,47 +138,49 @@ def _solve_all(graphs: Iterable[Graph | None], budget_nodes: int | None) -> tupl
     return results, nodes
 
 
-def _solve_tree_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> tuple[list[int | None], int]:
+def _solve_tree_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[int | None], int]:
     """``_solve_all`` over the trees at stream positions i with
     i % mod == res; a tree that admits no code is never built."""
     return _solve_all((tree_graph(parent) if tree_has_red_ic(parent) else None
-                       for parent in map(tree_parents, tree_levels(n, res, mod))), budget_nodes)
+                       for parent in map(tree_parents, tree_levels(n, res, mod))), budget)
 
 
-def _solve_cubic_shard(n: int, res: int, mod: int, budget_nodes: int | None) -> tuple[list[int | None], int]:
+def _solve_cubic_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[int | None], int]:
     """``_solve_all`` over the cubic graphs at stream positions i with
     i % mod == res."""
-    return _solve_all(cubic_graphs_cached(n)[res::mod], budget_nodes)
+    return _solve_all(cubic_graphs_cached(n)[res::mod], budget)
 
 
-def _send_shard(conn, solve_shard, n: int, res: int, mod: int, budget_nodes: int | None) -> None:
+def _send_shard(conn, solve_shard, n: int, res: int, mod: int, budget: Budget) -> None:
     """Body of a census child: solve one shard and send its results and node total."""
     with conn:
-        conn.send(solve_shard(n, res, mod, budget_nodes))
+        conn.send(solve_shard(n, res, mod, budget))
 
 
 def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tuple[list[int | None], int]:
-    """Solve the stream ``solve_shard(n, 0, 1, budget_nodes)``: its
-    per-graph results in stream order and its solver node total.  Shard r
-    of N = ``threads`` is ``solve_shard(n, r, N, budget_nodes)``, whose
-    results go back to stream positions r, r + N, ..., so the list is the
-    same for every N.  The caller starts one process per shard r >= 1,
-    solves shard 0 itself meanwhile, then receives each child's results
-    over a one-way pipe: N processes work, the caller included, and only
-    ints and a module-level function cross.  A child that exits without
-    sending raises RuntimeError; no child outlives the call."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    """Solve the stream ``solve_shard(n, 0, 1, budget)``, with ``budget``
+    the ``Budget(max_nodes=budget_nodes)`` built before any process starts:
+    its per-graph results in stream order and its solver node total.  Shard
+    r of N = ``threads`` is ``solve_shard(n, r, N, budget)``, whose results
+    go back to stream positions r, r + N, ..., so the list is the same for
+    every N.  The caller starts one process per shard r >= 1, solves shard
+    0 itself meanwhile, then receives each child's results over a one-way
+    pipe: N processes work, the caller included, and only ints, the budget
+    and a module-level function cross.  A child that exits without sending
+    raises RuntimeError; no child outlives the call."""
+    if not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be at least 1 and an integer, got {threads!r}")
+    budget = Budget(max_nodes=budget_nodes)
     children = []
     try:
         for res in range(1, threads):
             recv, send = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(target=_send_shard,
-                                            args=(send, solve_shard, n, res, threads, budget_nodes))
+                                            args=(send, solve_shard, n, res, threads, budget))
             child.start()
             send.close()  # the child holds the only write end, so its exit ends the pipe
             children.append((res, child, recv))
-        shards = [solve_shard(n, 0, threads, budget_nodes)]
+        shards = [solve_shard(n, 0, threads, budget)]
         for res, child, recv in children:
             try:
                 shards.append(recv.recv())

@@ -23,7 +23,7 @@ from redic.graphs import (
     torus,
 )
 from redic.solver import Budget, _constraint_masks, _Search, feasible_at, forced_detectors, lower_bound, solve_min
-from redic.symmetry import Automorphisms, automorphisms
+from redic.symmetry import automorphisms
 
 from literal import literal_constraint_masks, literal_verify, random_graph, rule_forced
 
@@ -577,7 +577,7 @@ class CheckedSearch(_Search):
     checks the two invariants that let the search skip conflicts and
     already-assigned orbit members: every active constraint has slack >= 1,
     and the node's stabiliser maps the included and excluded sets onto
-    themselves (checked on the generators of the whole group).  Also checks
+    themselves (checked on its generators, which is enough).  Also checks
     that the packing bound equals the rescan's, at a gap it cannot reach,
     that the branch vertex is the rescan's, and that every value the packing
     caches lies in [0, ones]."""
@@ -600,8 +600,7 @@ class CheckedSearch(_Search):
         if active:
             assert self._branch_vertex(*self._unmet()) == RescanSearch(self).branch_vertex(unresolved)
         if self.sym is not None:
-            perms = self.sym.generators if isinstance(self.sym, Automorphisms) else self.sym.elements
-            for p in perms:
+            for p in self.sym.generators:  # every element of H is a product of them
                 for m in (self.chosen, excluded):
                     assert mask_of(p[v] for v in bits(m)) == m
         self.checked += 1

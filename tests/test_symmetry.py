@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from redic.graphs import Graph, complete_graph, cycle_graph, cylinder, honeycomb_torus, hypercube, ladder, torus
-from redic.symmetry import Automorphisms, automorphisms
+from redic.graphs import (Graph, complete_graph, cycle_graph, cylinder, honeycomb_torus, hypercube, ladder,
+                          mask_of, torus)
+from redic.symmetry import PermutationGroup, automorphisms
 
 
 def _compose(p, q):
@@ -19,6 +22,32 @@ def _closure(n, generators):
     return seen
 
 
+def _fixing(group, x):
+    return {p for p in group if p[x] == x}
+
+
+def _closed(n, grp):
+    """The elements of a group as returned, None standing for the trivial one."""
+    return _closure(n, grp.generators) if grp is not None else {tuple(range(n))}
+
+
+def _matches_closure(n, grp):
+    """Checks orbits, stabilisers and orders against the closure, two
+    levels deep as the search nests stabilisers; returns the closure.  The
+    order comes last: a chain whose stabilisers do not shrink never ends."""
+    group = _closure(n, grp.generators)
+    for x in range(n):
+        assert grp.orbit(x) == mask_of(p[x] for p in group)
+        stab, fixing = grp.stabiliser(x), _fixing(group, x)
+        assert _closed(n, stab) == fixing
+        for y in range(n) if stab is not None else ():
+            assert stab.orbit(y) == mask_of(p[y] for p in fixing)
+            assert _closed(n, stab.stabiliser(y)) == _fixing(fixing, y)
+        assert (stab.order if stab is not None else 1) == len(fixing)
+    assert grp.order == len(group)
+    return group
+
+
 @pytest.mark.parametrize("g", [
     torus(3, 3), torus(3, 4), torus(4, 4), torus(5, 5), torus(4, 6),
     honeycomb_torus(4, 4), honeycomb_torus(4, 6), honeycomb_torus(6, 4),
@@ -26,19 +55,20 @@ def _closure(n, generators):
     torus(6, 6), honeycomb_torus(6, 6), hypercube(5),  # the lattice-search instances
 ], ids=repr)
 def test_provenance_group_is_what_its_generators_make(g):
-    grp = automorphisms(g)
-    group = _closure(g.n, grp.generators)
-    assert len(group) == grp.order
-    assert {_compose(grp.transversal[x], s) for x in range(g.n) for s in grp.stabiliser0} == group
-    assert [grp.transversal[x][0] for x in range(g.n)] == list(range(g.n))
+    group = _matches_closure(g.n, automorphisms(g))
     edges = set(g.edges())
     for p in group:
         assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
-    for x in range(g.n):
-        stab = grp.stabiliser(x)
-        fixing = {p for p in group if p[x] == x}
-        assert (set(stab.elements) if stab else {tuple(range(g.n))}) == fixing
-        assert grp.orbit(x) == g.full_mask()
+
+
+def test_random_groups_are_what_their_generators_make():
+    # random generators on a few points: cyclic, intransitive, symmetric
+    # and alternating groups, and some whose stabilisers a filter keyed
+    # on the moved point alone gets wrong
+    rng = random.Random(2011)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        _matches_closure(n, PermutationGroup(n, [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]))
 
 
 def test_provenance_group_orders():
@@ -78,13 +108,16 @@ def test_false_provenance_raises():
         automorphisms(Graph(32, hypercube(5).adj, meta={"family": "honeycomb_torus", "params": (4, 8)}))
 
 
-def test_generators_must_reach_every_vertex():
+def test_a_group_need_not_be_transitive():
     # on the 3x3 torus, the column translation and the column reflection
-    # keep vertex 0 in its row: an orbit of 3, not a transitive group
+    # keep each vertex in its row: orbits of 3, a group of order 6
     right = tuple(v // 3 * 3 + (v + 1) % 3 for v in range(9))
     flip = tuple(v // 3 * 3 + -v % 3 for v in range(9))
-    with pytest.raises(ValueError, match="take vertex 0 to 3 of 9 vertices"):
-        Automorphisms(9, [right], [flip])
-    with pytest.raises(ValueError, match="a fixer moves vertex 0"):
-        Automorphisms(9, [flip], [right])
-    assert Automorphisms(9, [right, tuple(range(3, 9)) + (0, 1, 2)], [flip]).order == 18
+    for gens in ([right, flip], [flip, right], [flip, right, right, tuple(range(9))]):
+        grp = PermutationGroup(9, gens)
+        assert grp.generators in ((right, flip), (flip, right))  # deduplicated, no identity
+        assert [grp.orbit(x) for x in range(9)] == [0b111] * 3 + [0b111000] * 3 + [0b111000000] * 3
+        assert len(_matches_closure(9, grp)) == grp.order == 6
+    assert PermutationGroup(9, [right, tuple(range(3, 9)) + (0, 1, 2), flip]).order == 18
+    trivial = PermutationGroup(9, [tuple(range(9))])
+    assert (trivial.generators, trivial.order, trivial.orbit(4), trivial.stabiliser(4)) == ((), 1, 1 << 4, None)

@@ -122,6 +122,23 @@ def test_rows_reject_fewer_than_one_thread(row, threads):
         row(8, threads=threads)
 
 
+@pytest.mark.parametrize("row", [tree_row, cubic_row])
+@pytest.mark.parametrize("threads", [2.5, 2.0, "2"])
+def test_rows_reject_a_thread_count_that_is_not_an_integer(row, threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1 and an integer, got {threads!r}"):
+        row(5, threads=threads)
+
+
+@pytest.mark.parametrize("row", [tree_row, cubic_row])
+def test_an_invalid_node_cap_starts_no_process(monkeypatch, row):
+    starts = []
+    monkeypatch.setattr(multiprocessing.Process, "start", lambda self: starts.append(self))
+    for cap in (-1, 2.5):
+        with pytest.raises(ValueError, match="max_nodes must be"):
+            row(6, threads=2, budget_nodes=cap)
+    assert starts == []
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_census_starts_one_process_per_extra_shard(monkeypatch, threads):
     # the caller solves shard 0 itself, so a row of N shards starts N - 1 processes
