@@ -55,16 +55,27 @@ def _load_graph(args) -> Graph:
     return named_builder(args.family, *_int_list(args.params, "--params"))
 
 
+# the Budget field each budget flag sets
+_BUDGET_FLAGS = {"max_nodes": "--budget-nodes", "max_seconds": "--budget-seconds"}
+
+
 def _check_limits(args) -> None:
-    """Reject a worker count below 1 and a negative (or NaN) budget, naming the flag."""
-    for name, least in (("threads", 1), ("budget_nodes", 0), ("budget_seconds", 0)):
-        value = getattr(args, name, None)
-        if value is not None and not value >= least:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+    """Reject a worker count below 1, and any cap that ``Budget`` rejects,
+    before the command starts; every message names the flag."""
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    _budget(args)
 
 
 def _budget(args) -> Budget:
-    return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
+    """The caps the budget flags set; ``Budget``'s own check rejects a bad
+    one, and its message, which starts with the field, names the flag."""
+    try:
+        return Budget(max_nodes=getattr(args, "budget_nodes", None),
+                      max_seconds=getattr(args, "budget_seconds", None))
+    except ValueError as exc:
+        field, _, reason = str(exc).partition(" ")
+        raise ValueError(f"{_BUDGET_FLAGS[field]} {reason}") from None
 
 
 def _digest(*parts) -> str:

@@ -16,14 +16,40 @@ connected and has no triangles, and on n >= 3 vertices no closed twins
 either: closed twins u, v are adjacent (u lies in N[u] = N[v]), one of
 them has a third neighbour w since the tree is connected, and w, lying in
 both closed neighbourhoods, would close the triangle u, v, w.
-``tree_has_red_ic`` decides it on a parent array, with no ``Graph``.
+
+``levels_have_red_ic`` decides that rule on a preorder level sequence
+(entry i is the depth of vertex i, the root 0 at depth 0), with no parent
+array and no ``Graph``.  In preorder the descendants of vertex i are the
+vertices after it up to the next one at depth <= lev[i]; its children are
+those among them at depth lev[i] + 1, the first at i + 1.  The leaves are
+the vertices without a child, and the root too when it has one child.
+A support vertex of degree <= 2 is then one of:
+
+- a non-root vertex i at depth x, the parent of a leaf.  Its degree is one
+  more than its children, so it is <= 2 iff i has exactly one child, and
+  that child is a leaf: iff the sequence reads x, x + 1 at i, i + 1 and
+  then a depth <= x, or ends.  (A depth x + 1 there would be a second
+  child, a deeper one a child of i + 1.)
+- the root, the parent of a leaf.  Its degree is its number of children,
+  the 1s of the sequence.  With one child, that child is a leaf only when
+  n = 2; with two, the first (vertex 1) is a leaf iff lev[2] = 1, and the
+  second, whose subtree ends the sequence, iff the last entry is 1.
+- vertex 1, when the root is a leaf.  Its children are all the vertices
+  at depth 2, so it has degree <= 2 iff the sequence has at most one 2.
+
+The first case is one scan of ``bytes(lev)`` by a regular expression
+compiled once per n; the others are counts and two look-ups.  The tree
+census roots every tree at a centre, which is never a leaf for n >= 3,
+but the rule holds for any root and any order of the children.
 
 Plain ICs exist iff there are no closed twins.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .graphs import Graph, bits
@@ -86,22 +112,28 @@ def exists_red_ic(g: Graph) -> NoCode | None:
     return None
 
 
-def tree_has_red_ic(parent: list[int]) -> bool:
-    """Whether a tree admits a RED:IC, given as a parent array: vertex 0 is
-    the root and every other vertex v has the edge v - parent[v].  The test
-    is n >= 4 and every support vertex of degree >= 3 (module docstring),
-    so it needs only the degrees, and no ``Graph``.
-    """
-    n = len(parent)
+@cache
+def _lone_leaf_child(n: int):
+    """The search for depths x, x + 1 followed by a depth <= x or the end,
+    for x = 1..n-2: a non-root vertex whose only child is a leaf.  The end
+    is \\Z, not $, which would also match before a final depth 10 (b"\\n")."""
+    branches = (re.escape(bytes((x, x + 1))) + b"(?:[\\x00-" + re.escape(bytes((x,))) + b"]|\\Z)"
+                for x in range(1, n - 1))
+    return re.compile(b"|".join(branches)).search
+
+
+def levels_have_red_ic(lev: list[int]) -> bool:
+    """Whether the tree with preorder level sequence ``lev`` (depths below
+    256) admits a RED:IC: n >= 4 and no support vertex of degree <= 2,
+    found as the module docstring shows."""
+    n = len(lev)
     if n < 4:
         return False
-    deg = [1] * n  # every vertex but the root has its parent
-    deg[0] = 0
-    for v in range(1, n):
-        deg[parent[v]] += 1
-    if deg[0] == 1 and deg[parent.index(0, 1)] < 3:  # the root is a leaf
+    seq = bytes(lev)
+    root_degree = seq.count(1)
+    if root_degree == 1 and seq.count(2) < 2 or root_degree == 2 and 1 in (seq[2], seq[-1]):
         return False
-    return all(deg[parent[v]] >= 3 for v in range(1, n) if deg[v] == 1)
+    return _lone_leaf_child(n)(seq) is None
 
 
 def has_red_ic(g: Graph) -> bool:

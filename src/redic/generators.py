@@ -77,9 +77,9 @@ def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
     takes about 0.09 s and building every graph (adjacency masks and
     ``Graph``) about 0.33 s, in one Python 3.11 process on a 2-vCPU x86-64
     machine.  The tree census therefore walks the sequences itself, decides
-    existence on their parent arrays (``tree_parents`` and
-    ``existence.tree_has_red_ic``, about 0.1 s for all) and builds only the
-    3,150 trees that admit a code, in about 0.04 s.
+    existence on each sequence (``existence.levels_have_red_ic``, about
+    0.04 s for all) and builds only the 3,150 trees that admit a code, in
+    about 0.03-0.05 s.
     """
     for lev in tree_levels(n, res, mod):
         yield tree_graph(tree_parents(lev))

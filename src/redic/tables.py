@@ -19,14 +19,14 @@ caller: each row starts one process per extra shard, which enumerates and
 solves its shard itself while the caller solves shard 0, and only the
 shard's list of ints and its node total come back over a pipe, never a
 graph.  Tree shards walk the level sequences of their share and decide
-existence on each tree's parent array (``existence.tree_has_red_ic``): a
-rejected tree counts as having no code and is never built, so only the
-trees that admit a code (about a tenth) become a ``Graph`` and reach
-``solve_min``.  Most of those close at the root (2,866 of the 3,150 for
-n = 4..16): the members of their constraints with exactly two members
-already form a code, which ``solve_min`` returns without packing a
-search.  Cubic shards each enumerate the whole cubic stream and keep
-their slice, one extra enumeration per extra process.
+existence on each sequence itself (``existence.levels_have_red_ic``, one
+scan of its bytes): a rejected tree counts as having no code and gets no
+parent array and no ``Graph``, so only the trees that admit a code (3,150
+of the 32,505 for n = 4..16) are built and reach ``solve_min``.  Most of
+those (2,866) close at the root: the members of their constraints with
+exactly two members already form a code, which ``solve_min`` returns
+without packing a search.  Cubic shards each enumerate the whole cubic
+stream and keep their slice, one extra enumeration per extra process.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .detection import CodeKind
-from .existence import tree_has_red_ic
+from .existence import levels_have_red_ic
 from .generators import cubic_graphs_cached, tree_graph, tree_levels, tree_parents
 from .graphs import Graph
 from .solver import Budget, solve_min
@@ -141,8 +141,8 @@ def _solve_all(graphs: Iterable[Graph | None], budget: Budget) -> tuple[list[int
 def _solve_tree_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[int | None], int]:
     """``_solve_all`` over the trees at stream positions i with
     i % mod == res; a tree that admits no code is never built."""
-    return _solve_all((tree_graph(parent) if tree_has_red_ic(parent) else None
-                       for parent in map(tree_parents, tree_levels(n, res, mod))), budget)
+    return _solve_all((tree_graph(tree_parents(lev)) if levels_have_red_ic(lev) else None
+                       for lev in tree_levels(n, res, mod)), budget)
 
 
 def _solve_cubic_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[int | None], int]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,10 +10,10 @@ from redic.existence import (
     exists_ic,
     exists_red_ic,
     has_red_ic,
-    tree_has_red_ic,
+    levels_have_red_ic,
 )
-from redic.generators import enum_trees, tree_graph, tree_levels, tree_parents
-from redic.graphs import build_graph, complete_graph, cycle_graph, path_graph, star_graph
+from redic.generators import tree_graph, tree_levels, tree_parents
+from redic.graphs import bits, build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from redic.tables import TREE_REFERENCE
 
 from literal import literal_constraint_masks, literal_verify, random_graph
@@ -139,29 +140,51 @@ def test_theorem_is_the_constraint_check():
     pytest.param(17, marks=pytest.mark.stretch(reason="about 3 s")),
 ])
 def test_tree_rule_matches_exists_red_ic(n):
-    # the verdict on the parent array against the general test, tree by tree
-    # in stream order, and the accepted count against the frozen table
+    # the verdict on the level sequence against the general test on the
+    # tree built from it, tree by tree in stream order, and the accepted
+    # count against the frozen table
     accepted = 0
-    for lev, tree in zip(tree_levels(n), enum_trees(n), strict=True):
-        verdict = tree_has_red_ic(tree_parents(lev))
-        assert verdict == (exists_red_ic(tree) is None), lev
+    for lev in tree_levels(n):
+        verdict = levels_have_red_ic(lev)
+        assert verdict == (exists_red_ic(tree_graph(tree_parents(lev))) is None), lev
         accepted += verdict
     assert accepted == (TREE_REFERENCE[n][1] if n >= 4 else 0)
 
 
+def _preorder_levels(rng, tree, root):
+    """The level sequence of ``tree`` rooted at ``root``, in a preorder
+    that visits each vertex's children in a random order."""
+    lev, seen, stack = [], 1 << root, [(root, 0)]
+    while stack:
+        v, depth = stack.pop()
+        lev.append(depth)
+        children = list(bits(tree.adj[v] & ~seen))
+        seen |= tree.adj[v]
+        rng.shuffle(children)
+        stack += [(u, depth + 1) for u in children]
+    return lev
+
+
 def test_tree_rule_on_any_parent_array():
-    # the stream roots every tree at a centre and numbers it in preorder; the
-    # rule takes any root and any numbering
-    assert not tree_has_red_ic([0])
-    assert not tree_has_red_ic([0, 0, 1, 2, 2])  # a leaf root whose support has degree 2
-    assert tree_has_red_ic([0, 0, 1, 1, 3, 3, 1, 6, 6])  # a leaf root, every support of degree 3
-    assert not tree_has_red_ic([0, 4, 1, 1, 0])  # the same with the root's child at 4
+    # the stream roots every tree at a centre and visits children in one
+    # order; the rule takes any root, a leaf or a vertex of degree 2 among
+    # them, and any order of the children
+    assert not levels_have_red_ic([0])
+    assert not levels_have_red_ic([0, 1, 2, 3, 3])  # a leaf root whose support has degree 2
+    assert levels_have_red_ic([0, 1, 2, 2, 3, 3, 2, 3, 3])  # a leaf root, every support of degree 3
+    assert not levels_have_red_ic([0, 1, 2, 2, 1])  # a root of degree 2 whose last child is a leaf
+    assert not levels_have_red_ic([0, 1, 1, 2, 2])  # a root of degree 2 whose first child is a leaf
+    assert levels_have_red_ic([0, 1, 2, 2, 1, 2, 2])  # a root of degree 2 and no leaf child
     rng = random.Random(41)
-    for _ in range(2000):
+    root_degrees = Counter()
+    for _ in range(3000):
         n = rng.randint(1, 14)
         parent = [0] + [rng.randrange(v) for v in range(1, n)]
-        label = [0] + rng.sample(range(1, n), n - 1)  # the root stays 0
-        relabeled = [0] * n
-        for v in range(1, n):
-            relabeled[label[v]] = label[parent[v]]
-        assert tree_has_red_ic(relabeled) == (exists_red_ic(tree_graph(relabeled)) is None), relabeled
+        tree = tree_graph(parent)
+        root = rng.randrange(n)
+        lev = _preorder_levels(rng, tree, root)
+        # the sequence describes the same tree: same size and degrees
+        assert sorted(tree_graph(tree_parents(lev)).degrees()) == sorted(tree.degrees()), (parent, root, lev)
+        assert levels_have_red_ic(lev) == (exists_red_ic(tree) is None), (parent, root, lev)
+        root_degrees[min(tree.degree(root), 3)] += 1
+    assert min(root_degrees[d] for d in (1, 2, 3)) >= 300, root_degrees

@@ -21,6 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 CLOSURE = "tests/test_symmetry.py::test_provenance_group_is_what_its_generators_make"
 RANDOM_GROUPS = "tests/test_symmetry.py::test_random_groups_are_what_their_generators_make"
+STREAM_TREES = "tests/test_existence.py::test_tree_rule_matches_exists_red_ic[16]"
+ANY_ROOT = "tests/test_existence.py::test_tree_rule_on_any_parent_array"
 
 MUTANTS = [
     pytest.param("symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -30,10 +32,17 @@ MUTANTS = [
     pytest.param("symmetry.py", "                for s in self.generators:\n                    if s[y] not in u:",
                  "                for s in self.generators[:1]:\n                    if s[y] not in u:",
                  [CLOSURE], id="orbit-under-the-first-generator-only"),
+    pytest.param("existence.py", "re.escape(bytes((x,)))", "re.escape(bytes((x - 1,)))",
+                 [STREAM_TREES], id="lone-leaf-child-followed-by-a-depth-below-x-only"),
+    pytest.param("existence.py", r'b"]|\\Z)"', 'b"])"',
+                 [STREAM_TREES], id="lone-leaf-child-not-at-the-end"),
+    pytest.param("existence.py",
+                 "    if root_degree == 1 and seq.count(2) < 2 or root_degree == 2 and 1 in (seq[2], seq[-1]):\n",
+                 "    if False:\n", [ANY_ROOT], id="tree-rule-without-the-root-case"),
 ]
 
 
-@pytest.mark.stretch(reason="a test run per mutant, about 5 s in all")
+@pytest.mark.stretch(reason="a test run per mutant, about 8 s in all")
 @pytest.mark.parametrize("module, snippet, replacement, tests", MUTANTS)
 def test_mutant_is_caught(tmp_path, module, snippet, replacement, tests):
     shutil.copytree(ROOT / "src" / "redic", tmp_path / "redic", ignore=shutil.ignore_patterns("__pycache__"))
