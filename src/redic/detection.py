@@ -87,7 +87,11 @@ def verify(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> Violatio
     when one view is the other plus one detector; the argument holds for
     t <= 2 only.  So the views are grouped in one dict, and each view is
     looked up there, for t = 2 also each view minus one of its detectors:
-    every failing pair is met, and the least is reported.  The dict is keyed
+    every failing pair is met, and the least is reported.  A view minus one
+    detector can only equal a view one detector smaller, so the domination
+    pass keeps the set of view sizes, and a vertex whose size minus one is
+    not in it makes no such lookup; every skipped lookup could not have
+    matched, so the same pairs are met.  The dict is keyed
     by ``hash(view)`` to a bucket of vertices, so that no view is kept
     alive; each match re-derives the view and compares it exactly, since
     sparse masks collide by structure (hash({i, i+61}) == hash({i+1})).
@@ -96,12 +100,14 @@ def verify(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> Violatio
     req = kind.req
     closed = g._closed
     groups: dict[int, list[int]] = {}
+    counts = []
     best = None
     for v in range(g.n):
         view = closed[v] & s
         c = view.bit_count()
         if c < req:
             return Violation("undominated", v, count=c)
+        counts.append(c)
         group = groups.setdefault(hash(view), [])
         for x in group:
             if closed[x] & s == view:
@@ -110,7 +116,10 @@ def verify(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> Violatio
                 break
         group.append(v)
     if req == 2:
-        for w in range(g.n):
+        sizes = set(counts)
+        for w, c in enumerate(counts):
+            if c - 1 not in sizes:
+                continue
             view = rest = closed[w] & s
             while rest:
                 low = rest & -rest

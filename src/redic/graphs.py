@@ -270,12 +270,20 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 
 def hypercube(d: int) -> Graph:
-    """Q_d: repeated box product of K_2; index = d-bit coordinate word."""
+    """Q_d: repeated box product of K_2; index = d-bit coordinate word.
+
+    Built by doubling: Q_{i+1} is two copies of Q_i, where vertex v < 2^i
+    of copy 0 gains neighbour v + 2^i, and copy 1 (vertices v + 2^i) has
+    copy 0's mask shifted left by 2^i plus neighbour v.  So v and w are
+    adjacent exactly when v ^ w is a single bit, as in the definition.
+    """
     if d < 0:
         raise ValueError("hypercube needs d >= 0")
-    n = 1 << d
-    edges = [(v, v ^ (1 << i)) for v in range(n) for i in range(d) if v < v ^ (1 << i)]
-    return build_graph(n, edges, meta={"family": "hypercube", "params": (d,)})
+    adj = [0]
+    for i in range(d):
+        h = 1 << i
+        adj = [a | 1 << (v + h) for v, a in enumerate(adj)] + [a << h | 1 << v for v, a in enumerate(adj)]
+    return Graph(1 << d, adj, meta={"family": "hypercube", "params": (d,)})
 
 
 def ladder(j: int) -> Graph:

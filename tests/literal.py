@@ -16,6 +16,8 @@ the solver seeded its search with before it read forcing off its
 constraints; the constraint set contains it.  ``random_graph`` is the one
 seeded G(n, p) the property tests draw from: one ``rng.random()`` per pair
 u < v, in lexicographic order, so every seeded stream is fixed.
+``literal_hypercube`` is Q_d from its definition: v and v ^ 2^i are
+adjacent for every bit i below d.
 """
 
 from collections import deque
@@ -27,6 +29,11 @@ from redic.graphs import bits, build_graph, mask_of
 
 def random_graph(rng, n, p=0.5):
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def literal_hypercube(d):
+    n = 1 << d
+    return build_graph(n, [(v, v ^ 1 << i) for v in range(n) for i in range(d)])
 
 
 def literal_verify(g, detectors, kind):

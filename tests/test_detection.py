@@ -239,6 +239,33 @@ def test_verify_equals_literal_check_on_q10():
         assert got == literal_verify(q, smaller, CodeKind.RED_IC)
 
 
+def test_verify_equals_literal_check_on_moved_q8_detectors():
+    """The doubled Q8 code with one detector x moved to a non-detector neighbour.
+
+    The move leaves some vertex of N[x] with one detector.  Repaired, each
+    such vertex takes its lowest non-detector neighbour as a detector, so
+    every view holds two, and some views then differ by one detector: the
+    pairs only the minus-one lookups meet, at views of 2 and 3 detectors.
+    Translation by 32, 64 and 128 maps the code onto itself, so the
+    detectors below 32 stand for all of them.
+    """
+    q, w = _doubled_code(8)
+    code = mask_of(w)
+    one_detector = 0
+    for x in bits(code & (1 << 32) - 1):
+        for y in bits(q.adj[x] & ~code):
+            moved = repaired = code & ~(1 << x) | 1 << y
+            for v in bits(q.closed_nbhd(x)):
+                if (q.closed_nbhd(v) & repaired).bit_count() < 2:
+                    free = q.adj[v] & ~repaired
+                    repaired |= free & -free
+            for s, kind in ((moved, CodeKind.IC), (moved, CodeKind.RED_IC), (repaired, CodeKind.RED_IC)):
+                got = verify(q, s, kind)
+                assert got == literal_verify(q, s, kind), (x, y, s == repaired, kind)
+                one_detector += got is not None and got.kind == "undistinguished" and len(got.delta) == 1
+    assert one_detector > 0
+
+
 def test_verify_equals_literal_check_on_swapped_torus_codes():
     g = torus(6, 6)
     code = set(solve_min(g, CodeKind.RED_IC).witness)

@@ -26,7 +26,7 @@ from redic.graphs import (
     write_graph6,
 )
 
-from literal import random_graph
+from literal import literal_hypercube, random_graph
 
 
 def test_build_cycle_and_claw():
@@ -103,6 +103,16 @@ def test_named_families():
         named_builder("cycle", 2)
     with pytest.raises(ValueError):
         named_builder("nosuch", 3)
+
+
+def test_hypercube_is_its_definition():
+    for d in range(12):
+        q = hypercube(d)
+        assert q == literal_hypercube(d) and q.n == 1 << d
+        assert q.meta == {"family": "hypercube", "params": (d,)}
+        assert q.provenance() == ("hypercube", (d,))
+    with pytest.raises(ValueError, match="hypercube needs d >= 0"):
+        hypercube(-1)
 
 
 def test_honeycomb_torus_is_cubic_bipartite():

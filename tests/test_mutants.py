@@ -23,6 +23,9 @@ CLOSURE = "tests/test_symmetry.py::test_provenance_group_is_what_its_generators_
 RANDOM_GROUPS = "tests/test_symmetry.py::test_random_groups_are_what_their_generators_make"
 STREAM_TREES = "tests/test_existence.py::test_tree_rule_matches_exists_red_ic[16]"
 ANY_ROOT = "tests/test_existence.py::test_tree_rule_on_any_parent_array"
+VERIFY_RANDOM = "tests/test_detection.py::test_verify_equals_literal_check"
+MOVED_Q8 = "tests/test_detection.py::test_verify_equals_literal_check_on_moved_q8_detectors"
+HYPERCUBE = "tests/test_graphs.py::test_hypercube_is_its_definition"
 
 MUTANTS = [
     pytest.param("symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -39,10 +42,24 @@ MUTANTS = [
     pytest.param("existence.py",
                  "    if root_degree == 1 and seq.count(2) < 2 or root_degree == 2 and 1 in (seq[2], seq[-1]):\n",
                  "    if False:\n", [ANY_ROOT], id="tree-rule-without-the-root-case"),
+    pytest.param("detection.py", "            if c - 1 not in sizes:\n", "            if c + 1 not in sizes:\n",
+                 [VERIFY_RANDOM], id="minus-one-lookup-filter-looks-one-size-up"),
+    pytest.param("detection.py", "            if c - 1 not in sizes:\n", "            if c - 2 not in sizes:\n",
+                 [MOVED_Q8], id="minus-one-lookup-filter-looks-two-sizes-down"),
+    pytest.param("detection.py", "    if req == 2:\n", "    if True:\n",
+                 [VERIFY_RANDOM], id="minus-one-lookups-for-ic-too"),
+    pytest.param("detection.py", "    if req == 2:\n", "    if False:\n",
+                 [VERIFY_RANDOM], id="no-minus-one-lookups"),
+    pytest.param("graphs.py", "[a << h | 1 << v for v, a in enumerate(adj)]", "[a << h for v, a in enumerate(adj)]",
+                 [HYPERCUBE], id="hypercube-copy-one-without-its-cross-bit"),
+    pytest.param("graphs.py",
+                 "adj = [a | 1 << (v + h) for v, a in enumerate(adj)] + [a << h | 1 << v for v, a in enumerate(adj)]",
+                 "adj = [a | 1 << (2 * h - 1 - v) for v, a in enumerate(adj)] + [a << h | 1 << (h - 1 - v) for v, a in enumerate(adj)]",
+                 [HYPERCUBE], id="hypercube-cross-edges-reversed"),
 ]
 
 
-@pytest.mark.stretch(reason="a test run per mutant, about 8 s in all")
+@pytest.mark.stretch(reason="a test run per mutant, about 15 s in all")
 @pytest.mark.parametrize("module, snippet, replacement, tests", MUTANTS)
 def test_mutant_is_caught(tmp_path, module, snippet, replacement, tests):
     shutil.copytree(ROOT / "src" / "redic", tmp_path / "redic", ignore=shutil.ignore_patterns("__pycache__"))
