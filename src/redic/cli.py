@@ -177,13 +177,7 @@ def cmd_feasible(args) -> int:
     return 1
 
 
-def _g14_ring(args):
-    budget = 120.0 if args.budget_seconds is None else args.budget_seconds
-    gadget = constructions.g14_gadget_search(budget_seconds=budget)
-    return None if gadget is None else constructions.g14_ring(gadget, args.t)
-
-
-# name -> builder from the parsed arguments; None means the search gave up
+# name -> builder from the parsed arguments
 CONSTRUCTIONS = {
     "star-even": lambda args: constructions.star_extremal_even(args.k),
     "star-odd": lambda args: constructions.star_extremal_odd(args.k),
@@ -191,16 +185,13 @@ CONSTRUCTIONS = {
     "multipartite": lambda args: constructions.multipartite_exact(args.n),
     "tree": lambda args: constructions.extremal_tree(args.n),
     "g6-ring": lambda args: constructions.g6_ring(args.t),
-    "g14-ring": _g14_ring,
+    "g14-ring": lambda args: constructions.g14_ring(constructions.g14_gadget(), args.t),
     "q5": lambda args: constructions.q5_code_search(),
 }
 
 
 def cmd_construct(args) -> int:
     inst = CONSTRUCTIONS[args.what](args)
-    if inst is None:
-        print("gadget search exhausted its budget", file=sys.stderr)
-        return 1
     g6 = write_graph6(inst.graph).decode("ascii")
     report = _report("construct", _digest(inst.graph, inst.claimed_k), inst.certificate,
                      k=inst.claimed_k, witness=inst.witness)
@@ -324,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_construct)
 

@@ -36,6 +36,7 @@ __all__ = [
     "g6_gadget",
     "g6_ring",
     "G14Gadget",
+    "g14_gadget",
     "g14_gadget_search",
     "g14_ring",
     "q5_code_search",
@@ -243,6 +244,19 @@ class G14Gadget:
     graph: Graph
     ports: tuple[int, int, int, int]  # (p1, p2) from one cut edge, (p3, p4) from the other
     witness: tuple[int, ...]
+
+
+def g14_gadget() -> G14Gadget:
+    """The gadget that ``g14_gadget_search`` finds, frozen.
+
+    Two 7-vertex halves joined by the bridge 6-7; ports 1, 2 and 11, 12
+    are the ends of the cut edges 1-2 and 11-12.  The search stays as the
+    evidence that reproduces this data; ``g14_ring`` re-verifies the
+    witness in every ring it builds.
+    """
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7),
+             (7, 8), (7, 9), (8, 10), (8, 11), (9, 10), (9, 12), (10, 13), (11, 13), (12, 13)]
+    return G14Gadget(build_graph(14, edges), (1, 2, 11, 12), (0, 3, 4, 5, 8, 9, 10, 13))
 
 
 def g14_gadget_search(budget_seconds: float = 120.0) -> G14Gadget | None:

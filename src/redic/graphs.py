@@ -84,9 +84,13 @@ class Graph:
     ):
         adj = tuple(adj)
         _check_adjacency(n, adj)
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError(f"{len(labels)} labels for {n} vertices")
         self.n = n
         self.adj = adj
-        self.labels = tuple(labels) if labels is not None else None
+        self.labels = labels
         self.meta = dict(meta) if meta is not None else None
         self._closed = tuple(a | (1 << v) for v, a in enumerate(adj))
 
@@ -201,8 +205,6 @@ def build_graph(
     (by ``Graph``)."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if labels is not None and len(labels) != n:
-        raise ValueError("labels length must equal vertex count")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -143,9 +143,11 @@ def _hypercube_group(d: int) -> list[Perm]:
 
 
 # above d = 7 the hypercube gets no group and is searched plainly, which
-# keeps the node counts of Q8 and up; the group itself would be cheap: for
-# Q8, checking its generators, one stabiliser and the order (10,321,920)
-# take about 60 ms on a 2-vCPU x86-64 host
+# keeps the node counts of Q8 and up.  Only Q8's group would be cheap: its
+# generators, order and one stabiliser take about 50 ms on a 2-vCPU x86-64
+# host, but Q9 0.25 s, Q10 1.1 s, Q11 5.2 s and Q12 23 s (the order alone
+# 12 s), since Sims' filter keeps a generator per (point, image) and every
+# level's orbit search runs over all of them
 _MAX_HYPERCUBE_DIM = 7
 
 

@@ -117,16 +117,6 @@ def test_reduce_digest_ignores_path_spelling(capsys, pinned_dir):
     assert len(digests) == 1
 
 
-def test_g14_ring_budget_falls_back_only_when_absent(capsys, monkeypatch):
-    seen = []
-    monkeypatch.setattr(redic.constructions, "g14_gadget_search",
-                        lambda budget_seconds: seen.append(budget_seconds))
-    for extra in ([], ["--budget-seconds", "0"], ["--budget-seconds", "7.5"]):
-        code, _, err = run(capsys, "construct", "g14-ring", *extra)
-        assert code == 1 and "exhausted" in err
-    assert seen == [120.0, 0.0, 7.5]
-
-
 def test_feasible(capsys):
     code, out, _ = run(capsys, "feasible", "--graph6", "Cl", "--k", "4")
     assert code == 0 and "witness" in out
@@ -214,7 +204,6 @@ def test_threads_below_one_exit_2(capsys, cmd, threads):
     "solve --family cycle --params 7 --budget-seconds -1",
     "feasible --graph6 Cl --k 4 --budget-nodes -5",
     "feasible --graph6 Cl --k 4 --budget-seconds -1",
-    "construct g14-ring --budget-seconds -1",
     "table1 --max-n 6 --budget-nodes -1",
     "table2 --max-n 8 --budget-nodes -1",
 ])
@@ -362,6 +351,7 @@ PINNED_OUTPUTS = {
     "construct multipartite --n 6": ("58f465aba74f865e", "7fd1562d71a53ff4"),
     "construct tree --n 7": ("5c39dd575f96e374", "1b5267fcfaeb93d8"),
     "construct g6-ring --t 3": ("c60006c869f570c2", "c7da5506f29fe358"),
+    "construct g14-ring --t 2": ("b46b4e5d2643c390", "92b4495ecede4fd4"),
     "construct q5": ("e52b53633ca0e893", "cc45df7a9b746ead"),
     "reduce phi.cnf": ("5c2fac9c377985d2", "f06c0375f03ad9c5"),
     "table1 --max-n 8": ("46808748f8f938f8", "bf99bff5aae2c03b"),

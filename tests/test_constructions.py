@@ -10,8 +10,9 @@ from redic.constructions import (
     extremal_tree,
     g6_gadget,
     g6_ring,
-    g14_ring,
+    g14_gadget,
     g14_gadget_search,
+    g14_ring,
     multipartite_exact,
     q5_code_search,
     star_extremal_even,
@@ -106,8 +107,10 @@ def test_g6_ring():
 
 
 def test_g14_search_and_ring():
-    gadget = g14_gadget_search(budget_seconds=600)
-    assert gadget is not None, "search budget should be ample at this size"
+    # the search is the evidence for the frozen gadget: same graph, ports and witness
+    found, gadget = g14_gadget_search(budget_seconds=600), g14_gadget()
+    assert found is not None, "search budget should be ample at this size"
+    assert (found.graph.edges(), found.ports, found.witness) == (gadget.graph.edges(), gadget.ports, gadget.witness)
     degs = sorted(gadget.graph.degrees())
     assert degs == [2, 2, 2, 2] + [3] * 10
     assert len(gadget.witness) == 8

@@ -59,6 +59,16 @@ def test_graph_rejects_malformed_adjacency(n, adj, message):
         Graph(n, adj)
 
 
+@pytest.mark.parametrize("labels", [["a"], "abcd", []])
+def test_graph_rejects_labels_of_the_wrong_length(labels):
+    # every graph goes through the constructor, so it checks, not only build_graph
+    with pytest.raises(ValueError, match=f"{len(labels)} labels for 3 vertices"):
+        Graph(3, (0, 0, 0), labels=labels)
+    with pytest.raises(ValueError, match=f"{len(labels)} labels for 3 vertices"):
+        build_graph(3, [(0, 1)], labels=labels)
+    assert Graph(3, (0, 0, 0), labels="abc").label(2) == "c"
+
+
 def test_duplicate_edges_collapse():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.num_edges() == 1

@@ -26,6 +26,8 @@ ANY_ROOT = "tests/test_existence.py::test_tree_rule_on_any_parent_array"
 VERIFY_RANDOM = "tests/test_detection.py::test_verify_equals_literal_check"
 MOVED_Q8 = "tests/test_detection.py::test_verify_equals_literal_check_on_moved_q8_detectors"
 HYPERCUBE = "tests/test_graphs.py::test_hypercube_is_its_definition"
+G14_RING = "tests/test_cli.py::test_output_is_pinned[construct g14-ring --t 2]"
+G14_SEARCH = "tests/test_constructions.py::test_g14_search_and_ring"
 
 MUTANTS = [
     pytest.param("symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -56,10 +58,14 @@ MUTANTS = [
                  "adj = [a | 1 << (v + h) for v, a in enumerate(adj)] + [a << h | 1 << v for v, a in enumerate(adj)]",
                  "adj = [a | 1 << (2 * h - 1 - v) for v, a in enumerate(adj)] + [a << h | 1 << (h - 1 - v) for v, a in enumerate(adj)]",
                  [HYPERCUBE], id="hypercube-cross-edges-reversed"),
+    pytest.param("constructions.py", "(0, 3, 4, 5, 8, 9, 10, 13)", "(0, 3, 4, 5, 8, 9, 10, 12)",
+                 [G14_RING], id="g14-gadget-witness-vertex-changed"),
+    pytest.param("constructions.py", "(10, 13)", "(10, 12)",
+                 [G14_SEARCH], id="g14-gadget-edge-moved"),
 ]
 
 
-@pytest.mark.stretch(reason="a test run per mutant, about 15 s in all")
+@pytest.mark.stretch(reason="a test run per mutant, about 20 s in all")
 @pytest.mark.parametrize("module, snippet, replacement, tests", MUTANTS)
 def test_mutant_is_caught(tmp_path, module, snippet, replacement, tests):
     shutil.copytree(ROOT / "src" / "redic", tmp_path / "redic", ignore=shutil.ignore_patterns("__pycache__"))
