@@ -267,7 +267,9 @@ def g14_gadget_search(budget_seconds: float = 120.0) -> G14Gadget | None:
     minimum first; for each, every unordered pair of vertex-disjoint edges
     is cut and the remaining fragment is asked for a code of size 8 whose
     validity does not depend on the ports' missing edges.  Returns None if
-    the budget expires first (reported, not fatal).
+    the budget expires first.  No path of the program calls it: the ring
+    is built from the frozen ``g14_gadget()``, and the search stays as the
+    evidence a test re-runs to find that gadget again.
     """
     deadline = time.perf_counter() + budget_seconds
     parents = []

@@ -71,7 +71,8 @@ log = logging.getLogger(__name__)
 def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices:
     the ``Graph`` of each level sequence that ``tree_levels(n, res, mod)``
-    walks to, in the same order.
+    walks to, in the same order, so shard res of mod holds the blocks b of
+    the stream (runs with one ``tree_block``) with b % mod == res.
 
     Building is the costly part: over n = 4..16 (32,505 trees) the walk
     takes about 0.09 s and building every graph (adjacency masks and
@@ -120,11 +121,15 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
     the Beyer-Hedetniemi successor of rooted trees, and a non-canonical
     sequence jumps straight to the next canonical one.
 
-    ``res`` and ``mod`` select a shard: only the sequences at stream
-    positions i with i % mod == res are yielded, so the shards for
-    res = 0..mod-1 interleave to the whole stream.  Every shard walks all
-    the sequences.  The same list is yielded each time and changed in place
-    by the next step: read it, or copy it, before asking for the next.
+    ``res`` and ``mod`` select a shard.  The walk visits the sequences
+    with the same first subtree ``lev[:m]`` (m the root's second child,
+    ``tree_block``) one after another; block b of those runs belongs to
+    shard b % mod, so the shards for res = 0..mod-1, merged block by block,
+    give the whole stream.  At the first sequence of a block it does not
+    own, a shard leaves the block with the jump it makes for a first
+    subtree that is too big, so it never walks the sequences of the other
+    shards' blocks.  The same list is yielded each time and changed in
+    place by the next step: read it, or copy it, before asking for the next.
     """
     for name, value in (("n", n), ("res", res), ("mod", mod)):
         if not isinstance(value, int):
@@ -134,7 +139,8 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
     if mod < 1 or not 0 <= res < mod:
         raise ValueError(f"a tree shard needs mod >= 1 and 0 <= res < mod, got res={res}, mod={mod}")
     lev = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    index = -1
+    split = mod > 1
+    block, new_block = 0, split  # with one shard, every block is owned
     while True:
         try:
             m = lev.index(1, 2)  # the root's second child
@@ -144,23 +150,40 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
         # heights, then sizes (m - 1 against n - m + 1), then the sequences,
         # which both start with the root's 0
         top, top_rest = max(lev[1:m], default=1) - 1, max(lev[m:], default=0)
-        if top > top_rest or top == top_rest and (2 * m > n + 2 or 2 * m == n + 2
-                                                  and [h - 1 for h in lev[2:m]] > lev[m:]):
+        skip = top > top_rest or top == top_rest and (2 * m > n + 2 or 2 * m == n + 2
+                                                      and [h - 1 for h in lev[2:m]] > lev[m:])
+        if new_block and not skip:
+            skip, block, new_block = block % mod != res, block + 1, False
+            if skip and m <= 2:  # a first subtree of at most one vertex: the star, the last tree
+                return
+        if skip:
+            # past every sequence with the first subtree lev[:m]
             deep = lev[m - 1] > 2
             _next_rooted(lev, m - 1)
             if deep:
                 # the root has one child now: regrow the rest as a path one level taller
                 h = max(lev)
                 lev[n - h:] = range(1, h + 1)
-        index += 1
-        if index % mod == res:
-            yield lev
+            new_block = split
+            continue
+        yield lev
         p = n - 1  # the last vertex at depth > 1; lev[0] = 0 stops the scan
         while lev[p] == 1:
             p -= 1
         if p == 0:  # the star is the last tree
             return
+        new_block = split and p < m  # the step changes the first subtree
         _next_rooted(lev, p)
+
+
+def tree_block(lev: list[int]) -> list[int]:
+    """The key of a level sequence's block in ``tree_levels``: the root and
+    its first subtree, ``lev[:m]`` with m the root's second child (the whole
+    sequence when n <= 2, where the root has at most one child)."""
+    try:
+        return lev[:lev.index(1, 2)]
+    except ValueError:
+        return lev[:]
 
 
 def _next_rooted(lev: list[int], p: int) -> None:

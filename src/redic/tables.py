@@ -12,21 +12,26 @@ row's solver node total.  One helper, ``_row``, counts those results into
 a histogram of minima and derives either row type's columns from it, so
 on a complete row the minima columns account for every graph with a code.
 
-With N threads the stream is split by position: shard r holds the graphs
-at positions r, r + N, ..., and its results go back to those positions,
-so the result list is the same for every N.  The N processes include the
-caller: each row starts one process per extra shard, which enumerates and
-solves its shard itself while the caller solves shard 0, and only the
-shard's list of ints and its node total come back over a pipe, never a
-graph.  Tree shards walk the level sequences of their share and decide
-existence on each sequence itself (``existence.levels_have_red_ic``, one
-scan of its bytes): a rejected tree counts as having no code and gets no
-parent array and no ``Graph``, so only the trees that admit a code (3,150
-of the 32,505 for n = 4..16) are built and reach ``solve_min``.  Most of
-those (2,866) close at the root: the members of their constraints with
-exactly two members already form a code, which ``solve_min`` returns
-without packing a search.  Cubic shards each enumerate the whole cubic
-stream and keep their slice, one extra enumeration per extra process.
+With N threads the stream is split into N shards, each returning its
+results in chunks: chunk j of the stream comes from shard j % N, so
+putting the chunks back in that order gives the same result list for
+every N.  A tree shard's chunks are blocks of the level-sequence walk, the
+runs of trees with the same first subtree (``generators.tree_levels``):
+shard r holds blocks r, r + N, ..., and its walk jumps over the blocks of
+the other shards instead of stepping through them.  A cubic shard holds
+the graphs at stream positions r, r + N, ..., one graph per chunk.  The N
+processes include the caller: each row starts one process per extra
+shard, which enumerates and solves its shard itself while the caller
+solves shard 0, and only the shard's lists of ints and its node total
+come back over a pipe, never a graph.  Tree shards decide existence on
+each level sequence itself (``existence.levels_have_red_ic``, one scan of
+its bytes): a rejected tree counts as having no code and gets no parent
+array and no ``Graph``, so only the trees that admit a code (3,150 of the
+32,505 for n = 4..16) are built and reach ``solve_min``.  Most of those
+(2,866) close at the root: the members of their constraints with exactly
+two members already form a code, which ``solve_min`` returns without
+packing a search.  Cubic shards each enumerate the whole cubic stream and
+keep their slice, one extra enumeration per extra process.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ import multiprocessing
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
 
 from .detection import CodeKind
 from .existence import levels_have_red_ic
-from .generators import cubic_graphs_cached, tree_graph, tree_levels, tree_parents
+from .generators import cubic_graphs_cached, tree_block, tree_graph, tree_levels, tree_parents
 from .graphs import Graph
 from .solver import Budget, solve_min
 
@@ -138,17 +144,25 @@ def _solve_all(graphs: Iterable[Graph | None], budget: Budget) -> tuple[list[int
     return results, nodes
 
 
-def _solve_tree_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[int | None], int]:
-    """``_solve_all`` over the trees at stream positions i with
-    i % mod == res; a tree that admits no code is never built."""
-    return _solve_all((tree_graph(tree_parents(lev)) if levels_have_red_ic(lev) else None
-                       for lev in tree_levels(n, res, mod)), budget)
+def _solve_tree_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[list[int | None]], int]:
+    """``_solve_all`` over the trees of shard res of mod, one chunk of
+    results per block of ``tree_levels`` (one chunk in all when mod is 1,
+    which spares the grouping); a tree that admits no code is never built."""
+    levels = tree_levels(n, res, mod)
+    chunks, nodes = [], 0
+    for block in [levels] if mod == 1 else (block for _, block in groupby(levels, tree_block)):
+        results, spent = _solve_all((tree_graph(tree_parents(lev)) if levels_have_red_ic(lev) else None
+                                     for lev in block), budget)
+        chunks.append(results)
+        nodes += spent
+    return chunks, nodes
 
 
-def _solve_cubic_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[int | None], int]:
+def _solve_cubic_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[list[int | None]], int]:
     """``_solve_all`` over the cubic graphs at stream positions i with
-    i % mod == res."""
-    return _solve_all(cubic_graphs_cached(n)[res::mod], budget)
+    i % mod == res, one chunk per graph."""
+    results, nodes = _solve_all(cubic_graphs_cached(n)[res::mod], budget)
+    return [[k] for k in results], nodes
 
 
 def _send_shard(conn, solve_shard, n: int, res: int, mod: int, budget: Budget) -> None:
@@ -161,13 +175,14 @@ def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tupl
     """Solve the stream ``solve_shard(n, 0, 1, budget)``, with ``budget``
     the ``Budget(max_nodes=budget_nodes)`` built before any process starts:
     its per-graph results in stream order and its solver node total.  Shard
-    r of N = ``threads`` is ``solve_shard(n, r, N, budget)``, whose results
-    go back to stream positions r, r + N, ..., so the list is the same for
-    every N.  The caller starts one process per shard r >= 1, solves shard
-    0 itself meanwhile, then receives each child's results over a one-way
-    pipe: N processes work, the caller included, and only ints, the budget
-    and a module-level function cross.  A child that exits without sending
-    raises RuntimeError; no child outlives the call."""
+    r of N = ``threads`` is ``solve_shard(n, r, N, budget)``, which returns
+    its results in chunks: chunk j of the stream is chunk j // N of shard
+    j % N, so the list is the same for every N.  The caller starts one
+    process per shard r >= 1, solves shard 0 itself meanwhile, then
+    receives each child's results over a one-way pipe: N processes work,
+    the caller included, and only ints, the budget and a module-level
+    function cross.  A child that exits without sending raises
+    RuntimeError; no child outlives the call."""
     if not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be at least 1 and an integer, got {threads!r}")
     budget = Budget(max_nodes=budget_nodes)
@@ -195,9 +210,8 @@ def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tupl
                 child.terminate()
             child.join()
             recv.close()
-    results = [None] * sum(len(shard) for shard, _ in shards)
-    for res, (shard, _) in enumerate(shards):
-        results[res::threads] = shard
+    chunks = [shard for shard, _ in shards]
+    results = [k for j in range(sum(map(len, chunks))) for k in chunks[j % threads][j // threads]]
     return results, sum(nodes for _, nodes in shards)
 
 

@@ -2,7 +2,7 @@ import hashlib
 import io
 import random
 from functools import cache
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
@@ -16,7 +16,10 @@ from redic.generators import (
     enum_cubic,
     enum_trees,
     read_graph6_stream,
+    tree_block,
+    tree_graph,
     tree_levels,
+    tree_parents,
 )
 from redic.graphs import Graph6Error, bits, build_graph, complete_graph, cycle_graph, write_graph6
 
@@ -236,15 +239,27 @@ def test_tree_stream_is_pinned(n, digest):
     assert hashlib.sha256(tree_stream(n)).hexdigest()[:16] == digest
 
 
+def merged_tree_shards(n: int, mod: int) -> bytes:
+    """The graph6 stream of the shards ``tree_levels(n, res, mod)``, each
+    cut into its blocks (runs with one ``tree_block``) and merged: block j
+    of the stream is block j // mod of shard j % mod."""
+    shards = [[[tree_graph(tree_parents(lev)) for lev in block]
+               for _, block in groupby(tree_levels(n, res, mod), tree_block)] for res in range(mod)]
+    blocks = sum(map(len, shards))
+    return b"".join(write_graph6(t) + b"\n" for j in range(blocks) for t in shards[j % mod][j // mod])
+
+
 @pytest.mark.parametrize("mod", [1, 2, 3])
 def test_tree_shards_interleave_to_the_stream(mod):
     # n = 1, 2, 3 have one tree, so every shard but the first is empty
     for n in range(1, 15):
-        shards = [list(enum_trees(n, res, mod)) for res in range(mod)]
-        total = sum(map(len, shards))
-        merged = [shards[i % mod][i // mod] for i in range(total)]
-        stream = b"".join(write_graph6(t) + b"\n" for t in merged)
-        assert hashlib.sha256(stream).hexdigest()[:16] == TREE_STREAM_DIGESTS[n], (n, mod)
+        assert hashlib.sha256(merged_tree_shards(n, mod)).hexdigest()[:16] == TREE_STREAM_DIGESTS[n], (n, mod)
+
+
+@pytest.mark.stretch(reason="about 4 s")
+@pytest.mark.parametrize("mod", [2, 3])
+def test_stretch_tree_shards_interleave_to_the_stream_at_17(mod):
+    assert hashlib.sha256(merged_tree_shards(17, mod)).hexdigest()[:16] == TREE_STREAM_DIGESTS[17]
 
 
 @pytest.mark.parametrize("res,mod", [(0, 0), (0, -1), (-1, 2), (2, 2), (5, 3)])

@@ -28,6 +28,8 @@ MOVED_Q8 = "tests/test_detection.py::test_verify_equals_literal_check_on_moved_q
 HYPERCUBE = "tests/test_graphs.py::test_hypercube_is_its_definition"
 G14_RING = "tests/test_cli.py::test_output_is_pinned[construct g14-ring --t 2]"
 G14_SEARCH = "tests/test_constructions.py::test_g14_search_and_ring"
+TREE_SHARDS = "tests/test_generators.py::test_tree_shards_interleave_to_the_stream[2]"
+TREE_ROW_2 = "tests/test_tables.py::test_census_row_is_pinned[tree-16-2]"
 
 MUTANTS = [
     pytest.param("symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -62,6 +64,14 @@ MUTANTS = [
                  [G14_RING], id="g14-gadget-witness-vertex-changed"),
     pytest.param("constructions.py", "(10, 13)", "(10, 12)",
                  [G14_SEARCH], id="g14-gadget-edge-moved"),
+    pytest.param("generators.py", "block % mod != res", "block % mod == res",
+                 [TREE_SHARDS], id="tree-shard-walks-the-blocks-it-does-not-own"),
+    pytest.param("generators.py", "new_block = split and p < m ", "new_block = split ",
+                 [TREE_SHARDS], id="tree-shard-takes-every-sequence-for-a-block"),
+    pytest.param("generators.py", "            if skip and m <= 2:", "            if skip and m < 2:",
+                 [TREE_SHARDS], id="tree-shard-walks-on-past-the-star"),
+    pytest.param("tables.py", "chunks[j % threads][j // threads]", "chunks[j // threads][j % threads]",
+                 [TREE_ROW_2], id="census-merge-swaps-shard-and-chunk"),
 ]
 
 

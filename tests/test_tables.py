@@ -155,14 +155,14 @@ def test_census_starts_one_process_per_extra_shard(monkeypatch, threads):
 def _shard_1_fails(n, res, mod, budget_nodes):
     if res == 1:
         raise ValueError("shard 1 fails")
-    return [n], 0
+    return [[n]], 0
 
 
 def _caller_fails(n, res, mod, budget_nodes):
     if res == 0:
         raise ValueError("the caller's shard fails")
     time.sleep(60)  # still running when the caller fails: the row must stop it
-    return [n], 0
+    return [[n]], 0
 
 
 @contextlib.contextmanager
@@ -201,14 +201,16 @@ def test_diff_row_rejects_a_reference_of_another_length(monkeypatch):
             diff_row(row)
 
 
-# stream-order results of a fake tree shard for n = 10: a graph without a
-# code, and minima in every column, four of them below n - 2
-FAKE_RESULTS = [5, None, 6, 7, 8, 9, 10, 7]
+# stream-order results of a fake tree shard for n = 10, in blocks of
+# unequal sizes: a graph without a code, and minima in every column, four
+# of them below n - 2
+FAKE_BLOCKS = [[5, None], [6], [7, 8, 9], [10, 7]]
+FAKE_RESULTS = [k for block in FAKE_BLOCKS for k in block]
 
 
 def _fake_tree_shard(n, res, mod, budget_nodes):
-    share = FAKE_RESULTS[res::mod]
-    return share, sum(k is not None for k in share)  # one node per graph with a code
+    share = FAKE_BLOCKS[res::mod]
+    return share, sum(k is not None for block in share for k in block)  # one node per graph with a code
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
