@@ -15,7 +15,6 @@ fault-tolerant distinguishing requirement.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -23,8 +22,7 @@ from math import comb
 
 from .detection import CodeKind, verify
 from .graphs import Graph, build_graph, complete_multipartite, hypercube
-from .solver import Budget, feasible_at, lower_bound, solve_min
-from . import generators
+from .solver import Budget, feasible_at, lower_bound
 
 __all__ = [
     "ConstructedInstance",
@@ -37,7 +35,6 @@ __all__ = [
     "g6_ring",
     "G14Gadget",
     "g14_gadget",
-    "g14_gadget_search",
     "g14_ring",
     "q5_code_search",
     "double_hypercube_code",
@@ -247,57 +244,16 @@ class G14Gadget:
 
 
 def g14_gadget() -> G14Gadget:
-    """The gadget that ``g14_gadget_search`` finds, frozen.
+    """The gadget that the search in ``tests/gadgets.py`` finds, frozen.
 
     Two 7-vertex halves joined by the bridge 6-7; ports 1, 2 and 11, 12
-    are the ends of the cut edges 1-2 and 11-12.  The search stays as the
-    evidence that reproduces this data; ``g14_ring`` re-verifies the
-    witness in every ring it builds.
+    are the ends of the cut edges 1-2 and 11-12.  A test re-runs that
+    search and asserts it reproduces this data; ``g14_ring`` re-verifies
+    the witness in every ring it builds.
     """
     edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7),
              (7, 8), (7, 9), (8, 10), (8, 11), (9, 10), (9, 12), (10, 13), (11, 13), (12, 13)]
     return G14Gadget(build_graph(14, edges), (1, 2, 11, 12), (0, 3, 4, 5, 8, 9, 10, 13))
-
-
-def g14_gadget_search(budget_seconds: float = 120.0) -> G14Gadget | None:
-    """Search for a gadget among cubic graphs on 14 vertices minus two
-    disjoint edges.
-
-    Candidate parents are scanned in enumeration order, lowest known
-    minimum first; for each, every unordered pair of vertex-disjoint edges
-    is cut and the remaining fragment is asked for a code of size 8 whose
-    validity does not depend on the ports' missing edges.  Returns None if
-    the budget expires first.  No path of the program calls it: the ring
-    is built from the frozen ``g14_gadget()``, and the search stays as the
-    evidence a test re-runs to find that gadget again.
-    """
-    deadline = time.perf_counter() + budget_seconds
-    parents = []
-    for idx, g in enumerate(generators.cubic_graphs_cached(14)):
-        out = solve_min(g, CodeKind.RED_IC)
-        if out.is_optimal:
-            parents.append((out.k, idx, g))
-        if time.perf_counter() > deadline:
-            return None
-    parents.sort(key=lambda t: (t[0], t[1]))
-    for _, _, g in parents:
-        edges = g.edges()
-        for i in range(len(edges)):
-            u1, v1 = edges[i]
-            for jdx in range(i + 1, len(edges)):
-                u2, v2 = edges[jdx]
-                if len({u1, v1, u2, v2}) != 4:
-                    continue
-                if time.perf_counter() > deadline:
-                    return None
-                cut = [e for kk, e in enumerate(edges) if kk not in (i, jdx)]
-                frag = build_graph(14, cut)
-                if not frag.is_connected():
-                    continue
-                res = feasible_at(frag, CodeKind.RED_IC, 8)
-                if res.witness is not None:
-                    return G14Gadget(frag, (u1, v1, u2, v2), res.witness)
-    return None
 
 
 def g14_ring(gadget: G14Gadget, t: int) -> ConstructedInstance:

@@ -21,20 +21,17 @@ unused variables are rejected.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from .detection import CodeKind
-from .graphs import Graph, bits, build_graph
+from .graphs import Graph, build_graph
 from .solver import Budget, SolveOutcome, solve_min
 
 __all__ = [
     "CnfFormula",
     "GadgetSpec",
     "parse_dimacs",
-    "find_h_gadget",
-    "find_f_gadget",
     "f_gadget",
     "h_gadget",
     "build_reduction",
@@ -124,9 +121,10 @@ class GadgetSpec:
     forced: tuple[int, ...]
 
 
-# Frozen golden artifacts (reproduced by the searches below):
-# variable fragment on x, nx, y, p, u, z, r, v -- two paths y-p-u and
-# z-r-v with both centers p, r adjacent to both literal vertices.
+# Frozen golden artifacts.  The variable fragment on x, nx, y, p, u, z, r,
+# v -- two paths y-p-u and z-r-v with both centers p, r adjacent to both
+# literal vertices -- is what the search in tests/gadgets.py finds; the
+# clause star is the path a-c-b, the only 2-edge graph on 3 vertices.
 _F_ROLES = {"x": 0, "nx": 1, "y": 2, "p": 3, "u": 4, "z": 5, "r": 6, "v": 7}
 _F_EDGES = ((2, 3), (3, 4), (5, 6), (6, 7), (0, 3), (0, 6), (1, 3), (1, 6))
 _H_ROLES = {"a": 0, "b": 1, "c": 2}
@@ -139,136 +137,6 @@ def f_gadget() -> GadgetSpec:
 
 def h_gadget() -> GadgetSpec:
     return GadgetSpec("clause", 3, _H_EDGES, dict(_H_ROLES), (0, 1, 2))
-
-
-def _deltas_ok(g: Graph, s0_mask: int, x: int, nx: int) -> bool:
-    """Checklist for a candidate variable fragment.
-
-    With only the six permanent detectors: every vertex 2-dominated; every
-    pair either 2-distinguished outright or short by exactly one, and each
-    deficient pair must be repaired by x alone and by nx alone; the pair
-    (x, nx) is exempt (clause edges handle it) but must not lose its only
-    distinguisher when one literal is chosen.
-    """
-    n = g.n
-    closed = g._closed
-    for v in range(n):
-        if (closed[v] & s0_mask).bit_count() < 2:
-            return False
-    deficient = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = closed[u] ^ closed[v]
-            got = (d & s0_mask).bit_count()
-            if got >= 2:
-                continue
-            if {u, v} == {x, nx}:
-                # selecting one literal contributes one; a clause edge must
-                # supply the second, so the chosen literal must still count
-                if not (d >> x & 1) or not (d >> nx & 1):
-                    return False
-                continue
-            if got != 1 or u in (x, nx) or v in (x, nx):
-                return False
-            deficient.append(d)
-    if not deficient:
-        return False  # nothing would force the literals
-    for d in deficient:
-        if not (d >> x & 1) or not (d >> nx & 1):
-            return False
-    return True
-
-
-def find_f_gadget(budget_seconds: float = 300.0) -> GadgetSpec | None:
-    """Exhaustive search for an 8-vertex, 8-edge variable fragment.
-
-    Vertices 0 and 1 are the literals, 2..7 the permanent detectors.  Edge
-    budgets follow from 2-domination: each literal needs two detector
-    neighbors, and six detectors need at least three internal edges, which
-    caps the loose choices enough to enumerate outright.  Fragments are
-    also screened for the leaf/support structure that makes the six
-    detectors forced in every code.
-    """
-    deadline = time.perf_counter() + budget_seconds
-    s0 = tuple(range(2, 8))
-    s0_mask = sum(1 << v for v in s0)
-    internal = list(combinations(s0, 2))
-    lit_choices = list(combinations(s0, 2)) + list(combinations(s0, 3))
-    for x_nb in lit_choices:
-        for nx_nb in lit_choices:
-            rest = 8 - len(x_nb) - len(nx_nb)
-            if rest < 3:
-                continue
-            if time.perf_counter() > deadline:
-                return None
-            for internal_edges in combinations(internal, rest):
-                edges = [(0, v) for v in x_nb] + [(1, v) for v in nx_nb] + list(internal_edges)
-                g = build_graph(8, edges)
-                if not _deltas_ok(g, s0_mask, 0, 1):
-                    continue
-                if not _forced_ok(g, s0_mask):
-                    continue
-                roles = _assign_f_roles(g)
-                if roles is None:
-                    continue
-                return GadgetSpec("variable", 8, tuple(sorted(edges)), roles, s0)
-    return None
-
-
-def _forced_ok(g: Graph, s0_mask: int) -> bool:
-    """The six permanent detectors must be forced: each is a leaf or a
-    support of a leaf, and neither literal may end up forced itself."""
-    forced = 0
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            forced |= g.closed_nbhd(v)
-    if forced & ~s0_mask:
-        return False
-    return forced == s0_mask
-
-
-def _assign_f_roles(g: Graph) -> dict[str, int] | None:
-    leaves = [v for v in range(2, 8) if g.degree(v) == 1]
-    supports = [v for v in range(2, 8) if any(g.degree(u) == 1 for u in bits(g.adj[v]))]
-    if len(leaves) != 4 or len(supports) != 2:
-        return None
-    p, r = supports
-    arm_p = sorted(v for v in leaves if g.has_edge(v, p))
-    arm_r = sorted(v for v in leaves if g.has_edge(v, r))
-    if len(arm_p) != 2 or len(arm_r) != 2:
-        return None
-    return {"x": 0, "nx": 1, "y": arm_p[0], "p": p, "u": arm_p[1],
-            "z": arm_r[0], "r": r, "v": arm_r[1]}
-
-
-def find_h_gadget() -> GadgetSpec:
-    """Exhaustive search over 3-vertex, 2-edge clause fragments.
-
-    The winning shape is forced: with all three vertices detectors, both
-    leaves sit at symmetric difference exactly one from the center, and
-    any one extra detector adjacent to the center repairs both pairs.
-    """
-    for edges in combinations(combinations(range(3), 2), 2):
-        g = build_graph(3, list(edges))
-        degs = g.degrees()
-        centers = [v for v in range(3) if degs[v] == 2]
-        if len(centers) != 1:
-            continue
-        c = centers[0]
-        closed = g._closed
-        full = 7
-        ok = True
-        for v in range(3):
-            if (closed[v] & full).bit_count() < 2:
-                ok = False
-        others = [v for v in range(3) if v != c]
-        for v in others:
-            if (closed[v] ^ closed[c]).bit_count() != 1:
-                ok = False
-        if ok:
-            a, b = sorted(others)
-            return GadgetSpec("clause", 3, tuple(sorted(edges)), {"a": a, "b": b, "c": c}, (0, 1, 2))
-    raise AssertionError("no clause fragment exists in a 2-edge search space")
 
 
 # -- the reduction -----------------------------------------------------------
@@ -288,19 +156,19 @@ def build_reduction(phi: CnfFormula) -> tuple[Graph, int]:
     if missing:
         raise ValueError(f"variables never used in any clause: {sorted(missing)}")
     n_v, n_c = phi.n_vars, len(phi.clauses)
+    f_names = {idx: name for name, idx in f.roles.items()}
+    h_names = {idx: name for name, idx in h.roles.items()}
     edges: list[tuple[int, int]] = []
     labels: list[str] = []
     for i in range(n_v):
         base = f.n * i
         edges += [(base + u, base + v) for u, v in f.edges]
-        inv = {idx: name for name, idx in f.roles.items()}
-        labels += [f"{inv[j]}{i + 1}" for j in range(f.n)]
+        labels += [f"{f_names[j]}{i + 1}" for j in range(f.n)]
     cbase0 = f.n * n_v
     for j, cl in enumerate(phi.clauses):
         base = cbase0 + h.n * j
         edges += [(base + u, base + v) for u, v in h.edges]
-        inv = {idx: name for name, idx in h.roles.items()}
-        labels += [f"{inv[t]}{j + 1}" for t in range(h.n)]
+        labels += [f"{h_names[t]}{j + 1}" for t in range(h.n)]
         for lit in cl:
             var = abs(lit) - 1
             role = "x" if lit > 0 else "nx"

@@ -11,7 +11,6 @@ from redic.constructions import (
     g6_gadget,
     g6_ring,
     g14_gadget,
-    g14_gadget_search,
     g14_ring,
     multipartite_exact,
     q5_code_search,
@@ -22,6 +21,8 @@ from redic.detection import CodeKind, verify
 from redic.generators import are_isomorphic
 from redic.graphs import build_graph, cycle_graph, hypercube
 from redic.solver import lower_bound, solve_min
+
+from gadgets import g14_gadget_search
 
 
 def test_star_even_sizes_and_certificates():
@@ -108,8 +109,8 @@ def test_g6_ring():
 
 def test_g14_search_and_ring():
     # the search is the evidence for the frozen gadget: same graph, ports and witness
-    found, gadget = g14_gadget_search(budget_seconds=600), g14_gadget()
-    assert found is not None, "search budget should be ample at this size"
+    found, gadget = g14_gadget_search(), g14_gadget()
+    assert found is not None
     assert (found.graph.edges(), found.ports, found.witness) == (gadget.graph.edges(), gadget.ports, gadget.witness)
     degs = sorted(gadget.graph.degrees())
     assert degs == [2, 2, 2, 2] + [3] * 10

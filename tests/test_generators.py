@@ -163,7 +163,8 @@ CUBIC_STREAM_DIGESTS = {
     for n, digest in sorted(CUBIC_STREAM_DIGESTS.items())
 ])
 def test_cubic_stream_is_pinned(n, digest):
-    # the order is part of the contract: g14_gadget_search reports parent indices
+    # the order is part of the contract: g14_gadget_search (tests/gadgets.py)
+    # orders its parents by stream index, so the frozen g14 gadget depends on it
     stream = b"".join(write_graph6(g) + b"\n" for g in cubic_graphs_cached(n))
     assert hashlib.sha256(stream).hexdigest()[:16] == digest
 

@@ -12,13 +12,13 @@ from redic.reduction import (
     brute_force_sat,
     build_reduction,
     f_gadget,
-    find_f_gadget,
-    find_h_gadget,
+    h_gadget,
     parse_dimacs,
     verify_reduction,
 )
 from redic.solver import forced_detectors
 
+from gadgets import find_f_gadget
 from literal import literal_sat, literal_verify
 
 
@@ -36,12 +36,18 @@ def test_parse_dimacs():
 
 
 def test_h_gadget_shape():
-    h = find_h_gadget()
+    h = h_gadget()
+    # the search space of a clause star: all three 2-edge graphs on 3 vertices are P3
+    candidates = list(combinations(combinations(range(3), 2), 2))
+    assert len(candidates) == 3
+    assert all(are_isomorphic(build_graph(3, list(edges)), build_graph(3, h.edges)) for edges in candidates)
     c, a, b = h.roles["c"], h.roles["a"], h.roles["b"]
-    assert sorted(h.edges) == sorted(((c, a) if c < a else (a, c), (c, b) if c < b else (b, c)))
+    assert len(h.edges) == 2 and set(map(frozenset, h.edges)) == {frozenset((c, a)), frozenset((c, b))}
     g = build_graph(3, h.edges)
     doms = [(g.closed_nbhd(v) & 7).bit_count() for v in (a, b, c)]
     assert doms == [2, 2, 3]
+    # each leaf differs from the center in the other leaf alone
+    assert [g.closed_nbhd(v) ^ g.closed_nbhd(c) for v in (a, b)] == [1 << b, 1 << a]
     # one extra detector adjacent to the center pushes it to 4-dominated
     g2 = build_graph(4, list(h.edges) + [(c, 3)])
     assert (g2.closed_nbhd(c) & 0b1111).bit_count() == 4
