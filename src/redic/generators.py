@@ -72,7 +72,7 @@ def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices:
     the ``Graph`` of each level sequence that ``tree_levels(n, res, mod)``
     walks to, in the same order, so shard res of mod holds the blocks b of
-    the stream (runs with one ``tree_block``) with b % mod == res.
+    the stream (runs with one first subtree) with b % mod == res.
 
     Building is the costly part: over n = 4..16 (32,505 trees) the walk
     takes about 0.09 s and building every graph (adjacency masks and
@@ -122,11 +122,11 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
     sequence jumps straight to the next canonical one.
 
     ``res`` and ``mod`` select a shard.  The walk visits the sequences
-    with the same first subtree ``lev[:m]`` (m the root's second child,
-    ``tree_block``) one after another; block b of those runs belongs to
-    shard b % mod, so the shards for res = 0..mod-1, merged block by block,
-    give the whole stream.  At the first sequence of a block it does not
-    own, a shard leaves the block with the jump it makes for a first
+    with the same first subtree ``lev[:m]`` (m the root's second child)
+    one after another; block b of those runs belongs to shard b % mod, so
+    the shards for res = 0..mod-1 partition the stream, and merged block by
+    block they give it in order.  At the first sequence of a block it does
+    not own, a shard leaves the block with the jump it makes for a first
     subtree that is too big, so it never walks the sequences of the other
     shards' blocks.  The same list is yielded each time and changed in
     place by the next step: read it, or copy it, before asking for the next.
@@ -139,8 +139,7 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
     if mod < 1 or not 0 <= res < mod:
         raise ValueError(f"a tree shard needs mod >= 1 and 0 <= res < mod, got res={res}, mod={mod}")
     lev = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    split = mod > 1
-    block, new_block = 0, split  # with one shard, every block is owned
+    block, new_block = 0, True
     while True:
         try:
             m = lev.index(1, 2)  # the root's second child
@@ -164,7 +163,7 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
                 # the root has one child now: regrow the rest as a path one level taller
                 h = max(lev)
                 lev[n - h:] = range(1, h + 1)
-            new_block = split
+            new_block = True
             continue
         yield lev
         p = n - 1  # the last vertex at depth > 1; lev[0] = 0 stops the scan
@@ -172,18 +171,8 @@ def tree_levels(n: int, res: int = 0, mod: int = 1) -> Iterator[list[int]]:
             p -= 1
         if p == 0:  # the star is the last tree
             return
-        new_block = split and p < m  # the step changes the first subtree
+        new_block = p < m  # the step changes the first subtree
         _next_rooted(lev, p)
-
-
-def tree_block(lev: list[int]) -> list[int]:
-    """The key of a level sequence's block in ``tree_levels``: the root and
-    its first subtree, ``lev[:m]`` with m the root's second child (the whole
-    sequence when n <= 2, where the root has at most one child)."""
-    try:
-        return lev[:lev.index(1, 2)]
-    except ValueError:
-        return lev[:]
 
 
 def _next_rooted(lev: list[int], p: int) -> None:

@@ -5,28 +5,27 @@ divergence is an immediate red flag for a regression in the enumerators or
 the solver.  Free-tree counts also match OEIS A000055; connected-cubic
 counts match A002851.
 
-Both row kinds run one census path, ``_census``, which returns a row's
-per-graph results in stream order (each graph's minimum code size, None
-when it admits no code, -1 when the node budget ran out first) and the
-row's solver node total.  One helper, ``_row``, counts those results into
-a histogram of minima and derives either row type's columns from it, so
-on a complete row the minima columns account for every graph with a code.
+Both row kinds run one census path, ``_census``, which returns the
+histogram of a row's per-graph results (each graph's minimum code size,
+None when it admits no code, -1 when the node budget ran out first) and
+the row's solver node total.  One helper, ``_row``, derives either row
+type's columns from that histogram, so on a complete row the minima
+columns account for every graph with a code.  No output reads the order
+of the graphs, so none is kept.
 
-With N threads the stream is split into N shards, each returning its
-results in chunks: chunk j of the stream comes from shard j % N, so
-putting the chunks back in that order gives the same result list for
-every N.  A tree shard's chunks are blocks of the level-sequence walk, the
-runs of trees with the same first subtree (``generators.tree_levels``):
-shard r holds blocks r, r + N, ..., and its walk jumps over the blocks of
-the other shards instead of stepping through them.  A cubic shard holds
-the graphs at stream positions r, r + N, ..., one graph per chunk.  The N
-processes include the caller: each row starts one process per extra
+With N threads the stream is split into N shards, each returning the
+histogram of its own graphs, and the row adds them up.  A tree shard
+holds blocks r, r + N, ... of the level-sequence walk, the runs of trees
+with the same first subtree (``generators.tree_levels``), and its walk
+jumps over the blocks of the other shards instead of stepping through
+them.  A cubic shard holds the graphs at stream positions r, r + N, ....
+The N processes include the caller: each row starts one process per extra
 shard, which enumerates and solves its shard itself while the caller
-solves shard 0, and only the shard's lists of ints and its node total
-come back over a pipe, never a graph.  Tree shards decide existence on
-each level sequence itself (``existence.levels_have_red_ic``, one scan of
-its bytes): a rejected tree counts as having no code and gets no parent
-array and no ``Graph``, so only the trees that admit a code (3,150 of the
+solves shard 0, and only the shard's histogram and its node total come
+back over a pipe, never a graph.  Tree shards decide existence on each
+level sequence itself (``existence.levels_have_red_ic``, one scan of its
+bytes): a rejected tree counts as having no code and gets no parent array
+and no ``Graph``, so only the trees that admit a code (3,150 of the
 32,505 for n = 4..16) are built and reach ``solve_min``.  Most of those
 (2,866) close at the root: the members of their constraints with exactly
 two members already form a code, which ``solve_min`` returns without
@@ -40,11 +39,10 @@ import multiprocessing
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby
 
 from .detection import CodeKind
 from .existence import levels_have_red_ic
-from .generators import cubic_graphs_cached, tree_block, tree_graph, tree_levels, tree_parents
+from .generators import cubic_graphs_cached, tree_graph, tree_levels, tree_parents
 from .graphs import Graph
 from .solver import Budget, solve_min
 
@@ -129,60 +127,53 @@ class CubicRow:
         return {"lowest": min(minima, default=None), "highest": max(minima, default=None)}
 
 
-def _solve_all(graphs: Iterable[Graph | None], budget: Budget) -> tuple[list[int | None], int]:
-    """Each graph's minimum code size, None when it admits no code (a None
-    in ``graphs`` stands for a graph already known to admit none), -1 when
-    the budget ran out first; and the solver nodes spent over all of them."""
-    results, nodes = [], 0
+def _solve_all(graphs: Iterable[Graph | None], budget: Budget) -> tuple[Counter, int]:
+    """The histogram of the graphs' results (each graph's minimum code size,
+    None when it admits no code, a None in ``graphs`` standing for a graph
+    already known to admit none, and -1 when the budget ran out first) and
+    the solver nodes spent over all of them."""
+    results, nodes = Counter(), 0
     for g in graphs:
         if g is None:
-            results.append(None)
+            results[None] += 1
             continue
         out = solve_min(g, CodeKind.RED_IC, budget=budget)
         nodes += out.stats.nodes
-        results.append(None if out.status == "infeasible" else out.k if out.is_optimal else -1)
+        results[None if out.status == "infeasible" else out.k if out.is_optimal else -1] += 1
     return results, nodes
 
 
-def _solve_tree_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[list[int | None]], int]:
-    """``_solve_all`` over the trees of shard res of mod, one chunk of
-    results per block of ``tree_levels`` (one chunk in all when mod is 1,
-    which spares the grouping); a tree that admits no code is never built."""
-    levels = tree_levels(n, res, mod)
-    chunks, nodes = [], 0
-    for block in [levels] if mod == 1 else (block for _, block in groupby(levels, tree_block)):
-        results, spent = _solve_all((tree_graph(tree_parents(lev)) if levels_have_red_ic(lev) else None
-                                     for lev in block), budget)
-        chunks.append(results)
-        nodes += spent
-    return chunks, nodes
+def _solve_tree_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[Counter, int]:
+    """``_solve_all`` over the trees of shard res of mod of ``tree_levels``;
+    a tree that admits no code is never built."""
+    return _solve_all((tree_graph(tree_parents(lev)) if levels_have_red_ic(lev) else None
+                       for lev in tree_levels(n, res, mod)), budget)
 
 
-def _solve_cubic_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[list[list[int | None]], int]:
+def _solve_cubic_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[Counter, int]:
     """``_solve_all`` over the cubic graphs at stream positions i with
-    i % mod == res, one chunk per graph."""
-    results, nodes = _solve_all(cubic_graphs_cached(n)[res::mod], budget)
-    return [[k] for k in results], nodes
+    i % mod == res."""
+    return _solve_all(cubic_graphs_cached(n)[res::mod], budget)
 
 
 def _send_shard(conn, solve_shard, n: int, res: int, mod: int, budget: Budget) -> None:
-    """Body of a census child: solve one shard and send its results and node total."""
+    """Body of a census child: solve one shard and send its histogram and node total."""
     with conn:
         conn.send(solve_shard(n, res, mod, budget))
 
 
-def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tuple[list[int | None], int]:
+def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tuple[Counter, int]:
     """Solve the stream ``solve_shard(n, 0, 1, budget)``, with ``budget``
     the ``Budget(max_nodes=budget_nodes)`` built before any process starts:
-    its per-graph results in stream order and its solver node total.  Shard
-    r of N = ``threads`` is ``solve_shard(n, r, N, budget)``, which returns
-    its results in chunks: chunk j of the stream is chunk j // N of shard
-    j % N, so the list is the same for every N.  The caller starts one
-    process per shard r >= 1, solves shard 0 itself meanwhile, then
-    receives each child's results over a one-way pipe: N processes work,
-    the caller included, and only ints, the budget and a module-level
-    function cross.  A child that exits without sending raises
-    RuntimeError; no child outlives the call."""
+    the histogram of its per-graph results and its solver node total, the
+    sums over the shards r of N = ``threads``, ``solve_shard(n, r, N,
+    budget)``.  The shards partition the stream, so the sums are the same
+    for every N.  The caller starts one process per shard r >= 1, solves
+    shard 0 itself meanwhile, then receives each child's histogram over a
+    one-way pipe: N processes work, the caller included, and only the
+    histograms, node totals, the budget and a module-level function cross.
+    A child that exits without sending raises RuntimeError; no child
+    outlives the call."""
     if not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be at least 1 and an integer, got {threads!r}")
     budget = Budget(max_nodes=budget_nodes)
@@ -210,19 +201,20 @@ def _census(solve_shard, n: int, threads: int, budget_nodes: int | None) -> tupl
                 child.terminate()
             child.join()
             recv.close()
-    chunks = [shard for shard, _ in shards]
-    results = [k for j in range(sum(map(len, chunks))) for k in chunks[j % threads][j // threads]]
-    return results, sum(nodes for _, nodes in shards)
+    histograms, nodes = zip(*shards)
+    return sum(histograms, Counter()), sum(nodes)
 
 
-def _row(row_type, n: int, results: list[int | None], nodes: int):
-    """A census row from its per-graph results: the graphs, those that
-    admit a code, and the histogram of their minima, from which the row
-    type derives its minima columns; a budget miss (-1) marks it partial."""
-    minima = Counter(results)
+def _row(row_type, n: int, results: Counter, nodes: int):
+    """A census row from the histogram of its per-graph results: the
+    graphs, those that admit a code, and the histogram of their minima,
+    from which the row type derives its minima columns; a budget miss (-1)
+    marks it partial."""
+    minima = results.copy()
     no_code = minima.pop(None, 0)
     partial = minima.pop(-1, 0) > 0
-    return row_type(n, len(results), len(results) - no_code, **row_type.minima_columns(n, minima),
+    graphs = results.total()
+    return row_type(n, graphs, graphs - no_code, **row_type.minima_columns(n, minima),
                     partial=partial, nodes=nodes, minima=tuple(sorted(minima.items())))
 
 
@@ -235,9 +227,11 @@ def cubic_row(n: int, threads: int = 1, budget_nodes: int | None = None) -> Cubi
 
 
 def diff_row(row: TreeRow | CubicRow) -> list[tuple[str, int, int | None, bool]]:
-    """(column, expected, got, ok) against the row type's reference; empty
-    if n is beyond the embedded range.  A reference whose length is not
-    the row's raises ValueError, so no column goes unchecked."""
+    """(column, expected, got, ok) against the row type's reference, ok
+    when got equals expected; empty if n is beyond the embedded range.  A
+    partial row is flagged by its own ``partial``, not here, so its columns
+    that match still read ok.  A reference whose length is not the row's
+    raises ValueError, so no column goes unchecked."""
     ref = row.REFERENCE.get(row.n)
     if ref is None:
         return []
@@ -245,5 +239,5 @@ def diff_row(row: TreeRow | CubicRow) -> list[tuple[str, int, int | None, bool]]
     if not len(row.COLUMNS) == len(ref) == len(got):
         raise ValueError(f"{type(row).__name__} n={row.n}: {len(row.COLUMNS)} columns, "
                          f"{len(ref)} reference values, {len(got)} values")
-    return [(name, expected, value, expected == value and not row.partial)
+    return [(name, expected, value, expected == value)
             for name, expected, value in zip(row.COLUMNS, ref, got)]

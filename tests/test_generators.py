@@ -16,7 +16,6 @@ from redic.generators import (
     enum_cubic,
     enum_trees,
     read_graph6_stream,
-    tree_block,
     tree_graph,
     tree_levels,
     tree_parents,
@@ -240,12 +239,22 @@ def test_tree_stream_is_pinned(n, digest):
     assert hashlib.sha256(tree_stream(n)).hexdigest()[:16] == digest
 
 
+def _tree_block(lev: list[int]) -> list[int]:
+    """The key of a level sequence's block in ``tree_levels``: the root and
+    its first subtree, ``lev[:m]`` with m the root's second child (the whole
+    sequence when n <= 2, where the root has at most one child)."""
+    try:
+        return lev[:lev.index(1, 2)]
+    except ValueError:
+        return lev[:]
+
+
 def merged_tree_shards(n: int, mod: int) -> bytes:
     """The graph6 stream of the shards ``tree_levels(n, res, mod)``, each
-    cut into its blocks (runs with one ``tree_block``) and merged: block j
+    cut into its blocks (runs with one ``_tree_block``) and merged: block j
     of the stream is block j // mod of shard j % mod."""
     shards = [[[tree_graph(tree_parents(lev)) for lev in block]
-               for _, block in groupby(tree_levels(n, res, mod), tree_block)] for res in range(mod)]
+               for _, block in groupby(tree_levels(n, res, mod), _tree_block)] for res in range(mod)]
     blocks = sum(map(len, shards))
     return b"".join(write_graph6(t) + b"\n" for j in range(blocks) for t in shards[j % mod][j // mod])
 

@@ -36,6 +36,8 @@ TIGHT_CODES = "tests/test_reduction.py::test_satisfying_assignments_give_tight_c
 SAT_ORACLE = "tests/test_reduction.py::test_brute_force_sat"
 F_SEARCH = "tests/test_reduction.py::test_f_gadget_search_reproduces_frozen_artifact"
 RESCAN = "tests/test_solver.py::test_incremental_counters_match_rescan"
+CORPUS = "tests/test_corpus.py::test_differential_corpus"
+CUBIC_STREAM = "tests/test_generators.py::test_cubic_stream_is_pinned[12-ba8840f3f3c1135e]"
 
 MUTANTS = [
     pytest.param("src/redic/symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -72,12 +74,15 @@ MUTANTS = [
                  [G14_SEARCH], id="g14-gadget-edge-moved"),
     pytest.param("src/redic/generators.py", "block % mod != res", "block % mod == res",
                  [TREE_SHARDS], id="tree-shard-walks-the-blocks-it-does-not-own"),
-    pytest.param("src/redic/generators.py", "new_block = split and p < m ", "new_block = split ",
+    pytest.param("src/redic/generators.py", "new_block = p < m ", "new_block = True ",
                  [TREE_SHARDS], id="tree-shard-takes-every-sequence-for-a-block"),
     pytest.param("src/redic/generators.py", "            if skip and m <= 2:", "            if skip and m < 2:",
                  [TREE_SHARDS], id="tree-shard-walks-on-past-the-star"),
-    pytest.param("src/redic/tables.py", "chunks[j % threads][j // threads]", "chunks[j // threads][j % threads]",
-                 [TREE_ROW_2], id="census-merge-swaps-shard-and-chunk"),
+    pytest.param("src/redic/generators.py", "    return children\n",
+                 "    return children[:-1] if len(children) > 1 else children\n",
+                 [CUBIC_STREAM], id="cubic-children-drop-the-last-candidate"),
+    pytest.param("src/redic/tables.py", "sum(histograms, Counter())", "histograms[0]",
+                 [TREE_ROW_2], id="census-keeps-only-the-callers-histogram"),
     pytest.param("src/redic/reduction.py", 'role = "x" if lit > 0 else "nx"', 'role = "nx" if lit > 0 else "x"',
                  [TIGHT_CODES], id="reduction-wires-each-literal-to-its-negation"),
     pytest.param("src/redic/reduction.py", "full ^ table[-l - 1]", "table[-l - 1]",
@@ -90,6 +95,10 @@ MUTANTS = [
                  [RESCAN], id="packing-keeps-bits-outside-ones"),
     pytest.param("src/redic/solver.py", "        if light:\n", "        if False:\n",
                  [RESCAN], id="branch-ignores-the-res-1-preference"),
+    pytest.param("src/redic/solver.py", "        if (m & forced).bit_count() < t:\n",
+                 "        if (m & forced).bit_count() < t - 1:\n", [CORPUS], id="closed-root-accepts-t-minus-1-members"),
+    pytest.param("src/redic/solver.py", "    return [*closed, *sorted(pair_masks)]\n",
+                 "    return [*closed, *sorted(pair_masks)[:-1]]\n", [CORPUS], id="constraint-list-skips-a-pair-mask"),
     pytest.param("tests/gadgets.py", "key=lambda t: (t[0], t[1])", "key=lambda t: (t[0], -t[1])",
                  [G14_SEARCH], id="g14-search-ties-in-reverse-stream-order"),
 ]

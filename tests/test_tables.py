@@ -1,13 +1,18 @@
 import contextlib
+import functools
 import hashlib
 import multiprocessing
 import signal
 import time
+from collections import Counter
 
 import pytest
 
 from redic import tables
+from redic.detection import CodeKind
+from redic.generators import enum_cubic, enum_trees
 from redic.graphs import Graph
+from redic.solver import solve_min
 from redic.tables import CUBIC_REFERENCE, TREE_REFERENCE, CubicRow, TreeRow, cubic_row, diff_row, tree_row
 
 
@@ -74,9 +79,16 @@ def test_cubic_rows_small():
 
 
 def test_budget_marks_partial():
+    # the row says it is partial; each column's ok says only whether it
+    # equals the reference, so the solved graphs' columns may still match
     row = cubic_row(10, budget_nodes=1)
     assert row.partial
-    assert not all(ok for _, _, _, ok in diff_row(row))
+    assert diff_row(row) == [("cubic", 19, 19, True), ("with_code", 14, 14, True), ("lowest", 6, 6, True),
+                             ("highest", 8, 8, True)]
+    row = tree_row(10, budget_nodes=0)
+    assert row.partial
+    assert diff_row(row) == [("trees", 106, 106, True), ("with_code", 21, 21, True), ("min<n-2", 0, 0, True),
+                             ("min=n-2", 0, 0, True), ("min=n-1", 4, 0, False), ("min=n", 17, 0, False)]
 
 
 def test_zero_budget_is_a_cap_not_unlimited():
@@ -155,14 +167,14 @@ def test_census_starts_one_process_per_extra_shard(monkeypatch, threads):
 def _shard_1_fails(n, res, mod, budget_nodes):
     if res == 1:
         raise ValueError("shard 1 fails")
-    return [[n]], 0
+    return Counter([n]), 0
 
 
 def _caller_fails(n, res, mod, budget_nodes):
     if res == 0:
         raise ValueError("the caller's shard fails")
     time.sleep(60)  # still running when the caller fails: the row must stop it
-    return [[n]], 0
+    return Counter([n]), 0
 
 
 @contextlib.contextmanager
@@ -201,16 +213,16 @@ def test_diff_row_rejects_a_reference_of_another_length(monkeypatch):
             diff_row(row)
 
 
-# stream-order results of a fake tree shard for n = 10, in blocks of
-# unequal sizes: a graph without a code, and minima in every column, four
-# of them below n - 2
+# results of a fake tree census for n = 10, in blocks of unequal sizes,
+# shard r holding blocks r, r + N, ...: a graph without a code, and minima
+# in every column, four of them below n - 2
 FAKE_BLOCKS = [[5, None], [6], [7, 8, 9], [10, 7]]
-FAKE_RESULTS = [k for block in FAKE_BLOCKS for k in block]
+FAKE_RESULTS = Counter(k for block in FAKE_BLOCKS for k in block)
 
 
 def _fake_tree_shard(n, res, mod, budget_nodes):
-    share = FAKE_BLOCKS[res::mod]
-    return share, sum(k is not None for block in share for k in block)  # one node per graph with a code
+    share = [k for block in FAKE_BLOCKS[res::mod] for k in block]
+    return Counter(share), sum(k is not None for k in share)  # one node per graph with a code
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -227,10 +239,12 @@ def test_tree_rows_count_minima_below_n_minus_2(monkeypatch, threads):
 
 
 # (kind, n) -> (histogram of minima, solver nodes over the row, sha256 prefix
-# of the repr of the per-graph results in stream order); each graph was also
-# solved on its own with solve_min to the same minimum and node count.  The
-# node totals are 3,168 over the 3,150 trees with a code (n = 4..16) and
-# 21,341 over the cubic graphs (n = 6..14).
+# of the repr of the per-graph results in stream order).  The census keeps
+# no order, so the digest and the node total are checked on the stream solved
+# here graph by graph with solve_min, and the census must give the same
+# histogram and node total at every thread count.  The node totals are 3,168
+# over the 3,150 trees with a code (n = 4..16) and 21,341 over the cubic
+# graphs (n = 6..14).
 CENSUS_PINS = {
     ("tree", 4): ({4: 1}, 1, "87c63ccb48cafbc5"),
     ("tree", 5): ({5: 1}, 1, "d3e4d0c62f5fc152"),
@@ -258,13 +272,29 @@ STRETCH_CENSUS_PINS = {
 }
 
 
+@functools.cache
+def _stream_solved(kind, n):
+    """Each graph's result in stream order, as the census counts it, and
+    the solver nodes over the stream: ``solve_min`` on every graph of the
+    public enumerator, with nothing from ``tables``."""
+    results, nodes = [], 0
+    for g in {"tree": enum_trees, "cubic": enum_cubic}[kind](n):
+        out = solve_min(g, CodeKind.RED_IC)
+        nodes += out.stats.nodes
+        results.append(None if out.status == "infeasible" else out.k if out.is_optimal else -1)
+    return results, nodes
+
+
 def _check_census_row(kind, n, threads, pins):
     shard, row_type = {"tree": (tables._solve_tree_shard, TreeRow),
                        "cubic": (tables._solve_cubic_shard, CubicRow)}[kind]
-    results, nodes = tables._census(shard, n, threads, None)
-    row = tables._row(row_type, n, results, nodes)
-    digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
-    assert (dict(row.minima), row.nodes, digest) == pins[kind, n]
+    minima, nodes, digest = pins[kind, n]
+    stream, stream_nodes = _stream_solved(kind, n)
+    assert (hashlib.sha256(repr(stream).encode()).hexdigest()[:16], stream_nodes) == (digest, nodes)
+    results, census_nodes = tables._census(shard, n, threads, None)
+    assert (results, census_nodes) == (Counter(stream), nodes)
+    row = tables._row(row_type, n, results, census_nodes)
+    assert dict(row.minima) == minima
     assert row.values() == row_type.REFERENCE[n] and not row.partial
 
 
