@@ -41,9 +41,21 @@ tight constraints reaches the fixpoint.
 Closed root: let F be the union of the constraints with exactly t members,
 those whose slack starts at 0.  When every constraint has at least t
 members in F, the root's propagation leaves none active, so F is a code
-contained in every code, the unique minimum.  ``_root`` ORs F together in
-the pass that looks for a constraint with fewer than t members, and
-``_solve`` returns F, once ``_closes`` has checked it, before anything is
+contained in every code, the unique minimum.  Neither F nor that test needs
+the constraint list.  A pair u, v at distance 2 is not adjacent, so its mask
+N[u] ^ N[v] holds u and v: it never has fewer than 2 members, and it has
+exactly 2 iff N(u) = N(v).  So ``_root`` finds a constraint with fewer than
+t members, and ORs F together, in one pass over the closed neighbourhoods
+and the edges, adding for t = 2 every vertex that shares its open
+neighbourhood with another.  And F has t members in every constraint
+exactly when it is a code, which ``verify`` decides, so ``_closes`` asks
+``verify``, and that call is the closed root's witness check.  Before it,
+``_closes`` checks that F meets every N[v] and every edge mask in t
+vertices, a subset of what ``verify`` checks, because it is the part that
+fails cheaply: on the graphs of a 3-SAT reduction F dominates every vertex
+twice and misses an edge mask, which this pass finds in a small part of the
+time ``verify`` takes to group the views.  ``_solve`` returns F, once
+``_closes`` has passed it, before the constraint list is built or anything
 packed, with the counters the search would report: one node, |F| forced,
 nothing pruned.  A node cap of 0 admits no node, so it goes to the search.
 
@@ -184,13 +196,14 @@ class FeasibilityResult:
 def forced_detectors(g: Graph, kind: CodeKind = CodeKind.RED_IC) -> frozenset[int]:
     """Vertices contained in every code of the kind: the members of every
     constraint with exactly t members, which the search includes at its
-    root.  For RED:IC this covers the leaves and their supports, every
-    neighbour of a degree-3 support, and both ends of a four-vertex path
-    whose inner vertices have degree 2; on cubic graphs, where none of
-    these apply, it is often not empty.
+    root; F as ``_root`` builds it, without a constraint list.  For RED:IC
+    this covers the leaves and their supports, every neighbour of a
+    degree-3 support, and both ends of a four-vertex path whose inner
+    vertices have degree 2; on cubic graphs, where none of these apply, it
+    is often not empty.
     Raises ValueError when no code of the kind exists.
     """
-    reason, _, forced = _root(g, kind)
+    reason, forced = _root(g, kind)
     if reason is not None:
         raise ValueError(f"no {kind.value} code exists for this graph")
     return frozenset(bits(forced))
@@ -268,37 +281,78 @@ def _constraint_masks(g: Graph) -> list[int]:
     return [*closed, *sorted(pair_masks)]
 
 
-def _root(g: Graph, kind: CodeKind) -> tuple[existence.NoCode | None, list[int], int]:
-    """Why no code of the kind exists, or None; the constraint list; and F,
-    the union of the constraints with exactly t members (0 without a code).
-    Asks ``existence`` only when a constraint has fewer than t members, or
-    for the empty graph, which by its convention has no RED:IC."""
-    masks = _constraint_masks(g)
-    t = kind.req
+def _tight_union(g: Graph, t: int) -> int | None:
+    """F, the union of the constraints with exactly t members, or None when
+    one has fewer.  Only the domination and edge masks can have fewer; a
+    pair at distance 2 has exactly t members iff t = 2 and its vertices are
+    open twins (N(u) = N(v)), so F adds every group of open twins."""
+    closed = g._closed
     forced = 0
-    if g.n:
-        for m in masks:
+    for u, cu in enumerate(closed):
+        size = cu.bit_count()
+        if size <= t:
+            if size < t:
+                return None
+            forced |= cu
+        later = g.adj[u] >> u + 1  # the edges u < v: bit j stands for v = u + 1 + j
+        while later:
+            low = later & -later
+            m = cu ^ closed[u + low.bit_length()]
             size = m.bit_count()
             if size <= t:
                 if size < t:
-                    break
+                    return None
                 forced |= m
-        else:
-            return None, masks, forced
+            later ^= low
+    if t == 2:
+        # no vertex here is isolated, and twins of degree 1 are in F already
+        # (each one's N[v] has two members), so only the vertices of degree
+        # >= 2 are grouped, and only once two of them are found to be twins
+        adj = g.adj
+        multi = [a for a in adj if a & a - 1]
+        if len(set(multi)) < len(multi):
+            twins: dict[int, int] = {}
+            for v, a in enumerate(adj):
+                if a & a - 1:
+                    twins[a] = twins.get(a, 0) | 1 << v
+            for group in twins.values():
+                if group & group - 1:
+                    forced |= group
+    return forced
+
+
+def _root(g: Graph, kind: CodeKind) -> tuple[existence.NoCode | None, int]:
+    """Why no code of the kind exists, or None; and F, the union of the
+    constraints with exactly t members (0 without a code), in O(n + m)
+    mask operations and without the constraint list (``_tight_union``).
+    Asks ``existence`` only when a constraint has fewer than t members, or
+    for the empty graph, which by its convention has no RED:IC."""
+    forced = _tight_union(g, kind.req) if g.n else None
+    if forced is not None:
+        return None, forced
     reason = existence.exists_red_ic(g) if kind is CodeKind.RED_IC else existence.exists_ic(g)
     if reason is None and g.n:
-        raise RuntimeError(f"a constraint has fewer than {t} members, but existence finds a code")
-    return reason, masks, 0
+        raise RuntimeError(f"a constraint has fewer than {kind.req} members, but existence finds a code")
+    return reason, 0
 
 
-def _closes(masks: list[int], forced: int, kind: CodeKind) -> bool:
-    """Whether every constraint has at least t members in F, so that the
-    root's propagation leaves none active and F is the unique minimum."""
+def _closes(g: Graph, forced: int, kind: CodeKind) -> bool:
+    """Whether F is a code, so that the root's propagation leaves no
+    constraint active and F is the unique minimum.  First F must meet every
+    N[v] and every edge mask in t vertices, which rejects most open roots
+    cheaply; then ``verify`` decides, and it is F's witness check."""
     t = kind.req
-    for m in masks:
-        if (m & forced).bit_count() < t:
+    views = [c & forced for c in g._closed]
+    for u, view in enumerate(views):
+        if view.bit_count() < t:
             return False
-    return True
+        later = g.adj[u] >> u + 1  # as in ``_tight_union``
+        while later:
+            low = later & -later
+            if (view ^ views[u + low.bit_length()]).bit_count() < t:
+                return False
+            later ^= low
+    return verify(g, forced, kind) is None
 
 
 class _BudgetExhausted(Exception):
@@ -664,27 +718,28 @@ def _solve(
     on the minimum when the budget cut a minimising search short, whether
     the answer is exhaustive, and the counters."""
     t0 = time.perf_counter()
-    reason, masks, forced = _root(g, kind)
+    reason, forced = _root(g, kind)
     if reason is not None:
         return reason, None, None, True, SolverStats(0, time.perf_counter() - t0)
-    lower = None
-    if (budget is None or budget.max_nodes != 0) and _closes(masks, forced, kind):
-        best = forced if k is None or forced.bit_count() <= k else None
-        completed, group = True, automorphisms(g)
+    if (budget is None or budget.max_nodes != 0) and _closes(g, forced, kind):
+        # ``_closes`` has verified F, so the witness is not verified again
+        witness = tuple(bits(forced)) if k is None or forced.bit_count() <= k else None
+        group = automorphisms(g)
         stats = SolverStats(1, time.perf_counter() - t0, forced.bit_count(),
                             group_order=group.order if group is not None else 1)
+        return None, witness, None, True, stats
+    lower = None
+    search = _Search(g, kind, budget, _constraint_masks(g))
+    if k is None:
+        incumbent = search.greedy()
+        completed = search.run(cap=incumbent.bit_count(), stop_at_first=False)
+        best = search.best if search.best is not None else incumbent
+        if not completed:
+            lower = min(max(lower_bound(g, kind).value, search.root_lower()), best.bit_count())
     else:
-        search = _Search(g, kind, budget, masks)
-        if k is None:
-            incumbent = search.greedy()
-            completed = search.run(cap=incumbent.bit_count(), stop_at_first=False)
-            best = search.best if search.best is not None else incumbent
-            if not completed:
-                lower = min(max(lower_bound(g, kind).value, search.root_lower()), best.bit_count())
-        else:
-            completed = search.run(cap=min(k, g.n) + 1, stop_at_first=True)
-            best = search.best
-        stats = search.stats(t0)
+        completed = search.run(cap=min(k, g.n) + 1, stop_at_first=True)
+        best = search.best
+    stats = search.stats(t0)
     return None, None if best is None else _verified(g, best, kind), lower, completed, stats
 
 

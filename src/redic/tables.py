@@ -29,8 +29,10 @@ and no ``Graph``, so only the trees that admit a code (3,150 of the
 32,505 for n = 4..16) are built and reach ``solve_min``.  Most of those
 (2,866) close at the root: the members of their constraints with exactly
 two members already form a code, which ``solve_min`` returns without
-packing a search.  Cubic shards each enumerate the whole cubic stream and
-keep their slice, one extra enumeration per extra process.
+building the constraint list or packing a search (``solver._root``); only
+the 284 trees that search build the list.  Cubic shards each enumerate the
+whole cubic stream and keep their slice, one extra enumeration per extra
+process.
 """
 
 from __future__ import annotations

@@ -32,11 +32,13 @@ G14_RING = "tests/test_cli.py::test_output_is_pinned[construct g14-ring --t 2]"
 G14_SEARCH = "tests/test_constructions.py::test_g14_search_and_ring"
 TREE_SHARDS = "tests/test_generators.py::test_tree_shards_interleave_to_the_stream[2]"
 TREE_ROW_2 = "tests/test_tables.py::test_census_row_is_pinned[tree-16-2]"
+CUBIC_ROW = "tests/test_tables.py::test_census_row_is_pinned[cubic-12-1]"
 TIGHT_CODES = "tests/test_reduction.py::test_satisfying_assignments_give_tight_codes"
 SAT_ORACLE = "tests/test_reduction.py::test_brute_force_sat"
 F_SEARCH = "tests/test_reduction.py::test_f_gadget_search_reproduces_frozen_artifact"
 RESCAN = "tests/test_solver.py::test_incremental_counters_match_rescan"
 CORPUS = "tests/test_corpus.py::test_differential_corpus"
+ROOT_LITERAL = "tests/test_solver.py::test_root_matches_literal_constraint_list"
 CUBIC_STREAM = "tests/test_generators.py::test_cubic_stream_is_pinned[12-ba8840f3f3c1135e]"
 
 MUTANTS = [
@@ -95,8 +97,12 @@ MUTANTS = [
                  [RESCAN], id="packing-keeps-bits-outside-ones"),
     pytest.param("src/redic/solver.py", "        if light:\n", "        if False:\n",
                  [RESCAN], id="branch-ignores-the-res-1-preference"),
-    pytest.param("src/redic/solver.py", "        if (m & forced).bit_count() < t:\n",
-                 "        if (m & forced).bit_count() < t - 1:\n", [CORPUS], id="closed-root-accepts-t-minus-1-members"),
+    pytest.param("src/redic/solver.py", "    if t == 2:\n", "    if False:\n",
+                 [ROOT_LITERAL], id="root-drops-the-open-twins"),
+    pytest.param("src/redic/solver.py", "                forced |= m\n", "                pass\n",
+                 [ROOT_LITERAL], id="root-leaves-the-tight-edge-masks-out-of-f"),
+    pytest.param("src/redic/solver.py", "    return verify(g, forced, kind) is None\n", "    return True\n",
+                 [CUBIC_ROW], id="closed-root-skips-verify"),
     pytest.param("src/redic/solver.py", "    return [*closed, *sorted(pair_masks)]\n",
                  "    return [*closed, *sorted(pair_masks)[:-1]]\n", [CORPUS], id="constraint-list-skips-a-pair-mask"),
     pytest.param("tests/gadgets.py", "key=lambda t: (t[0], t[1])", "key=lambda t: (t[0], -t[1])",
@@ -120,7 +126,7 @@ def _run(tmp_path, tests):
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.stretch(reason="a test run per mutant, about 25 s in all")
+@pytest.mark.stretch(reason="a test run per mutant, about 80 s in all")
 @pytest.mark.parametrize("path, snippet, replacement, tests", MUTANTS)
 def test_mutant_is_caught(tmp_path, path, snippet, replacement, tests):
     _copy(tmp_path)

@@ -22,7 +22,16 @@ from redic.graphs import (
     star_graph,
     torus,
 )
-from redic.solver import Budget, _constraint_masks, _Search, feasible_at, forced_detectors, lower_bound, solve_min
+from redic.solver import (
+    Budget,
+    _constraint_masks,
+    _root,
+    _Search,
+    feasible_at,
+    forced_detectors,
+    lower_bound,
+    solve_min,
+)
 from redic.symmetry import automorphisms
 
 from literal import literal_constraint_masks, literal_verify, random_graph, rule_forced
@@ -432,6 +441,44 @@ def test_constraint_list_matches_literal_reference():
     assert disconnected >= 30
 
 
+def _root_graphs():
+    """Every tree and every cubic graph on n <= 12 vertices, and 300 seeded
+    random graphs on 0 to 14 vertices."""
+    rng = random.Random(39)
+    return ([g for n in range(1, 13) for g in enum_trees(n)] + [g for n in range(4, 13, 2) for g in enum_cubic(n)]
+            + [random_graph(rng, rng.randint(0, 14), rng.choice([0.1, 0.2, 0.35, 0.5, 0.8])) for _ in range(300)])
+
+
+def test_root_matches_literal_constraint_list():
+    # _root reads F and the verdict off N[v], the edges and the open twins;
+    # the literal list holds every pair at distance <= 2
+    seen = {kind: [0, 0] for kind in CodeKind}  # graphs with a short constraint, graphs with F != 0
+    for g in _root_graphs():
+        masks = literal_constraint_masks(g)
+        for kind in CodeKind:
+            t = kind.req
+            short = any(m.bit_count() < t for m in masks)
+            forced = 0 if short else mask_of(v for m in masks if m.bit_count() == t for v in bits(m))
+            reason, got = _root(g, kind)
+            assert (reason is not None) == (short or not g.n and kind is CodeKind.RED_IC), (g.adj, kind)
+            assert got == forced, (g.adj, kind)
+            seen[kind][0] += short
+            seen[kind][1] += forced != 0
+    assert all(short and nonzero for short, nonzero in seen.values()), seen
+
+
+def test_a_distance_two_mask_has_two_members_iff_open_twins():
+    twins = 0
+    for g in _root_graphs():
+        nbrs = [set(bits(a)) for a in g.adj]
+        for u, v in combinations(range(g.n), 2):
+            if v not in nbrs[u] and nbrs[u] & nbrs[v]:  # distance 2
+                size = (g.closed_nbhd(u) ^ g.closed_nbhd(v)).bit_count()
+                assert size >= 2 and (size == 2) == (nbrs[u] == nbrs[v]), (g.adj, u, v)
+                twins += size == 2
+    assert twins > 0
+
+
 # -- incremental propagation against a full-rescan reference ---------------------
 
 
@@ -739,17 +786,23 @@ def test_closed_root_builds_no_search(monkeypatch):
     assert (len(cases), len(closing)) == (532, 319)
 
     def refuse(*args):
-        raise AssertionError("a closed root built a search")
+        raise AssertionError("a closed root built a constraint list or a search")
 
+    verified = []
+    monkeypatch.setattr(solver, "verify", lambda *args: verified.append(args[1]) or verify(*args))
+    monkeypatch.setattr(solver, "_constraint_masks", refuse)
     monkeypatch.setattr(solver, "_Search", refuse)
     for g, kind in closing:
         forced = forced_detectors(g, kind)
         for budget in (None, Budget(max_nodes=1)):
+            verified.clear()
             out = solve_min(g, kind, budget)
             assert (out.status, out.witness, out.stats.nodes) == ("optimal", tuple(sorted(forced)), 1)
+            assert verified == [mask_of(out.witness)]  # the witness is verified once
             assert feasible_at(g, kind, out.k - 1, budget).witness is None
             assert feasible_at(g, kind, out.k, budget).witness == out.witness
     built = []
+    monkeypatch.setattr(solver, "_constraint_masks", _constraint_masks)
     monkeypatch.setattr(solver, "_Search", lambda *args: built.append(args[0]) or _Search(*args))
     for g in (hypercube(3), torus(4, 4)):
         solve_min(g)
