@@ -68,11 +68,10 @@ log = logging.getLogger(__name__)
 # -- free trees ----------------------------------------------------------
 
 
-def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
+def enum_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices:
-    the ``Graph`` of each level sequence that ``tree_levels(n, res, mod)``
-    walks to, in the same order, so shard res of mod holds the blocks b of
-    the stream (runs with one first subtree) with b % mod == res.
+    the ``Graph`` of each level sequence that ``tree_levels(n)`` walks to,
+    in the same order.
 
     Building is the costly part: over n = 4..16 (32,505 trees) the walk
     takes about 0.09 s and building every graph (adjacency masks and
@@ -82,7 +81,7 @@ def enum_trees(n: int, res: int = 0, mod: int = 1) -> Iterator[Graph]:
     0.04 s for all) and builds only the 3,150 trees that admit a code, in
     about 0.03-0.05 s.
     """
-    for lev in tree_levels(n, res, mod):
+    for lev in tree_levels(n):
         yield tree_graph(tree_parents(lev))
 
 

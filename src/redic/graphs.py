@@ -406,22 +406,14 @@ def parse_graph6(data: bytes | str) -> Graph:
     if bad:
         raise Graph6Error(f"byte value {bad[0]} outside graph6 range 63..126")
     if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise Graph6Error("truncated size field")
-            n = 0
-            for b in data[2:8]:
-                n = n << 6 | (b - 63)
-            body = data[8:]
-            smallest = 258048
-        else:
-            if len(data) < 4:
-                raise Graph6Error("truncated size field")
-            n = 0
-            for b in data[1:4]:
-                n = n << 6 | (b - 63)
-            body = data[4:]
-            smallest = 63
+        # the field's first and last byte, and the least n it may encode
+        start, end, smallest = (2, 8, 258048) if data[1:2] == b"~" else (1, 4, 63)
+        if len(data) < end:
+            raise Graph6Error("truncated size field")
+        n = 0
+        for b in data[start:end]:
+            n = n << 6 | (b - 63)
+        body = data[end:]
         if n < smallest:
             raise Graph6Error(f"size field too long for n={n}")
     else:

@@ -47,17 +47,18 @@ N[u] ^ N[v] holds u and v: it never has fewer than 2 members, and it has
 exactly 2 iff N(u) = N(v).  So ``_root`` finds a constraint with fewer than
 t members, and ORs F together, in one pass over the closed neighbourhoods
 and the edges, adding for t = 2 every vertex that shares its open
-neighbourhood with another.  And F has t members in every constraint
-exactly when it is a code, which ``verify`` decides, so ``_closes`` asks
-``verify``, and that call is the closed root's witness check.  Before it,
-``_closes`` checks that F meets every N[v] and every edge mask in t
-vertices, a subset of what ``verify`` checks, because it is the part that
-fails cheaply: on the graphs of a 3-SAT reduction F dominates every vertex
-twice and misses an edge mask, which this pass finds in a small part of the
-time ``verify`` takes to group the views.  ``_solve`` returns F, once
-``_closes`` has passed it, before the constraint list is built or anything
-packed, with the counters the search would report: one node, |F| forced,
-nothing pruned.  A node cap of 0 admits no node, so it goes to the search.
+neighbourhood with another; the same pass keeps the N[v] and edge masks
+with more than t members, since one with exactly t lies inside F.  F has t
+members in every constraint exactly when it is a code, which ``verify``
+decides, and that call is the closed root's witness check.  Before it,
+``_solve`` checks that F has t members in each kept mask, a subset of what
+``verify`` checks, because it is the part that fails cheaply: on the graphs
+of a 3-SAT reduction F dominates every vertex twice and misses an edge
+mask, which this check finds in a small part of the time ``verify`` takes to
+group the views.  ``_solve`` returns F, once both have passed it, before the
+constraint list is built or anything packed, with the counters the search
+would report: one node, |F| forced, nothing pruned.  A node cap of 0 admits
+no node, so it goes to the search.
 
 A node is cut when a lower bound on the detectors it still needs reaches
 the gap to the incumbent: a greedy disjoint packing of the active
@@ -203,7 +204,7 @@ def forced_detectors(g: Graph, kind: CodeKind = CodeKind.RED_IC) -> frozenset[in
     is often not empty.
     Raises ValueError when no code of the kind exists.
     """
-    reason, forced = _root(g, kind)
+    reason, forced, _ = _root(g, kind)
     if reason is not None:
         raise ValueError(f"no {kind.value} code exists for this graph")
     return frozenset(bits(forced))
@@ -281,28 +282,34 @@ def _constraint_masks(g: Graph) -> list[int]:
     return [*closed, *sorted(pair_masks)]
 
 
-def _tight_union(g: Graph, t: int) -> int | None:
-    """F, the union of the constraints with exactly t members, or None when
-    one has fewer.  Only the domination and edge masks can have fewer; a
-    pair at distance 2 has exactly t members iff t = 2 and its vertices are
-    open twins (N(u) = N(v)), so F adds every group of open twins."""
+def _tight_union(g: Graph, t: int) -> tuple[int, list[int]] | None:
+    """F, the union of the constraints with exactly t members, and the N[v]
+    and edge masks with more than t members; None when a constraint has
+    fewer.  Only the domination and edge masks can have fewer; a pair at
+    distance 2 has exactly t members iff t = 2 and its vertices are open
+    twins (N(u) = N(v)), so F adds every group of open twins."""
     closed = g._closed
     forced = 0
+    loose = []
     for u, cu in enumerate(closed):
         size = cu.bit_count()
-        if size <= t:
-            if size < t:
-                return None
+        if size > t:
+            loose.append(cu)
+        elif size == t:
             forced |= cu
+        else:
+            return None
         later = g.adj[u] >> u + 1  # the edges u < v: bit j stands for v = u + 1 + j
         while later:
             low = later & -later
             m = cu ^ closed[u + low.bit_length()]
             size = m.bit_count()
-            if size <= t:
-                if size < t:
-                    return None
+            if size > t:
+                loose.append(m)
+            elif size == t:
                 forced |= m
+            else:
+                return None
             later ^= low
     if t == 2:
         # no vertex here is isolated, and twins of degree 1 are in F already
@@ -318,41 +325,23 @@ def _tight_union(g: Graph, t: int) -> int | None:
             for group in twins.values():
                 if group & group - 1:
                     forced |= group
-    return forced
+    return forced, loose
 
 
-def _root(g: Graph, kind: CodeKind) -> tuple[existence.NoCode | None, int]:
-    """Why no code of the kind exists, or None; and F, the union of the
-    constraints with exactly t members (0 without a code), in O(n + m)
-    mask operations and without the constraint list (``_tight_union``).
-    Asks ``existence`` only when a constraint has fewer than t members, or
-    for the empty graph, which by its convention has no RED:IC."""
-    forced = _tight_union(g, kind.req) if g.n else None
-    if forced is not None:
-        return None, forced
+def _root(g: Graph, kind: CodeKind) -> tuple[existence.NoCode | None, int, list[int]]:
+    """Why no code of the kind exists, or None; F, the union of the
+    constraints with exactly t members; and the N[v] and edge masks with more
+    than t members (0 and no masks without a code).  In O(n + m) mask
+    operations and without the constraint list (``_tight_union``).  Asks
+    ``existence`` only when a constraint has fewer than t members, or for the
+    empty graph, which by its convention has no RED:IC."""
+    root = _tight_union(g, kind.req) if g.n else None
+    if root is not None:
+        return None, *root
     reason = existence.exists_red_ic(g) if kind is CodeKind.RED_IC else existence.exists_ic(g)
     if reason is None and g.n:
         raise RuntimeError(f"a constraint has fewer than {kind.req} members, but existence finds a code")
-    return reason, 0
-
-
-def _closes(g: Graph, forced: int, kind: CodeKind) -> bool:
-    """Whether F is a code, so that the root's propagation leaves no
-    constraint active and F is the unique minimum.  First F must meet every
-    N[v] and every edge mask in t vertices, which rejects most open roots
-    cheaply; then ``verify`` decides, and it is F's witness check."""
-    t = kind.req
-    views = [c & forced for c in g._closed]
-    for u, view in enumerate(views):
-        if view.bit_count() < t:
-            return False
-        later = g.adj[u] >> u + 1  # as in ``_tight_union``
-        while later:
-            low = later & -later
-            if (view ^ views[u + low.bit_length()]).bit_count() < t:
-                return False
-            later ^= low
-    return verify(g, forced, kind) is None
+    return reason, 0, []
 
 
 class _BudgetExhausted(Exception):
@@ -718,11 +707,13 @@ def _solve(
     on the minimum when the budget cut a minimising search short, whether
     the answer is exhaustive, and the counters."""
     t0 = time.perf_counter()
-    reason, forced = _root(g, kind)
+    reason, forced, loose = _root(g, kind)
     if reason is not None:
         return reason, None, None, True, SolverStats(0, time.perf_counter() - t0)
-    if (budget is None or budget.max_nodes != 0) and _closes(g, forced, kind):
-        # ``_closes`` has verified F, so the witness is not verified again
+    t = kind.req
+    if ((budget is None or budget.max_nodes != 0) and all((m & forced).bit_count() >= t for m in loose)
+            and verify(g, forced, kind) is None):
+        # F is verified, so the witness is not verified again
         witness = tuple(bits(forced)) if k is None or forced.bit_count() <= k else None
         group = automorphisms(g)
         stats = SolverStats(1, time.perf_counter() - t0, forced.bit_count(),

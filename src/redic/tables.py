@@ -28,9 +28,10 @@ bytes): a rejected tree counts as having no code and gets no parent array
 and no ``Graph``, so only the trees that admit a code (3,150 of the
 32,505 for n = 4..16) are built and reach ``solve_min``.  Most of those
 (2,866) close at the root: the members of their constraints with exactly
-two members already form a code, which ``solve_min`` returns without
-building the constraint list or packing a search (``solver._root``); only
-the 284 trees that search build the list.  Cubic shards each enumerate the
+two members already form a code.  ``solver._root`` finds that set and the
+masks it must meet in one pass over the edges, and ``solve_min`` returns it
+once ``verify`` passes it, without building the constraint list or packing
+a search; only the 284 trees that search build the list.  Cubic shards each enumerate the
 whole cubic stream and keep their slice, one extra enumeration per extra
 process.
 """

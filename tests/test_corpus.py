@@ -20,12 +20,13 @@ make a change pass.
 
 import json
 import random
-from itertools import combinations
 from pathlib import Path
 
 from redic.detection import CodeKind
-from redic.graphs import build_graph, cylinder, honeycomb_torus, hypercube, ladder, torus, write_graph6
+from redic.graphs import cylinder, honeycomb_torus, hypercube, ladder, torus, write_graph6
 from redic.solver import Budget, feasible_at, solve_min
+
+from literal import random_graph
 
 CORPUS = Path(__file__).with_name("corpus.jsonl")
 FIELDS = ("status", "k", "witness", "lower", "upper", "reason", "exhaustive",
@@ -39,8 +40,7 @@ def corpus_graphs():
     for i in range(150):
         n = rng.randint(6, 22)
         p = rng.choice([0.12, 0.2, 0.3, 0.45, 0.6])
-        g = build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
-        out.append((f"random-{i}", g))
+        out.append((f"random-{i}", random_graph(rng, n, p)))
     out += [("torus-4x4", torus(4, 4)), ("torus-3x5", torus(3, 5)),
             ("honeycomb-4x4", honeycomb_torus(4, 4)), ("q3", hypercube(3)), ("q4", hypercube(4)),
             ("ladder-6", ladder(6)), ("cylinder-6", cylinder(6))]

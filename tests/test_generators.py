@@ -22,6 +22,8 @@ from redic.generators import (
 )
 from redic.graphs import Graph6Error, bits, build_graph, complete_graph, cycle_graph, write_graph6
 
+from literal import random_graph
+
 # OEIS A000055
 TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
@@ -115,16 +117,12 @@ def test_odd_cubic_is_empty():
 
 
 def test_canonical_key_invariant_under_relabeling():
-    import random
-
     rng = random.Random(19)
     for _ in range(40):
-        n = rng.randint(1, 8)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        g = build_graph(n, edges)
-        perm = list(range(n))
+        g = random_graph(rng, rng.randint(1, 8))
+        perm = list(range(g.n))
         rng.shuffle(perm)
-        h = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert canonical_key(g) == canonical_key(h)
         assert are_isomorphic(g, h)
     assert not are_isomorphic(cycle_graph(4), build_graph(4, [(0, 1), (0, 2), (0, 3)]))
@@ -275,7 +273,7 @@ def test_stretch_tree_shards_interleave_to_the_stream_at_17(mod):
 @pytest.mark.parametrize("res,mod", [(0, 0), (0, -1), (-1, 2), (2, 2), (5, 3)])
 def test_tree_shard_out_of_range_raises(res, mod):
     with pytest.raises(ValueError, match="shard"):
-        next(enum_trees(6, res, mod))
+        next(tree_levels(6, res, mod))
 
 
 @pytest.mark.parametrize("n,res,mod,name", [(5, 0.5, 2, "res"), (5, 0, 2.0, "mod"), (5.0, 0, 1, "n")])
@@ -432,7 +430,7 @@ def test_canonical_key_matches_reference():
     for _ in range(300):
         n = rng.randint(1, 9)
         p = rng.uniform(0.25, 0.75)
-        graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        graphs.append(random_graph(rng, n, p))
     for g in graphs:
         assert canonical_key(g) == reference_key(g)
 
@@ -451,7 +449,7 @@ def test_maximal_encodings_have_non_decreasing_earliest_neighbours():
     for _ in range(500):
         n = rng.randint(2, 10)
         p = rng.uniform(0.2, 0.8)
-        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        g = random_graph(rng, n, p)
         if g.is_connected():
             keys.append(canonical_key(g))
     for key in keys:

@@ -14,10 +14,10 @@ np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
 
 from redic.detection import CodeKind
-from redic.graphs import build_graph, honeycomb_torus, hypercube, torus
+from redic.graphs import honeycomb_torus, hypercube, torus
 from redic.solver import solve_min
 
-from literal import literal_verify
+from literal import literal_verify, random_graph
 
 
 def milp_minimum(g, kind):
@@ -48,7 +48,7 @@ def _random_graphs(count):
     for _ in range(count):
         n = rng.randint(9, 24)
         p = rng.uniform(0.15, 0.5)
-        out.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        out.append(random_graph(rng, n, p))
     return out
 
 

@@ -2,14 +2,15 @@
 
 An entry names a file of ``src/redic`` or ``tests`` (by its path from the
 repository root), a snippet of its source, the replacement that plants the
-fault, and the tests that must catch it.  Both trees and ``pyproject.toml``
-are copied to a temporary directory, the snippet (which must occur exactly
-once, so the entry cannot go stale unnoticed) is replaced, and the tests run
-in a subprocess from the copy, importing the copied package.  They must
-fail: exit code 1, not 2 (an error before any test ran) and not 0 (a
-surviving mutant).  A surviving mutant is closed with a test or documented
-as equivalent, never deleted to pass.  The named tests must also pass on an
-unmutated copy, so that no failure is the copy's own.
+fault, and the tests that must catch it.  Both trees, ``pyproject.toml`` and
+the CI workflow are copied to a temporary directory, the snippet (which
+must occur exactly once, so the entry cannot go stale unnoticed) is
+replaced, and the tests run in a subprocess from the copy, importing the
+copied package.  They must fail: exit code 1, not 2 (an error before any
+test ran) and not 0 (a surviving mutant).  A surviving mutant is closed
+with a test or documented as equivalent, never deleted to pass.  The named
+tests must also pass on an unmutated copy, so that no failure is the
+copy's own.
 """
 
 import os
@@ -39,6 +40,7 @@ F_SEARCH = "tests/test_reduction.py::test_f_gadget_search_reproduces_frozen_arti
 RESCAN = "tests/test_solver.py::test_incremental_counters_match_rescan"
 CORPUS = "tests/test_corpus.py::test_differential_corpus"
 ROOT_LITERAL = "tests/test_solver.py::test_root_matches_literal_constraint_list"
+OPEN_ROOT = "tests/test_solver.py::test_open_root_is_rejected_before_verify"
 CUBIC_STREAM = "tests/test_generators.py::test_cubic_stream_is_pinned[12-ba8840f3f3c1135e]"
 
 MUTANTS = [
@@ -101,8 +103,10 @@ MUTANTS = [
                  [ROOT_LITERAL], id="root-drops-the-open-twins"),
     pytest.param("src/redic/solver.py", "                forced |= m\n", "                pass\n",
                  [ROOT_LITERAL], id="root-leaves-the-tight-edge-masks-out-of-f"),
-    pytest.param("src/redic/solver.py", "    return verify(g, forced, kind) is None\n", "    return True\n",
+    pytest.param("src/redic/solver.py", "verify(g, forced, kind) is None", "True",
                  [CUBIC_ROW], id="closed-root-skips-verify"),
+    pytest.param("src/redic/solver.py", "all((m & forced).bit_count() >= t for m in loose)", "True",
+                 [OPEN_ROOT], id="closed-root-skips-the-kept-masks"),
     pytest.param("src/redic/solver.py", "    return [*closed, *sorted(pair_masks)]\n",
                  "    return [*closed, *sorted(pair_masks)[:-1]]\n", [CORPUS], id="constraint-list-skips-a-pair-mask"),
     pytest.param("tests/gadgets.py", "key=lambda t: (t[0], t[1])", "key=lambda t: (t[0], -t[1])",
@@ -111,11 +115,15 @@ MUTANTS = [
 
 
 def _copy(tmp_path):
-    """Both trees and the pytest settings, without byte-code caches."""
+    """Both trees, the pytest settings and the CI workflow that
+    ``tests/test_cli.py`` reads, without byte-code caches."""
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
     shutil.copytree(ROOT / "src" / "redic", tmp_path / "src" / "redic", ignore=ignore)
     shutil.copytree(ROOT / "tests", tmp_path / "tests", ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    workflow = Path(".github", "workflows", "tests.yml")
+    (tmp_path / workflow).parent.mkdir(parents=True)
+    shutil.copy(ROOT / workflow, tmp_path / workflow)
 
 
 def _run(tmp_path, tests):

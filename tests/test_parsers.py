@@ -52,6 +52,18 @@ def test_graph6_rejects_noncanonical_encodings():
         parse_graph6("~??Bw")  # n = 3 written in the four-byte form
 
 
+@pytest.mark.parametrize("data, message", [
+    ("~??", "truncated size field"),
+    ("~~?????", "truncated size field"),
+    ("~~??????", "size field too long for n=0"),
+    ("~~???A?B", "size field too long for n=8195"),  # 2 * 64^2 + 3, which the four-byte form holds
+])
+def test_graph6_size_field_errors(data, message):
+    # the four-byte form starts with one 126, the eight-byte form with two
+    with pytest.raises(ValueError, match=message):
+        parse_graph6(data)
+
+
 @FUZZ
 @given(st.integers(-1, 9), st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=8),
        st.integers(-1, 1), st.lists(st.sampled_from(["x", "1.5", "-", "3"]), max_size=2))

@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -22,6 +22,7 @@ from redic.graphs import (
     star_graph,
     torus,
 )
+from redic.reduction import CnfFormula, verify_reduction, verify_reduction_equivalence
 from redic.solver import (
     Budget,
     _constraint_masks,
@@ -450,18 +451,23 @@ def _root_graphs():
 
 
 def test_root_matches_literal_constraint_list():
-    # _root reads F and the verdict off N[v], the edges and the open twins;
-    # the literal list holds every pair at distance <= 2
+    # _root reads F, the verdict and the masks with more than t members off
+    # N[v], the edges and the open twins; the literal list holds every pair
+    # at distance <= 2
     seen = {kind: [0, 0] for kind in CodeKind}  # graphs with a short constraint, graphs with F != 0
     for g in _root_graphs():
         masks = literal_constraint_masks(g)
+        closed = [g.closed_nbhd(v) for v in range(g.n)]
+        dom_and_edges = closed + [closed[u] ^ closed[v] for u, v in g.edges()]
         for kind in CodeKind:
             t = kind.req
             short = any(m.bit_count() < t for m in masks)
             forced = 0 if short else mask_of(v for m in masks if m.bit_count() == t for v in bits(m))
-            reason, got = _root(g, kind)
+            reason, got, loose = _root(g, kind)
             assert (reason is not None) == (short or not g.n and kind is CodeKind.RED_IC), (g.adj, kind)
             assert got == forced, (g.adj, kind)
+            kept = [] if short else [m for m in dom_and_edges if m.bit_count() > t]
+            assert sorted(loose) == sorted(kept), (g.adj, kind)
             seen[kind][0] += short
             seen[kind][1] += forced != 0
     assert all(short and nonzero for short, nonzero in seen.values()), seen
@@ -774,7 +780,13 @@ CLOSED_BUDGETS = [None, Budget(max_nodes=0), Budget(max_nodes=1)]
 def test_closed_root_reports_what_the_search_reports(monkeypatch):
     cases = [(g, kind, budget) for g, kind in _trees_with_code() for budget in CLOSED_BUDGETS]
     closed = [_closed_calls(*case) for case in cases]
-    monkeypatch.setattr(solver, "_closes", lambda *args: False)
+    root = solver._root
+
+    def open_root(g, kind):  # F = 0 is no code, so every call searches
+        reason, _, loose = root(g, kind)
+        return reason, 0, loose
+
+    monkeypatch.setattr(solver, "_root", open_root)
     for case, fast in zip(cases, closed):
         assert _closed_calls(*case) == fast, (case[0].adj, case[1], case[2])
 
@@ -808,6 +820,32 @@ def test_closed_root_builds_no_search(monkeypatch):
         solve_min(g)
         feasible_at(g, CodeKind.RED_IC, g.n - 1)
     assert len(built) == 4
+
+
+def _formula(rng, n_vars, n_clauses):
+    """Random clauses over three distinct variables, redrawn until every
+    variable occurs, as the reduction requires."""
+    while True:
+        clauses = tuple(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), 3))
+                        for _ in range(n_clauses))
+        phi = CnfFormula(n_vars, clauses)
+        if len(phi.variables_used()) == n_vars:
+            return phi
+
+
+def test_open_root_is_rejected_before_verify(monkeypatch):
+    # on a reduction graph F misses a kept edge mask, so the root does not
+    # close and the search's witness is the only set ``verify`` sees
+    verified = []
+    monkeypatch.setattr(solver, "verify", lambda *args: verified.append(args[1]) or verify(*args))
+    rng = random.Random(40)
+    formulas = [_formula(rng, 8, 34) for _ in range(3)]
+    solved = 0
+    for report in chain(verify_reduction_equivalence(2), map(verify_reduction, formulas)):
+        assert report.consistent and verified == [mask_of(report.outcome.witness)], report
+        verified.clear()
+        solved += 1
+    assert solved == 8 + 28 + 3
 
 
 @pytest.mark.parametrize("budget", [None, Budget(max_nodes=3)], ids=["unbudgeted", "nodes<=3"])
