@@ -137,10 +137,6 @@ def verify(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> Violatio
     return Violation("undistinguished", u, v, delta=frozenset(bits((closed[u] ^ closed[v]) & s)))
 
 
-def is_valid_code(g: Graph, detectors: Iterable[int] | int, kind: CodeKind) -> bool:
-    return verify(g, detectors, kind) is None
-
-
 def share(g: Graph, detectors: Iterable[int] | int, x: int) -> Fraction:
     """sh(x) = sum over v in N[x] of 1/dom(v), as an exact rational.
 
@@ -154,9 +150,7 @@ def share(g: Graph, detectors: Iterable[int] | int, x: int) -> Fraction:
         raise ValueError(f"vertex {x} is not a detector")
     total = Fraction(0)
     for v in bits(g.closed_nbhd(x)):
-        d = (g.closed_nbhd(v) & s).bit_count()
-        if d == 0:
-            raise ValueError(f"share undefined: vertex {v} is undominated")
+        d = (g.closed_nbhd(v) & s).bit_count()  # at least 1: x itself is in N[v]
         total += Fraction(1, d)
     return total
 

@@ -18,8 +18,8 @@ them has a third neighbour w since the tree is connected, and w, lying in
 both closed neighbourhoods, would close the triangle u, v, w.
 
 ``levels_have_red_ic`` decides that rule on a preorder level sequence
-(entry i is the depth of vertex i, the root 0 at depth 0), with no parent
-array and no ``Graph``.  In preorder the descendants of vertex i are the
+(entry i is the depth of vertex i, the root 0 at depth 0), with no
+adjacency and no ``Graph``.  In preorder the descendants of vertex i are the
 vertices after it up to the next one at depth <= lev[i]; its children are
 those among them at depth lev[i] + 1, the first at i + 1.  The leaves are
 the vertices without a child, and the root too when it has one child.
@@ -134,10 +134,6 @@ def levels_have_red_ic(lev: list[int]) -> bool:
     if root_degree == 1 and seq.count(2) < 2 or root_degree == 2 and 1 in (seq[2], seq[-1]):
         return False
     return _lone_leaf_child(n)(seq) is None
-
-
-def has_red_ic(g: Graph) -> bool:
-    return exists_red_ic(g) is None
 
 
 def exists_ic(g: Graph) -> NoCode | None:

@@ -1,4 +1,4 @@
-"""Isomorphism-free enumeration: free trees, connected cubic graphs, corpora.
+"""Isomorphism-free enumeration: free trees and connected cubic graphs.
 
 Trees are level sequences (the depth of each vertex in preorder, rooted at
 a centre), stepped through one per isomorphism class by the algorithm of
@@ -57,10 +57,9 @@ from __future__ import annotations
 import logging
 from functools import cache
 from itertools import combinations
-from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .graphs import Graph, Graph6Error, bits, mask_of, parse_graph6
+from .graphs import Graph, bits, mask_of
 
 log = logging.getLogger(__name__)
 
@@ -82,28 +81,19 @@ def enum_trees(n: int) -> Iterator[Graph]:
     about 0.03-0.05 s.
     """
     for lev in tree_levels(n):
-        yield tree_graph(tree_parents(lev))
+        yield tree_graph(lev)
 
 
-def tree_parents(lev: list[int]) -> list[int]:
-    """The parent of each vertex of a preorder level sequence: the latest
-    earlier vertex one level up (0 for the root)."""
+def tree_graph(lev: list[int]) -> Graph:
+    """The tree of a preorder level sequence: each vertex but the root 0 is
+    joined to its parent, the latest earlier vertex one level up."""
     n = len(lev)
-    parent = [0] * n
+    adj = [0] * n
     last = [0] * n  # last[h]: the latest vertex seen at level h
     for v in range(1, n):
         h = lev[v]
-        parent[v] = last[h - 1]
+        u = last[h - 1]
         last[h] = v
-    return parent
-
-
-def tree_graph(parent: list[int]) -> Graph:
-    """The tree with edges v - parent[v] for every vertex v but the root 0."""
-    n = len(parent)
-    adj = [0] * n
-    for v in range(1, n):
-        u = parent[v]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj)
@@ -379,7 +369,9 @@ def _children(adj: list[int], cols: list[int], n: int) -> list[tuple[list[int], 
 
 
 def canonical_key(g: Graph) -> tuple[int, ...]:
-    """Canonical form usable as an isomorphism-class key (small graphs).
+    """Canonical form usable as an isomorphism-class key (small graphs):
+    the key begins with n, so two graphs are isomorphic exactly when their
+    keys are equal.
 
     The maximal column encoding, reached by a climb: while
     ``_better_labeling`` finds a relabeling with a larger encoding, move
@@ -398,31 +390,3 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
         for i, v in enumerate(order):
             pos[v] = i
         adj = [mask_of(pos[u] for u in bits(adj[v])) for v in order]
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    return a.n == b.n and canonical_key(a) == canonical_key(b)
-
-
-# -- graph6 streams ---------------------------------------------------------
-
-
-def read_graph6_stream(source: str | Path | IO | Iterable[str | bytes]) -> Iterator[Graph]:
-    """Parse newline-delimited graph6, in order.
-
-    A malformed line raises :class:`Graph6Error` tagged with its line number.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            yield from read_graph6_stream(fh)
-        return
-    for lineno, line in enumerate(source, start=1):
-        if isinstance(line, str):
-            line = line.encode("ascii")
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield parse_graph6(line)
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}") from exc

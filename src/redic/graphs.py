@@ -1,4 +1,4 @@
-"""Immutable bitmask graphs: builders, products, graph6 and edge-list I/O.
+"""Immutable bitmask graphs: builders, products, graph6 I/O, edge-list input.
 
 Vertices are dense integers 0..n-1.  Adjacency is stored as one Python int
 per vertex (bit v of ``adj[u]`` is set iff uv is an edge), so neighborhood
@@ -252,10 +252,11 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
     return build_graph(n, edges, meta={"family": "complete_multipartite", "params": tuple(sizes)})
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
+def cartesian_product(g: Graph, h: Graph, meta: Mapping | None = None) -> Graph:
     """Box product: (a,b) ~ (a',b') iff (a=a' and b~b') or (b=b' and a~a').
 
-    Vertex (a, b) gets index a*|V(h)| + b (row-major).
+    Vertex (a, b) gets index a*|V(h)| + b (row-major).  ``meta`` annotates
+    the product, as in ``build_graph``.
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("cartesian product needs nonempty factors")
@@ -268,7 +269,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for (a1, a2) in g.edges():
         for b in range(h.n):
             edges.append((a1 * h.n + b, a2 * h.n + b))
-    return build_graph(n, edges)
+    return build_graph(n, edges, meta=meta)
 
 
 def hypercube(d: int) -> Graph:
@@ -292,27 +293,21 @@ def ladder(j: int) -> Graph:
     """P_2 box P_j."""
     if j < 1:
         raise ValueError("ladder needs j >= 1")
-    g = cartesian_product(path_graph(2), path_graph(j))
-    g.meta = {"family": "ladder", "params": (j,)}
-    return g
+    return cartesian_product(path_graph(2), path_graph(j), meta={"family": "ladder", "params": (j,)})
 
 
 def cylinder(j: int) -> Graph:
     """P_2 box C_j."""
     if j < 3:
         raise ValueError("cylinder needs j >= 3")
-    g = cartesian_product(path_graph(2), cycle_graph(j))
-    g.meta = {"family": "cylinder", "params": (j,)}
-    return g
+    return cartesian_product(path_graph(2), cycle_graph(j), meta={"family": "cylinder", "params": (j,)})
 
 
 def torus(i: int, j: int) -> Graph:
     """C_i box C_j."""
     if i < 3 or j < 3:
         raise ValueError("torus needs i, j >= 3")
-    g = cartesian_product(cycle_graph(i), cycle_graph(j))
-    g.meta = {"family": "torus", "params": (i, j)}
-    return g
+    return cartesian_product(cycle_graph(i), cycle_graph(j), meta={"family": "torus", "params": (i, j)})
 
 
 def honeycomb_torus(m: int, n: int) -> Graph:
@@ -459,9 +454,3 @@ def parse_edge_list(text: str) -> Graph:
     if g.num_edges() != m:
         raise ValueError(f"header promises {m} edges, found {g.num_edges()} distinct ones")
     return g
-
-
-def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

@@ -36,6 +36,7 @@ __all__ = [
     "h_gadget",
     "build_reduction",
     "brute_force_sat",
+    "ReductionReport",
     "verify_reduction",
     "verify_reduction_equivalence",
 ]

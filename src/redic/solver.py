@@ -107,6 +107,7 @@ __all__ = [
     "Budget",
     "BoundReport",
     "SolveOutcome",
+    "SolverStats",
     "FeasibilityResult",
     "forced_detectors",
     "lower_bound",

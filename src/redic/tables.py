@@ -24,7 +24,7 @@ shard, which enumerates and solves its shard itself while the caller
 solves shard 0, and only the shard's histogram and its node total come
 back over a pipe, never a graph.  Tree shards decide existence on each
 level sequence itself (``existence.levels_have_red_ic``, one scan of its
-bytes): a rejected tree counts as having no code and gets no parent array
+bytes): a rejected tree counts as having no code and gets no adjacency
 and no ``Graph``, so only the trees that admit a code (3,150 of the
 32,505 for n = 4..16) are built and reach ``solve_min``.  Most of those
 (2,866) close at the root: the members of their constraints with exactly
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .detection import CodeKind
 from .existence import levels_have_red_ic
-from .generators import cubic_graphs_cached, tree_graph, tree_levels, tree_parents
+from .generators import cubic_graphs_cached, tree_graph, tree_levels
 from .graphs import Graph
 from .solver import Budget, solve_min
 
@@ -149,7 +149,7 @@ def _solve_all(graphs: Iterable[Graph | None], budget: Budget) -> tuple[Counter,
 def _solve_tree_shard(n: int, res: int, mod: int, budget: Budget) -> tuple[Counter, int]:
     """``_solve_all`` over the trees of shard res of mod of ``tree_levels``;
     a tree that admits no code is never built."""
-    return _solve_all((tree_graph(tree_parents(lev)) if levels_have_red_ic(lev) else None
+    return _solve_all((tree_graph(lev) if levels_have_red_ic(lev) else None
                        for lev in tree_levels(n, res, mod)), budget)
 
 

@@ -101,6 +101,11 @@ def test_constructed_witness_reverifies(capsys):
     assert code == 0
 
 
+def test_construct_multipartite_defaults_to_four_vertices(capsys):
+    code, out, _ = run(capsys, "construct", "multipartite")
+    assert code == 0 and out.splitlines()[-1] == "k=4 n=4 certificate=solver"
+
+
 def test_reduce_roundtrip(capsys, tmp_path):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")

@@ -11,7 +11,6 @@ from redic.detection import (
     Violation,
     delta,
     domination,
-    is_valid_code,
     robustness_check,
     share,
     verify,
@@ -70,6 +69,13 @@ def test_share_examples_and_errors():
     # so the undefined case needs a detector index outside the set
     with pytest.raises(ValueError):
         share(claw, [], 0)
+
+
+def test_share_is_defined_while_other_vertices_are_undominated():
+    # x dominates every vertex of N[x], so sh(x) is defined whenever x is a detector
+    claw = star_graph(3)
+    assert share(claw, [1], 1) == 2  # 1/1 for the hub and for itself; leaves 2 and 3 see no detector
+    assert verify(claw, [1], CodeKind.IC).kind == "undominated"
 
 
 def test_share_sigma_arithmetic():
@@ -281,8 +287,8 @@ def test_verify_equals_literal_check_on_swapped_torus_codes():
 
 
 def test_is_valid_code():
-    assert is_valid_code(star_graph(3), range(4), CodeKind.RED_IC)
-    assert not is_valid_code(star_graph(3), [0], CodeKind.RED_IC)
+    assert verify(star_graph(3), range(4), CodeKind.RED_IC) is None
+    assert verify(star_graph(3), [0], CodeKind.RED_IC) is not None
 
 
 @pytest.mark.parametrize("detectors", [-1, -16, 1 << 4, 0b10001, 1 << 64, [0, 4], [-1, 0]])

@@ -9,10 +9,9 @@ from redic.existence import (
     closed_twins,
     exists_ic,
     exists_red_ic,
-    has_red_ic,
     levels_have_red_ic,
 )
-from redic.generators import tree_graph, tree_levels, tree_parents
+from redic.generators import tree_graph, tree_levels
 from redic.graphs import bits, build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from redic.tables import TREE_REFERENCE
 
@@ -52,7 +51,7 @@ def test_exists_examples():
     assert exists_red_ic(path_graph(4)).why == "support-degree"
     assert exists_red_ic(complete_graph(5)).why == "closed-twins"
     assert exists_red_ic(star_graph(3)) is None
-    assert has_red_ic(cycle_graph(4))
+    assert exists_red_ic(cycle_graph(4)) is None
     assert exists_red_ic(path_graph(3)).why == "too-small"
 
 
@@ -69,7 +68,7 @@ def test_exists_matches_full_vertex_set_oracle():
     for _ in range(500):
         g = random_connected(rng, rng.randint(4, 12))
         expected = literal_verify(g, range(g.n), CodeKind.RED_IC) is None
-        assert has_red_ic(g) == expected
+        assert (exists_red_ic(g) is None) == expected
 
 
 def test_disconnected_decided_per_component():
@@ -146,7 +145,7 @@ def test_tree_rule_matches_exists_red_ic(n):
     accepted = 0
     for lev in tree_levels(n):
         verdict = levels_have_red_ic(lev)
-        assert verdict == (exists_red_ic(tree_graph(tree_parents(lev))) is None), lev
+        assert verdict == (exists_red_ic(tree_graph(lev)) is None), lev
         accepted += verdict
     assert accepted == (TREE_REFERENCE[n][1] if n >= 4 else 0)
 
@@ -180,11 +179,11 @@ def test_tree_rule_on_any_parent_array():
     for _ in range(3000):
         n = rng.randint(1, 14)
         parent = [0] + [rng.randrange(v) for v in range(1, n)]
-        tree = tree_graph(parent)
+        tree = build_graph(n, [(v, parent[v]) for v in range(1, n)])
         root = rng.randrange(n)
         lev = _preorder_levels(rng, tree, root)
         # the sequence describes the same tree: same size and degrees
-        assert sorted(tree_graph(tree_parents(lev)).degrees()) == sorted(tree.degrees()), (parent, root, lev)
+        assert sorted(tree_graph(lev).degrees()) == sorted(tree.degrees()), (parent, root, lev)
         assert levels_have_red_ic(lev) == (exists_red_ic(tree) is None), (parent, root, lev)
         root_degrees[min(tree.degree(root), 3)] += 1
     assert min(root_degrees[d] for d in (1, 2, 3)) >= 300, root_degrees

@@ -42,6 +42,9 @@ CORPUS = "tests/test_corpus.py::test_differential_corpus"
 ROOT_LITERAL = "tests/test_solver.py::test_root_matches_literal_constraint_list"
 OPEN_ROOT = "tests/test_solver.py::test_open_root_is_rejected_before_verify"
 CUBIC_STREAM = "tests/test_generators.py::test_cubic_stream_is_pinned[12-ba8840f3f3c1135e]"
+SECONDS_CAP = "tests/test_solver.py::test_seconds_cap_counts_from_the_start_of_the_search"
+DENSITY = "tests/test_solver.py::test_density_on_zero_and_one_vertex"
+MULTIPARTITE = "tests/test_cli.py::test_construct_multipartite_defaults_to_four_vertices"
 
 MUTANTS = [
     pytest.param("src/redic/symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -109,6 +112,12 @@ MUTANTS = [
                  [OPEN_ROOT], id="closed-root-skips-the-kept-masks"),
     pytest.param("src/redic/solver.py", "    return [*closed, *sorted(pair_masks)]\n",
                  "    return [*closed, *sorted(pair_masks)[:-1]]\n", [CORPUS], id="constraint-list-skips-a-pair-mask"),
+    pytest.param("src/redic/solver.py", "time.perf_counter() - self.t0 > b.max_seconds",
+                 "time.perf_counter() + self.t0 > b.max_seconds", [SECONDS_CAP], id="seconds-cap-adds-the-start-time"),
+    pytest.param("src/redic/solver.py", "if self.k is None or self.n == 0:", "if self.k is None or self.n <= 1:",
+                 [DENSITY], id="density-undefined-on-one-vertex"),
+    pytest.param("src/redic/cli.py", 'p.add_argument("--n", type=int, default=4)',
+                 'p.add_argument("--n", type=int, default=5)', [MULTIPARTITE], id="construct-n-defaults-to-five"),
     pytest.param("tests/gadgets.py", "key=lambda t: (t[0], t[1])", "key=lambda t: (t[0], -t[1])",
                  [G14_SEARCH], id="g14-search-ties-in-reverse-stream-order"),
 ]

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from redic.detection import CodeKind
-from redic.generators import are_isomorphic
+from redic.generators import canonical_key
 from redic.graphs import build_graph
 from redic.reduction import (
     CnfFormula,
@@ -40,7 +40,8 @@ def test_h_gadget_shape():
     # the search space of a clause star: all three 2-edge graphs on 3 vertices are P3
     candidates = list(combinations(combinations(range(3), 2), 2))
     assert len(candidates) == 3
-    assert all(are_isomorphic(build_graph(3, list(edges)), build_graph(3, h.edges)) for edges in candidates)
+    key = canonical_key(build_graph(3, h.edges))
+    assert all(canonical_key(build_graph(3, list(edges))) == key for edges in candidates)
     c, a, b = h.roles["c"], h.roles["a"], h.roles["b"]
     assert len(h.edges) == 2 and set(map(frozenset, h.edges)) == {frozenset((c, a)), frozenset((c, b))}
     g = build_graph(3, h.edges)
@@ -59,7 +60,7 @@ def test_f_gadget_search_reproduces_frozen_artifact():
     assert found.n == 8 and len(found.edges) == 8
     assert len(found.forced) == 6
     frozen = f_gadget()
-    assert are_isomorphic(build_graph(8, found.edges), build_graph(8, frozen.edges))
+    assert canonical_key(build_graph(8, found.edges)) == canonical_key(build_graph(8, frozen.edges))
 
 
 def test_empty_formula_rejected():
@@ -67,6 +68,18 @@ def test_empty_formula_rejected():
         CnfFormula(3, ()).validate()
     with pytest.raises(ValueError):
         build_reduction(CnfFormula(3, ()))
+
+
+@pytest.mark.parametrize("phi, message", [
+    (CnfFormula(0, ((1, 2, 3),)), "at least one variable"),
+    (CnfFormula(3, ((1, 2),)), "exactly 3 literals"),
+    (CnfFormula(3, ((1, 0, 2),)), "literal 0"),
+    (CnfFormula(3, ((1, 2, 4),)), "beyond 3"),
+])
+def test_formula_built_directly_is_validated(phi, message):
+    # parse_dimacs rejects some of these before validate runs
+    with pytest.raises(ValueError, match=message):
+        build_reduction(phi)
 
 
 def test_reduction_counts():

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from itertools import chain, combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -285,6 +286,24 @@ def test_wall_clock_budget_is_honoured():
     assert (res.witness, res.exhaustive, res.stats.nodes) == (None, False, 256)
 
 
+def test_seconds_cap_counts_from_the_start_of_the_search(monkeypatch):
+    # a fake clock, so that no reading depends on how long the machine has been up
+    clock = SimpleNamespace(now=1000.0)
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+    g = torus(4, 4)
+    search = _Search(g, CodeKind.RED_IC, Budget(max_seconds=1.0), _constraint_masks(g))  # starts at 1000
+    clock.now = 1001.0  # the cap reached, not passed: the checks at nodes 256 and 512 let the search go on
+    for _ in range(512):
+        search._tick()
+    search.nodes = 0
+    clock.now = 1001.5  # past the cap: the first check, at node 256, stops the search, and none before it
+    for _ in range(255):
+        search._tick()
+    with pytest.raises(solver._BudgetExhausted):
+        search._tick()
+    assert search.nodes == 256
+
+
 def _pinned(out):
     """A solve's status, k, witness, lower, upper, nodes and forced."""
     return out.status, out.k, out.witness, out.lower, out.upper, out.stats.nodes, out.stats.forced
@@ -309,6 +328,13 @@ def test_empty_and_tiny_graphs():
     single = build_graph(1, [])
     assert solve_min(single, CodeKind.IC).k == 1
     assert solve_min(single, CodeKind.RED_IC).status == "infeasible"
+
+
+def test_density_on_zero_and_one_vertex():
+    # k/n, and None where n = 0 leaves it undefined or where there is no k
+    assert solve_min(build_graph(1, []), CodeKind.IC).density == 1
+    assert solve_min(build_graph(0, []), CodeKind.IC).density is None
+    assert solve_min(build_graph(0, []), CodeKind.RED_IC).density is None
 
 
 def plain(g):

@@ -4,7 +4,7 @@ import pytest
 
 from redic.graphs import (Graph, complete_graph, cycle_graph, cylinder, honeycomb_torus, hypercube, ladder,
                           mask_of, torus)
-from redic.symmetry import PermutationGroup, automorphisms
+from redic.symmetry import PermutationGroup, _is_automorphism, automorphisms
 
 
 def _compose(p, q):
@@ -106,6 +106,19 @@ def test_false_provenance_raises():
         automorphisms(Graph(h.n, h.adj, meta={"family": "honeycomb_torus", "params": (8, 4)}))
     with pytest.raises(ValueError, match="not an automorphism"):
         automorphisms(Graph(32, hypercube(5).adj, meta={"family": "honeycomb_torus", "params": (4, 8)}))
+
+
+def test_odd_honeycomb_provenance_raises():
+    t = torus(3, 4)
+    with pytest.raises(ValueError, match="needs even dimensions"):
+        automorphisms(Graph(t.n, t.adj, meta={"family": "honeycomb_torus", "params": (3, 4)}))
+
+
+def test_a_map_that_is_no_permutation_is_no_automorphism():
+    c4 = cycle_graph(4)
+    assert _is_automorphism(c4, (1, 2, 3, 0))
+    for p in [(0, 0, 2, 3), (0, 1, 2), (0, 1, 2, 3, 0), (1, 2, 3, 4)]:
+        assert not _is_automorphism(c4, p), p
 
 
 def test_a_group_need_not_be_transitive():
