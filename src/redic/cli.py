@@ -141,8 +141,9 @@ def cmd_solve(args) -> int:
         _emit(args, _report("solve", digest, f"infeasible: {out.reason}", stats=stats),
               f"no {kind.value} code exists: {out.reason}")
         return 1
+    lower = f" lower={out.lower}" if out.status == "bounded" else ""
     human = (
-        f"{out.status}: k={out.k} of n={g.n} (density {out.k}/{g.n})"
+        f"{out.status}: k={out.k} of n={g.n} (density {out.k}/{g.n}){lower}"
         f" witness={','.join(map(str, out.witness))} nodes={out.stats.nodes}"
     )
     _emit(args, _report("solve", digest, out.status, k=out.k, witness=out.witness,

@@ -68,9 +68,17 @@ set that depends on those members alone, so the search caches it by them
 within a fixed byte budget.  A hit gives the int that a miss would build,
 so the cache changes no bound, node count or witness.
 
-The search branches on a vertex drawn from the most-constrained active
-constraint, include branch first, with ties broken toward the lowest vertex
-index.  Nothing is randomized, so runs are reproducible node for node.
+The search branches on a vertex drawn from an active constraint of least
+slack, include branch first.  A minimising search takes, among those, one
+that still needs the most detectors (res = 2 before res = 1), after the
+fail-first principle of Haralick and Elliott (Artificial Intelligence 14,
+1980); the torus 7x7 takes 646,669 nodes this way, against 905,259 with
+ties broken the other way.  A feasibility search takes one that needs the
+fewest, the least cnt of that slack, which reaches a witness sooner: Q5 at
+k = 12 in 13 nodes, against 567 with the minimising rule.  Of the
+constraint's free members it takes the one in the most active constraints,
+with ties broken toward the lowest vertex index.  Nothing is randomized, so
+runs are reproducible node for node.
 
 Orbital fixing (Margot, Math. Programming 2002; Ostrowski, Linderoth, Rossi
 and Smriglio, Math. Programming 2011) uses the automorphism group that the
@@ -565,16 +573,18 @@ class _Search:
     # -- branching -----------------------------------------------------------
 
     def _branch_vertex(self, active: int, heavy: int) -> int:
-        """A free member of the constraint with the least (slack, cnt, index),
-        the one in the most active constraints, lowest index on ties."""
+        """A free member of the constraint with the least slack, then the
+        most res when minimising or the least when deciding (the least cnt
+        of that slack), then the least index; of its members, the one in the
+        most active constraints, lowest index on ties."""
         slack, ones, high, sh = self.C - self.R + self.top, self.ones, self.high, self.w - 1
         least = 0
         while not least:
             slack -= ones  # flags slack > s, for s = 1, 2, ...
             least = active ^ (active & (slack & high) >> sh)  # so slack == s
-        light = least ^ (least & heavy)  # res = 1, so the least cnt of this slack
-        if light:
-            least = light
+        pick = least ^ (least & heavy) if self.stop_at_first else least & heavy  # res = 1 deciding, 2 minimising
+        if pick:
+            least = pick
         left = self.field_masks[(least.bit_length() - 1) // self.w] & self.free
         inc = self.inc
         best_x = -1

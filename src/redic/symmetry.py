@@ -11,8 +11,10 @@ none need be transitive.  It derives a stabiliser chain a level at a time
 search from x gives the orbit of x and, for each y in it, an element u_y
 taking x to y; the Schreier generators u_{s(y)}^-1 s u_y, over the orbit
 and the generators s, generate the stabiliser of x, and Sims' filter keeps
-at most one per (first moved point, its image).  The order is the product
-of the orbit lengths down the chain.
+at most one per (first moved point, its image).  Most of them are the
+identity, s u_y = u_{s(y)}, which one tuple comparison finds before any
+inverse is formed.  The order is the product of the orbit lengths down
+the chain.
 
 A permutation is a tuple p with p[v] the image of vertex v; _compose(p, q)
 applies q first.  Every element is a product of generators that
@@ -87,11 +89,15 @@ class PermutationGroup:
                         reached.append(s[y])
             stab = self if self.generators else None  # when x is fixed
             if len(u) > 1:
-                inv = {y: _inverse(p) for y, p in u.items()}
-                seen, table = {u[x]}, {}
+                inv, seen, table = {}, set(), {}
                 for y, p in u.items():
                     for s in self.generators:
-                        g = _compose(inv[s[y]], _compose(s, p))  # a Schreier generator
+                        sp, z = _compose(s, p), s[y]
+                        if sp == u[z]:  # the Schreier generator is the identity
+                            continue
+                        if z not in inv:
+                            inv[z] = _inverse(u[z])
+                        g = _compose(inv[z], sp)  # a Schreier generator
                         if g not in seen:
                             seen.add(g)
                             _sift(table, g)
@@ -144,12 +150,12 @@ def _hypercube_group(d: int) -> list[Perm]:
 
 # above d = 7 the hypercube gets no group and is searched plainly, which
 # keeps the node counts of Q8 and up.  Only Q8's group would be cheap: its
-# generators, order and one stabiliser take about 50 ms on a 2-vCPU x86-64
-# host, but Q9 0.25 s, Q10 1.1 s, Q11 5.2 s and Q12 23 s (the order alone
-# 12 s).  The kept generating sets stay small (at most 36 per level for
-# Q11); the cost is forming every Schreier generator of level 0's orbit:
-# Q11 forms 26,624 there, 22,528 of them the identity, and that level
-# takes 2.44 s of its chain's 2.55 s
+# generators, order and one stabiliser take about 30 ms on a 2-vCPU x86-64
+# host, but Q9 0.19 s, Q10 0.9 s and Q11 3.9 s.  The kept generating sets
+# stay small (at most 36 per level for Q11); the cost is level 0's orbit,
+# where Q11 meets 26,624 Schreier generators, 22,528 of them the identity:
+# those are recognised without composing an inverse, but each still costs
+# one composition s u_y
 _MAX_HYPERCUBE_DIM = 7
 
 

@@ -197,6 +197,17 @@ def test_zero_node_budget_caps_the_search(capsys):
     assert code == 1 and "partial" in out
 
 
+def test_bounded_line_shows_the_lower_bound(capsys):
+    # the bounds bracket the optimum 25 that the unbudgeted search proves
+    code, out, _ = run(capsys, "solve", "--family", "torus", "--params", "7,7", "--budget-nodes", "1000")
+    assert code == 0 and out == (
+        "bounded: k=26 of n=49 (density 26/49) lower=20"
+        " witness=0,1,2,3,4,5,6,14,15,16,17,18,19,20,28,29,30,31,32,33,34,37,38,39,40,42 nodes=1000\n")
+    code, out, _ = run(capsys, "solve", "--family", "torus", "--params", "7,7", "--budget-nodes", "1000", "--json")
+    rep = json.loads(out)
+    assert (rep["outcome"], rep["bounds"], rep["stats"]["nodes"]) == ("bounded", {"lower": 20, "upper": 26}, 1000)
+
+
 @pytest.mark.parametrize("cmd", ["table1", "table2"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(capsys, cmd, threads):
@@ -338,7 +349,7 @@ PINNED_OUTPUTS = {
     "verify --graph6 Cl --detectors 0,1,2 --kind ic": ("098ba274e7d71c2a", "1d7a330dcf25cddd"),
     "verify --graph6 Cl --detectors 0,1,2": ("342b919cc9d30296", "ed1c57bb6eec9953"),
     "solve --family cycle --params 7": ("85f47cdcae78c47e", "a063aeeb91eb426d"),
-    "solve --family cycle --params 7 --budget-nodes 0": ("101874224e3a7cd1", "9937fcd4bf538f9d"),
+    "solve --family cycle --params 7 --budget-nodes 0": ("3a05ba84155c4aca", "9937fcd4bf538f9d"),
     "solve --family hypercube --params 4 --kind ic": ("473961e96068c235", "75dd45443719ec68"),
     "solve --family path --params 6": ("cf9965d3bb7785f7", "2f760ccf50881a55"),
     "solve --graph6-file claw.g6": ("4cf3a2e38d2d5a42", "ee8d3a70207da1fd"),
@@ -360,7 +371,7 @@ PINNED_OUTPUTS = {
     "construct q5": ("e52b53633ca0e893", "cc45df7a9b746ead"),
     "reduce phi.cnf": ("5c2fac9c377985d2", "f06c0375f03ad9c5"),
     "table1 --max-n 8": ("46808748f8f938f8", "bf99bff5aae2c03b"),
-    "table2 --max-n 10": ("7776c2124f7a718e", "cf037a685b18ea06"),
+    "table2 --max-n 10": ("7776c2124f7a718e", "cb97fc46230fb8cb"),
     "table2 --max-n 10 --budget-nodes 1": ("b0aecb3abaf4619a", "a6ef204e8e9ce0a2"),  # partial rows, no diffs
     # exit 2: usage and I/O errors
     "solve": ("f63dde731e30a3f8", "f63dde731e30a3f8"),

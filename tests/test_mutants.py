@@ -45,6 +45,7 @@ CUBIC_STREAM = "tests/test_generators.py::test_cubic_stream_is_pinned[12-ba8840f
 SECONDS_CAP = "tests/test_solver.py::test_seconds_cap_counts_from_the_start_of_the_search"
 DENSITY = "tests/test_solver.py::test_density_on_zero_and_one_vertex"
 MULTIPARTITE = "tests/test_cli.py::test_construct_multipartite_defaults_to_four_vertices"
+ORBITAL_PINS = "tests/test_solver.py::test_pinned_node_counts_with_orbital_fixing"
 
 MUTANTS = [
     pytest.param("src/redic/symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -100,8 +101,12 @@ MUTANTS = [
                  [RESCAN], id="branch-vertex-ties-to-the-highest"),
     pytest.param("src/redic/solver.py", "kept[take] = keep = ones ^ drop", "kept[take] = keep = ~drop",
                  [RESCAN], id="packing-keeps-bits-outside-ones"),
-    pytest.param("src/redic/solver.py", "        if light:\n", "        if False:\n",
-                 [RESCAN], id="branch-ignores-the-res-1-preference"),
+    pytest.param("src/redic/solver.py", "        if pick:\n", "        if False:\n",
+                 [RESCAN], id="branch-ignores-res-among-the-least-slack"),
+    pytest.param("src/redic/solver.py", "if self.stop_at_first else least & heavy", "if True else least & heavy",
+                 [ORBITAL_PINS], id="minimising-branch-prefers-res-1"),
+    pytest.param("src/redic/solver.py", "least ^ (least & heavy) if self.stop_at_first",
+                 "least & heavy if self.stop_at_first", [ORBITAL_PINS], id="feasibility-branch-prefers-res-2"),
     pytest.param("src/redic/solver.py", "    if t == 2:\n", "    if False:\n",
                  [ROOT_LITERAL], id="root-drops-the-open-twins"),
     pytest.param("src/redic/solver.py", "                forced |= m\n", "                pass\n",
