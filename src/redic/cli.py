@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
 
 def _stats(st: SolverStats) -> dict:
     return {"nodes": st.nodes, "seconds": round(st.elapsed, 4), "forced": st.forced, "pruned": st.pruned,
-            "orbit_fixed": st.orbit_fixed, "group_order": st.group_order}
+            "orbit_fixed": st.orbit_fixed, "bound_fixed": st.bound_fixed, "group_order": st.group_order}
 
 
 def cmd_solve(args) -> int:

@@ -251,8 +251,8 @@ def test_json_stats_show_search_counters(capsys):
         code, out, _ = run(capsys, *argv, "--family", "hypercube", "--params", "4", "--json")
         stats = json.loads(out)["stats"]
         assert code == exit_code
-        assert list(stats) == ["nodes", "seconds", "forced", "pruned", "orbit_fixed", "group_order"]
-        assert stats["forced"] > 0 and 0 < stats["pruned"] < stats["nodes"]
+        assert list(stats) == ["nodes", "seconds", "forced", "pruned", "orbit_fixed", "bound_fixed", "group_order"]
+        assert stats["forced"] > 0 and 0 < stats["pruned"] < stats["nodes"] and stats["bound_fixed"] > 0
 
 
 def test_json_stats_show_the_symmetry_used(capsys):
@@ -348,17 +348,17 @@ PINNED_OUTPUTS = {
     "verify --family star --params 3 --detectors 0,1,2,3": ("449392ce9267c83d", "a23125e9b0cd2d7f"),
     "verify --graph6 Cl --detectors 0,1,2 --kind ic": ("098ba274e7d71c2a", "1d7a330dcf25cddd"),
     "verify --graph6 Cl --detectors 0,1,2": ("342b919cc9d30296", "ed1c57bb6eec9953"),
-    "solve --family cycle --params 7": ("85f47cdcae78c47e", "a063aeeb91eb426d"),
-    "solve --family cycle --params 7 --budget-nodes 0": ("3a05ba84155c4aca", "9937fcd4bf538f9d"),
-    "solve --family hypercube --params 4 --kind ic": ("473961e96068c235", "75dd45443719ec68"),
-    "solve --family path --params 6": ("cf9965d3bb7785f7", "2f760ccf50881a55"),
-    "solve --graph6-file claw.g6": ("4cf3a2e38d2d5a42", "ee8d3a70207da1fd"),
-    "solve --edgelist-file claw.edges": ("4cf3a2e38d2d5a42", "ee8d3a70207da1fd"),
+    "solve --family cycle --params 7": ("85f47cdcae78c47e", "4ceeab34a42501e5"),
+    "solve --family cycle --params 7 --budget-nodes 0": ("3a05ba84155c4aca", "e9943259cc828c4d"),
+    "solve --family hypercube --params 4 --kind ic": ("3fb6daeac1affd47", "a4c61c9e0991a919"),
+    "solve --family path --params 6": ("cf9965d3bb7785f7", "f791d2c3d02e4a47"),
+    "solve --graph6-file claw.g6": ("4cf3a2e38d2d5a42", "ec073dc7bb57c9bc"),
+    "solve --edgelist-file claw.edges": ("4cf3a2e38d2d5a42", "ec073dc7bb57c9bc"),
     "exists --family complete --params 5": ("3c99c4d847042254", "88b9dd24b89d640b"),
     "exists --family star --params 3": ("8e1e87e0f875adcb", "6eefe383e48a4bc9"),
-    "feasible --graph6 Cl --k 4": ("78fea103fc5e4a50", "be0c0799a149599c"),
-    "feasible --graph6 Cl --k 3": ("3eb7e15ba99027a5", "104860a348797e24"),
-    "feasible --graph6 Cl --k 4 --budget-nodes 0": ("baab6acbec3d5e03", "acf7be5189ea47a0"),
+    "feasible --graph6 Cl --k 4": ("78fea103fc5e4a50", "8290b56bdbc81f89"),
+    "feasible --graph6 Cl --k 3": ("3eb7e15ba99027a5", "516e04e371dabb3c"),
+    "feasible --graph6 Cl --k 4 --budget-nodes 0": ("baab6acbec3d5e03", "796214f52b7892e7"),
     "bounds --family torus --params 6,6": ("759ad3b3954a98e2", "cc4a57e15a1bdd4c"),
     "bounds --family hypercube --params 4 --kind ic": ("b7e68e4a188867c8", "c5569e7f5ac631f1"),
     "construct star-even --k 6": ("431aa364a33d82a3", "740b5e157feddafd"),
@@ -371,7 +371,7 @@ PINNED_OUTPUTS = {
     "construct q5": ("e52b53633ca0e893", "cc45df7a9b746ead"),
     "reduce phi.cnf": ("5c2fac9c377985d2", "f06c0375f03ad9c5"),
     "table1 --max-n 8": ("46808748f8f938f8", "bf99bff5aae2c03b"),
-    "table2 --max-n 10": ("7776c2124f7a718e", "cb97fc46230fb8cb"),
+    "table2 --max-n 10": ("7776c2124f7a718e", "b24bc1cab8b218c9"),
     "table2 --max-n 10 --budget-nodes 1": ("b0aecb3abaf4619a", "a6ef204e8e9ce0a2"),  # partial rows, no diffs
     # exit 2: usage and I/O errors
     "solve": ("f63dde731e30a3f8", "f63dde731e30a3f8"),

@@ -15,7 +15,7 @@ optimize = pytest.importorskip("scipy.optimize")
 
 from redic.detection import CodeKind
 from redic.graphs import honeycomb_torus, hypercube, torus
-from redic.solver import solve_min
+from redic.solver import feasible_at, solve_min
 
 from literal import literal_verify, random_graph
 
@@ -35,11 +35,19 @@ def milp_minimum(g, kind):
 
 
 def _check(g):
+    # the minimum, and the refutation one below it and the witness at it,
+    # since the search prunes both kinds of run
     for kind in (CodeKind.IC, CodeKind.RED_IC):
         out = solve_min(g, kind)
-        assert (out.k if out.is_optimal else None) == milp_minimum(g, kind), (g.edges(), kind)
-        if out.is_optimal:
-            assert literal_verify(g, out.witness, kind) is None
+        m = milp_minimum(g, kind)
+        assert (out.k if out.is_optimal else None) == m, (g.edges(), kind)
+        if m is None:
+            continue
+        assert literal_verify(g, out.witness, kind) is None
+        below = feasible_at(g, kind, m - 1)
+        assert below.witness is None and below.exhaustive, (g.edges(), kind)
+        at = feasible_at(g, kind, m).witness
+        assert at is not None and len(at) <= m and literal_verify(g, at, kind) is None, (g.edges(), kind)
 
 
 def _random_graphs(count):
@@ -69,10 +77,11 @@ LATTICE_OPTIMA = [
     pytest.param(honeycomb_torus(6, 6), CodeKind.RED_IC, 24, id="honeycomb-6x6"),
     pytest.param(hypercube(5), CodeKind.IC, 10, id="q5-ic"),
     pytest.param(hypercube(5), CodeKind.RED_IC, 12, id="q5-red-ic"),
+    pytest.param(torus(7, 7), CodeKind.RED_IC, 25, id="torus-7x7"),
 ]
 
 
-@pytest.mark.stretch(reason="about 5 s of HiGHS")
+@pytest.mark.stretch(reason="about 15 s of HiGHS, 8 s of it on the torus 7x7")
 @pytest.mark.parametrize("g, kind, k", LATTICE_OPTIMA)
 def test_stretch_lattice_optima_match_milp(g, kind, k):
     out = solve_min(g, kind)

@@ -46,6 +46,8 @@ SECONDS_CAP = "tests/test_solver.py::test_seconds_cap_counts_from_the_start_of_t
 DENSITY = "tests/test_solver.py::test_density_on_zero_and_one_vertex"
 MULTIPARTITE = "tests/test_cli.py::test_construct_multipartite_defaults_to_four_vertices"
 ORBITAL_PINS = "tests/test_solver.py::test_pinned_node_counts_with_orbital_fixing"
+ORBIT_INVARIANT = "tests/test_solver.py::test_counters_hold_under_orbital_fixing"
+PROPAGATED_ONCE = "tests/test_solver.py::test_root_is_propagated_once"
 
 MUTANTS = [
     pytest.param("src/redic/symmetry.py", "        return self._level(x)[1]\n", "        return self\n",
@@ -107,6 +109,12 @@ MUTANTS = [
                  [ORBITAL_PINS], id="minimising-branch-prefers-res-1"),
     pytest.param("src/redic/solver.py", "least ^ (least & heavy) if self.stop_at_first",
                  "least & heavy if self.stop_at_first", [ORBITAL_PINS], id="feasibility-branch-prefers-res-2"),
+    pytest.param("src/redic/solver.py", "if packed == gap - 1 else 0", "if packed == gap - 2 else 0",
+                 [RESCAN], id="bound-fixing-one-detector-early"),
+    pytest.param("src/redic/solver.py", "                fix |= orbit\n", "                pass\n",
+                 [ORBIT_INVARIANT], id="bound-fixing-not-widened-to-orbits"),
+    pytest.param("src/redic/solver.py", "if active ^ (active & (C - R + high & high) >> sh):", "if False:",
+                 [PROPAGATED_ONCE], id="bound-fixing-without-the-slack-cut"),
     pytest.param("src/redic/solver.py", "    if t == 2:\n", "    if False:\n",
                  [ROOT_LITERAL], id="root-drops-the-open-twins"),
     pytest.param("src/redic/solver.py", "                forced |= m\n", "                pass\n",
@@ -148,7 +156,7 @@ def _run(tmp_path, tests):
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.stretch(reason="a test run per mutant, about 80 s in all")
+@pytest.mark.stretch(reason="a test run per mutant, about 90 s in all")
 @pytest.mark.parametrize("path, snippet, replacement, tests", MUTANTS)
 def test_mutant_is_caught(tmp_path, path, snippet, replacement, tests):
     _copy(tmp_path)

@@ -277,7 +277,7 @@ def test_negative_k_builds_nothing(monkeypatch):
 
 
 def test_wall_clock_budget_is_honoured():
-    # the clock is read every 256 nodes; torus 6x6 needs 8,991 to finish
+    # the clock is read every 256 nodes; torus 6x6 needs 3,445 to finish
     g = torus(6, 6)
     out = solve_min(g, budget=Budget(max_seconds=0))
     assert (out.status, out.stats.nodes) == ("bounded", 256)
@@ -348,16 +348,16 @@ def test_pinned_node_counts():
     # The graphs carry no provenance, so this is the plain search.
     red, ic = CodeKind.RED_IC, CodeKind.IC
     for g, kind, k, nodes in [
-        (torus(4, 4), red, 10, 1_671),
-        (honeycomb_torus(4, 4), red, 11, 249),
-        (hypercube(4), ic, 7, 1_237),
-        (hypercube(4), red, 10, 1_657),
-        (hypercube(5), red, 12, 3_973),
+        (torus(4, 4), red, 10, 723),
+        (honeycomb_torus(4, 4), red, 11, 121),
+        (hypercube(4), ic, 7, 411),
+        (hypercube(4), red, 10, 733),
+        (hypercube(5), red, 12, 1_535),
     ]:
         out = solve_min(plain(g), kind)
         assert (out.k, out.stats.nodes) == (k, nodes), (g.meta, kind)
         assert (out.stats.group_order, out.stats.orbit_fixed) == (1, 0)
-    for d, k, nodes in [(4, 9, 1_881), (5, 11, 2_451)]:
+    for d, k, nodes in [(4, 9, 887), (5, 11, 1_077)]:
         res = feasible_at(plain(hypercube(d)), red, k)
         assert res.witness is None and res.exhaustive
         assert res.stats.nodes == nodes, d
@@ -368,16 +368,16 @@ def test_pinned_node_counts():
 # (graph, kind, optimum, nodes, group order), then the refutations
 # (dimension, k, nodes) of feasible_at on the hypercube
 ORBITAL_PINS = [
-    (torus(4, 4), CodeKind.RED_IC, 10, 401, 128),
-    (honeycomb_torus(4, 4), CodeKind.RED_IC, 11, 123, 32),
-    (hypercube(4), CodeKind.IC, 7, 85, 384),
-    (hypercube(4), CodeKind.RED_IC, 10, 219, 384),
-    (hypercube(5), CodeKind.RED_IC, 12, 633, 3_840),
-    (torus(6, 6), CodeKind.RED_IC, 18, 8_991, 288),
-    (honeycomb_torus(6, 6), CodeKind.RED_IC, 24, 16_409, 72),
-    (hypercube(5), CodeKind.IC, 10, 893, 3_840),
+    (torus(4, 4), CodeKind.RED_IC, 10, 177, 128),
+    (honeycomb_torus(4, 4), CodeKind.RED_IC, 11, 59, 32),
+    (hypercube(4), CodeKind.IC, 7, 37, 384),
+    (hypercube(4), CodeKind.RED_IC, 10, 105, 384),
+    (hypercube(5), CodeKind.RED_IC, 12, 195, 3_840),
+    (torus(6, 6), CodeKind.RED_IC, 18, 3_445, 288),
+    (honeycomb_torus(6, 6), CodeKind.RED_IC, 24, 7_305, 72),
+    (hypercube(5), CodeKind.IC, 10, 213, 3_840),
 ]
-ORBITAL_REFUTATIONS = [(4, 9, 267), (5, 11, 77)]
+ORBITAL_REFUTATIONS = [(4, 9, 121), (5, 11, 41)]
 
 
 def test_pinned_node_counts_with_orbital_fixing():
@@ -420,11 +420,11 @@ def _check_against_plain(g):
         assert verify(g, at.witness, kind) is None
 
 
-@pytest.mark.stretch(reason="about 6-9 s")
+@pytest.mark.stretch(reason="about 3-5 s")
 def test_stretch_torus_7x7_optimal_at_25():
     g = torus(7, 7)
     out = solve_min(g, CodeKind.RED_IC)
-    assert (out.status, out.k, out.stats.nodes, out.stats.group_order) == ("optimal", 25, 646_669, 392)
+    assert (out.status, out.k, out.stats.nodes, out.stats.group_order) == ("optimal", 25, 228_113, 392)
     assert verify(g, out.witness, CodeKind.RED_IC) is None
 
 
@@ -517,7 +517,8 @@ def test_a_distance_two_mask_has_two_members_iff_open_twins():
 class RescanSearch:
     """The search with propagation by a full rescan of every constraint at
     every node, kept as the reference that the incremental counters must
-    reproduce node for node.  It shares only the constraint list."""
+    reproduce node for node.  It shares only the constraint list.  With
+    ``fixing`` off it skips fixing by the packing bound."""
 
     def __init__(self, search: _Search):
         self.masks, self.req = search.masks, search.kind.req
@@ -528,6 +529,7 @@ class RescanSearch:
         self.cap = search.g.n + 1
         self.stop_at_first = search.stop_at_first
         self.done = False
+        self.fixing = True
 
     def propagate(self, in_mask, out_mask):
         while True:
@@ -551,6 +553,8 @@ class RescanSearch:
             in_mask |= forced
 
     def need(self, unresolved):
+        """The lower bound; keeps the greedy packing's value in ``packed``
+        and the free members it takes in ``used``."""
         used = packed = dom_deficit = 0
         for cand, r, i in sorted(unresolved, key=lambda e: (e[0].bit_count(), e[2])):
             if i < self.n_dom:
@@ -558,6 +562,7 @@ class RescanSearch:
             if cand & used == 0:
                 packed += r
                 used |= cand
+        self.packed, self.used = packed, used
         return max(packed, -(-dom_deficit // self.max_cover))
 
     def branch_vertex(self, unresolved):
@@ -568,20 +573,33 @@ class RescanSearch:
         scores = {x: sum(c2 >> x & 1 for c2, _, _ in unresolved) for x in bits(cand)}
         return max(scores, key=lambda x: (scores[x], -x))
 
+    def fixed(self, in_mask, out_mask, size):
+        """The free vertices outside the packing when it ends one short of
+        the gap: including any of them keeps the packing and adds a
+        detector, so that child is cut.  Empty when ``fixing`` is off."""
+        if not self.fixing or size + self.packed != self.cap - 1:
+            return 0
+        return self.full & ~in_mask & ~out_mask & ~self.used
+
     def dfs(self, in_mask, out_mask):
         self.nodes += 1
-        prop = self.propagate(in_mask, out_mask)
-        if prop is None:
-            return
-        in_mask, unresolved = prop
-        size = in_mask.bit_count()
-        if not unresolved:
-            if size < self.cap:
-                self.best, self.cap = in_mask, size
-                self.done = self.stop_at_first
-            return
-        if size + self.need(unresolved) >= self.cap:
-            return
+        while True:  # until no vertex is fixed; a conflict (None) cuts the node
+            prop = self.propagate(in_mask, out_mask)
+            if prop is None:
+                return
+            in_mask, unresolved = prop
+            size = in_mask.bit_count()
+            if not unresolved:
+                if size < self.cap:
+                    self.best, self.cap = in_mask, size
+                    self.done = self.stop_at_first
+                return
+            if size + self.need(unresolved) >= self.cap:
+                return
+            fixed = self.fixed(in_mask, out_mask, size)
+            if not fixed:
+                break
+            out_mask |= fixed
         bit = 1 << self.branch_vertex(unresolved)
         self.dfs(in_mask | bit, out_mask)
         if not self.done:
@@ -607,6 +625,51 @@ class RescanSearch:
                 for x in bits(cand):
                     scores[x] = scores.get(x, 0) + r
             in_mask |= 1 << max(scores, key=lambda x: (scores[x], -x))
+
+
+class FixingLog(RescanSearch):
+    """The rescan search, logging the in and out masks, the cap and the
+    vertices fixed at every node where the packing bound fixes some."""
+
+    def __init__(self, search):
+        super().__init__(search)
+        self.log = []
+
+    def fixed(self, in_mask, out_mask, size):
+        out = super().fixed(in_mask, out_mask, size)
+        if out:
+            self.log.append((in_mask, out_mask, self.cap, out))
+        return out
+
+
+def test_fixed_vertices_have_no_completion_below_the_cap():
+    # wherever the packing bound fixes vertices, in a minimising search from
+    # the greedy cap and in the refutation one below the optimum, a search
+    # that does not fix finds no completion below the cap that includes any
+    # one of them
+    rng = random.Random(43)
+    checked = {kind: 0 for kind in CodeKind}
+    seen = 0
+    while seen < 40:
+        g = random_graph(rng, rng.randint(6, 16), rng.uniform(0.2, 0.7))
+        kind = CodeKind.IC if seen % 2 else CodeKind.RED_IC
+        if (exists_red_ic(g) if kind is CodeKind.RED_IC else exists_ic(g)) is not None:
+            continue
+        seen += 1
+        search = search_for(g, kind)
+        minimising, refuting = FixingLog(search), FixingLog(search)
+        minimising.cap = search.greedy().bit_count()
+        refuting.cap, refuting.stop_at_first = solve_min(g, kind).k, True
+        for ref in (minimising, refuting):
+            ref.dfs(0, 0)
+            for in_mask, out_mask, cap, fixed in ref.log:
+                for x in bits(fixed):
+                    plain = RescanSearch(search)
+                    plain.fixing, plain.cap, plain.stop_at_first = False, cap, True
+                    plain.dfs(in_mask | 1 << x, out_mask)
+                    assert plain.best is None, (g.adj, kind, cap, x)
+                    checked[kind] += 1
+    assert all(checked.values()), checked
 
 
 def rescanned_counters(search):
@@ -661,8 +724,9 @@ class CheckedSearch(_Search):
     and the node's stabiliser maps the included and excluded sets onto
     themselves (checked on its generators, which is enough).  Also checks
     that the packing bound equals the rescan's, at a gap it cannot reach,
-    that the branch vertex is the rescan's, and that every value the packing
-    caches lies in [0, ones]."""
+    that the vertices it fixes at the node's gap, before any widening to
+    orbits, are the rescan's, that the branch vertex is the rescan's, and
+    that every value the packing caches lies in [0, ones]."""
 
     checked = 0
 
@@ -678,9 +742,14 @@ class CheckedSearch(_Search):
         res, cnt, active = counters["res"], counters["cnt"], counters["active"]
         assert all(cnt[i] > res[i] for i in active)
         unresolved = [(self.masks[i] & self.free, res[i], i) for i in active]
-        assert self._need(*self._unmet(), self.g.n + 1) == RescanSearch(self).need(unresolved)
+        ref = RescanSearch(self)
+        assert self._need(*self._unmet(), self.g.n + 1) == ref.need(unresolved)
         if active:
-            assert self._branch_vertex(*self._unmet()) == RescanSearch(self).branch_vertex(unresolved)
+            assert self._branch_vertex(*self._unmet()) == ref.branch_vertex(unresolved)
+            size = self.chosen.bit_count()
+            if self._need(*self._unmet(), self.cap - size) < self.cap - size:
+                ref.cap = self.cap
+                assert self.spare == ref.fixed(self.chosen, excluded, size)
         if self.sym is not None:
             for p in self.sym.generators:  # every element of H is a product of them
                 for m in (self.chosen, excluded):
@@ -730,16 +799,18 @@ def test_incremental_counters_match_rescan():
 
 def test_interrupted_run_restores_the_root():
     g = hypercube(4)
-    search = search_for(g, CodeKind.RED_IC, Budget(max_nodes=200), CheckedSearch)
+    # the whole search takes 109 nodes
+    search = search_for(g, CodeKind.RED_IC, Budget(max_nodes=50), CheckedSearch)
     assert not search.run(cap=g.n, stop_at_first=False)
-    assert search.nodes == search.checked == 200
+    assert search.nodes == search.checked == 50
     assert at_root(search)
 
 
 class CountingSearch(_Search):
-    """Counts propagation passes and exclusions."""
+    """Counts propagation passes, exclusions, and the packing bounds that
+    cut their node or leave vertices to fix."""
 
-    forces = excludes = 0
+    forces = excludes = cuts = fixings = 0
 
     def _force(self):
         self.forces += 1
@@ -748,6 +819,12 @@ class CountingSearch(_Search):
     def _exclude(self, x):
         self.excludes += 1
         return super()._exclude(x)
+
+    def _need(self, active, heavy, gap):
+        bound = super()._need(active, heavy, gap)
+        self.cuts += bound >= gap
+        self.fixings += bound < gap and self.spare != 0
+        return bound
 
 
 def _root_cases():
@@ -763,17 +840,22 @@ def _root_cases():
 
 
 def test_root_is_propagated_once():
-    excluded = 0
+    excluded = fixed = slack_cuts = 0
     for g, kind in _root_cases():
         search = search_for(g, kind, cls=CountingSearch)
         assert search.forces == 1
         incumbent = search.greedy()
         search.root_lower()
         assert search.forces == 1
+        search.cuts = search.fixings = 0
         assert search.run(cap=incumbent.bit_count(), stop_at_first=False)
-        assert search.forces == 1 + search.excludes
+        # each fixing propagates once, unless a slack below 0 cuts its node,
+        # which counts as pruned without a bound cut
+        assert search.forces == 1 + search.excludes + search.fixings - (search.pruned - search.cuts)
         excluded += search.excludes
-    assert excluded > 0
+        fixed += search.fixings
+        slack_cuts += search.pruned - search.cuts
+    assert excluded > 0 and fixed > 0 and slack_cuts > 0
 
 
 def _trees_with_code():
@@ -918,7 +1000,9 @@ def test_two_byte_fields_on_a_wheel():
         assert ref.nodes == nodes and (ref.best or incumbent).bit_count() == k
 
 
-@pytest.mark.parametrize("g", [torus(4, 4), torus(3, 5), honeycomb_torus(4, 4), hypercube(4)], ids=_name)
+# on Q5 as an IC the packing bound fixes sets that are not unions of
+# orbits, and their widened exclusions must keep the orbit invariant
+@pytest.mark.parametrize("g", [torus(4, 4), torus(3, 5), honeycomb_torus(4, 4), hypercube(4), hypercube(5)], ids=_name)
 def test_counters_hold_under_orbital_fixing(g):
     # each member of an orbit is looked at again before it is excluded, so no
     # vertex is excluded after propagation has included it
@@ -957,24 +1041,30 @@ def test_conflict_cache_cannot_change_a_result(monkeypatch):
 
 
 class PeakDict(dict):
-    """A dict that records the most entries it has held."""
+    """A dict that records the most entries it has held, and how often it
+    was emptied."""
 
-    peak = 0
+    peak = clears = 0
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
         self.peak = max(self.peak, len(self))
 
+    def clear(self):
+        self.clears += 1
+        super().clear()
 
-@pytest.mark.parametrize("g, kind, nodes, budget", [
-    (torus(6, 6), CodeKind.RED_IC, 8_991, solver._KEPT_BYTES),
-    (torus(6, 6), CodeKind.RED_IC, 8_991, 100_000),  # 396 entries, fewer than the search makes
-    (wheel(64), CodeKind.IC, 65, 20 * 2_145 * 2),  # 20 entries of two-byte fields
+
+@pytest.mark.parametrize("g, kind, nodes, budget, cleared", [
+    (torus(6, 6), CodeKind.RED_IC, 3_445, solver._KEPT_BYTES, False),
+    (torus(6, 6), CodeKind.RED_IC, 3_445, 100_000, True),  # 396 entries, of 3,184 inserts
+    (wheel(64), CodeKind.IC, 65, 20 * 2_145 * 2, True),  # 20 entries of two-byte fields
 ], ids=["torus-6x6", "torus-6x6-small", "wheel-64-small"])
-def test_conflict_cache_stays_within_its_budget(monkeypatch, g, kind, nodes, budget):
+def test_conflict_cache_stays_within_its_budget(monkeypatch, g, kind, nodes, budget, cleared):
     monkeypatch.setattr(solver, "_KEPT_BYTES", budget)
     search = search_for(g, kind)
     search.kept = PeakDict()
     assert search.run(cap=search.greedy().bit_count(), stop_at_first=False)
     assert search.nodes == nodes
     assert 0 < search.kept.peak * len(search.masks) * search.w // 8 <= budget
+    assert (search.kept.clears > 0) == cleared

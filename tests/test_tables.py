@@ -242,8 +242,8 @@ def test_tree_rows_count_minima_below_n_minus_2(monkeypatch, threads):
 # of the repr of the per-graph results in stream order).  The census keeps
 # no order, so the digest and the node total are checked on the stream solved
 # here graph by graph with solve_min, and the census must give the same
-# histogram and node total at every thread count.  The node totals are 3,168
-# over the 3,150 trees with a code (n = 4..16) and 19,723 over the cubic
+# histogram and node total at every thread count.  The node totals are 3,152
+# over the 3,150 trees with a code (n = 4..16) and 10,917 over the cubic
 # graphs (n = 6..14).
 CENSUS_PINS = {
     ("tree", 4): ({4: 1}, 1, "87c63ccb48cafbc5"),
@@ -257,18 +257,18 @@ CENSUS_PINS = {
     ("tree", 12): ({11: 24, 12: 58}, 82, "c5193eda148cd2e7"),
     ("tree", 13): ({12: 64, 13: 103}, 167, "64d88d3945cd9961"),
     ("tree", 14): ({12: 13, 13: 130, 14: 217}, 360, "3355c193ef9caa2d"),
-    ("tree", 15): ({13: 29, 14: 323, 15: 414}, 768, "fdc1704cebda91d9"),
-    ("tree", 16): ({14: 96, 15: 744, 16: 852}, 1708, "c3f850162ccac961"),
+    ("tree", 15): ({13: 29, 14: 323, 15: 414}, 766, "fdc1704cebda91d9"),
+    ("tree", 16): ({14: 96, 15: 744, 16: 852}, 1694, "c3f850162ccac961"),
     ("cubic", 6): ({6: 2}, 2, "01cc9a5aeea1afec"),
-    ("cubic", 8): ({6: 4}, 84, "8a26b7ad3f421df7"),
-    ("cubic", 10): ({6: 4, 7: 6, 8: 4}, 254, "fc6684805d62592a"),
-    ("cubic", 12): ({8: 51, 9: 8, 10: 2, 12: 2}, 1619, "8da87e3ff2e72f4c"),
-    ("cubic", 14): ({8: 29, 9: 155, 10: 187, 11: 7, 12: 8}, 17764, "919c1785905e5c8c"),
+    ("cubic", 8): ({6: 4}, 60, "8a26b7ad3f421df7"),
+    ("cubic", 10): ({6: 4, 7: 6, 8: 4}, 164, "fc6684805d62592a"),
+    ("cubic", 12): ({8: 51, 9: 8, 10: 2, 12: 2}, 921, "8da87e3ff2e72f4c"),
+    ("cubic", 14): ({8: 29, 9: 155, 10: 187, 11: 7, 12: 8}, 9770, "919c1785905e5c8c"),
 }
 
 STRETCH_CENSUS_PINS = {
-    ("tree", 17): ({15: 287, 16: 1731, 17: 1708}, 3760, "895951e501e13b41"),
-    ("cubic", 16): ({10: 1522, 11: 1228, 12: 419, 13: 13, 14: 7}, 207179, "6ff93393e827fce4"),
+    ("tree", 17): ({15: 287, 16: 1731, 17: 1708}, 3734, "895951e501e13b41"),
+    ("cubic", 16): ({10: 1522, 11: 1228, 12: 419, 13: 13, 14: 7}, 110_327, "6ff93393e827fce4"),
 }
 
 
