@@ -34,10 +34,8 @@ propagation includes them.  Including a vertex lowers ``res`` and ``cnt``
 together and never changes a slack; excluding one lowers by one only the
 slacks of its own constraints, and a constraint whose slack reaches 0
 forces all its free members at once.  So every active constraint enters a
-node with slack >= 1, and no exclusion of a single vertex takes a slack
-below 0; only fixing by the packing bound (below) excludes many at once,
-and it cuts its node when it leaves a slack below 0.  Forcing is itself
-inclusion, so one pass over the tight constraints reaches the fixpoint.
+node with slack >= 1.  Forcing is itself inclusion, so one pass over the
+tight constraints reaches the fixpoint.
 
 Closed root: let F be the union of the constraints with exactly t members,
 those whose slack starts at 0.  When every constraint has at least t
@@ -77,16 +75,13 @@ outside the free members of the constraints it took is excluded at once.
 The packing stays valid in the include child of such a vertex x: no
 packed constraint contains x, so including x changes neither its res nor
 its free members, and the packing still counts gap - 1 detectors against
-a gap that x made one smaller, so that child would be cut.  No completion
-below the cap contains any of these vertices, so excluding them together
-loses none; when that leaves an active constraint with slack below 0, no
-completion below the cap exists, and the node is cut.  Otherwise one
-propagation pass follows, and the node is evaluated again, bound and then
-fixing, before it branches.  Under orbital fixing each excluded vertex is
-widened to its H-orbit: h in H maps the node's assignment onto itself, so
-it maps the packing to one of the same value that leaves out h(x), and the
-include-h(x) child is cut as well; the excluded set stays a union of
-H-orbits, as the orbit invariant below requires.
+a gap that x made one smaller, so that child would be cut.  Under orbital
+fixing (below) h in H maps the node's assignment onto itself, so it maps
+the packing to one of the same value that leaves out h(x), and the
+include-h(x) child is cut as well.  So no completion below the cap contains
+any vertex of the set's H-orbits, and excluding them together loses none.
+After the exclusion (below) the node is evaluated again, bound and then
+fixing, before it branches.
 
 The search branches on a vertex drawn from an active constraint of least
 slack, include branch first.  A minimising search takes, among those, one
@@ -115,9 +110,15 @@ Soundness: automorphisms preserve every constraint, so h in H maps each
 completion of a node to a completion of the same size.  A completion that
 avoids x but contains some y = h(x) of the orbit therefore has an image
 h^-1 S that contains x, in the include child, which is searched first; the
-exclude child may drop every such completion.  For the same reason the
-exclude child is skipped when propagation forces a member of the orbit in
-while the orbit is being excluded.
+exclude child may drop every such completion.
+
+One rule excludes, for the exclude child (x) and for fixing (the set
+above): the set is widened to its H-orbits, all free by the orbit
+invariant, and excluded at once.  If that leaves an active slack below 0,
+no completion avoids the set, so nothing is excluded: fixing cuts its
+node, and the exclude child is skipped, since each of its completions
+holds some h(x) and has its image in the include child.  Otherwise one
+propagation pass follows.  A single vertex never leaves a slack below 0.
 """
 
 from __future__ import annotations
@@ -170,9 +171,10 @@ class SolverStats:
     """Search counters: nodes visited, seconds, vertices included by
     propagation (the root's forced set among them once the search visits
     the root, which a node cap of 0 prevents, although the witness then
-    contains that set), nodes cut by the lower bound, vertices excluded by
-    orbital fixing, the order of the symmetry group used (1 for none), and
-    vertices excluded by the packing bound."""
+    contains that set), nodes cut by the lower bound or by a fixing that
+    leaves an active slack below 0, vertices excluded by orbital fixing, the
+    order of the symmetry group used (1 for none), and vertices excluded by
+    the packing bound."""
 
     nodes: int = 0
     elapsed: float = 0.0
@@ -434,7 +436,6 @@ class _Search:
         self.done = False
 
         self.masks = masks
-        self.n_dom = g.n
         self.max_cover = max(map(int.bit_count, g._closed), default=1)
         self.big = big = max(map(int.bit_count, masks), default=0)
         fb = 1  # bytes per field, a power of two so that a field is one array item
@@ -493,11 +494,29 @@ class _Search:
         self.free ^= 1 << x
         self.chosen |= 1 << x
 
-    def _exclude(self, x: int) -> int:
-        """Exclude x and propagate; the number of vertices forced."""
-        self.C -= self.inc[x]
-        self.free ^= 1 << x
-        return self._force()
+    def _exclude_orbits(self, fix: int) -> int:
+        """Exclude the free vertices fix, widened to the union of their
+        H-orbits, and propagate once.  Returns how many were excluded, or
+        minus that number when an active constraint would be left with
+        slack below 0; then nothing is assigned."""
+        sym = self.sym
+        rest = fix
+        while sym is not None and rest:
+            orbit = sym.orbit(rest.bit_length() - 1)
+            fix |= orbit
+            rest ^= rest & orbit
+        R, C, inc = self.R, self.C, self.inc
+        rest = fix
+        while rest:
+            x = rest.bit_length() - 1
+            C -= inc[x]
+            rest ^= 1 << x
+        active = R + self.over & self.high
+        if active ^ (active & C - R + self.high):  # an active slack below 0
+            return -fix.bit_count()
+        self.C, self.free = C, self.free ^ fix
+        self.forced += self._force()
+        return fix.bit_count()
 
     def _force(self) -> int:
         """Include the free members of every tight constraint.
@@ -653,26 +672,13 @@ class _Search:
             if self._need(active, heavy, gap) >= gap:
                 self.pruned += 1
                 return
-            fix = self.spare
-            if not fix:
+            if not self.spare:
                 break
-            rest = fix
-            while sym is not None and rest:
-                orbit = sym.orbit(rest.bit_length() - 1)
-                fix |= orbit
-                rest ^= rest & orbit
-            self.bound_fixed += fix.bit_count()
-            inc = self.inc
-            rest = fix
-            while rest:
-                x = rest.bit_length() - 1
-                C -= inc[x]
-                rest ^= 1 << x
-            if active ^ (active & (C - R + high & high) >> sh):  # an active slack below 0
+            excluded = self._exclude_orbits(self.spare)
+            self.bound_fixed += abs(excluded)
+            if excluded < 0:
                 self.pruned += 1
                 return
-            self.C, self.free = C, free ^ fix
-            self.forced += self._force()
         x = self._branch_vertex(active, heavy)
         self._tick()
         a, bit = self.inc[x], 1 << x  # as ``_include``
@@ -685,23 +691,11 @@ class _Search:
         if self.done:
             return
         self._tick()
-        forced = self._exclude_orbit(x, sym.orbit(x) if sym is not None else 1 << x)
-        if forced >= 0:
-            self.forced += forced
+        excluded = self._exclude_orbits(1 << x)
+        if excluded > 0:
+            self.orbit_fixed += excluded - 1
             self._node()
         self.R, self.C, self.chosen, self.free = R, C, chosen, free
-
-    def _exclude_orbit(self, x: int, orbit: int) -> int:
-        """Exclude x, then every other member of its orbit, all free by the
-        orbit invariant; as ``_exclude``, or -1 when propagation includes a
-        member."""
-        forced = self._exclude(x)
-        for y in bits(orbit & ~(1 << x)):
-            if self.chosen >> y & 1:
-                return -1
-            forced += self._exclude(y)
-        self.orbit_fixed += orbit.bit_count() - 1
-        return forced
 
     def root_lower(self) -> int:
         self.R, self.C, self.chosen, self.free = self.root

@@ -111,10 +111,13 @@ MUTANTS = [
                  "least & heavy if self.stop_at_first", [ORBITAL_PINS], id="feasibility-branch-prefers-res-2"),
     pytest.param("src/redic/solver.py", "if packed == gap - 1 else 0", "if packed == gap - 2 else 0",
                  [RESCAN], id="bound-fixing-one-detector-early"),
-    pytest.param("src/redic/solver.py", "                fix |= orbit\n", "                pass\n",
+    pytest.param("src/redic/solver.py", "            fix |= orbit\n", "            pass\n",
                  [ORBIT_INVARIANT], id="bound-fixing-not-widened-to-orbits"),
-    pytest.param("src/redic/solver.py", "if active ^ (active & (C - R + high & high) >> sh):", "if False:",
+    pytest.param("src/redic/solver.py", "if active ^ (active & C - R + self.high):", "if False:",
                  [PROPAGATED_ONCE], id="bound-fixing-without-the-slack-cut"),
+    pytest.param("src/redic/solver.py", "self._exclude_orbits(1 << x)",
+                 '(setattr(self, "sym", None), self._exclude_orbits(1 << x), setattr(self, "sym", sym))[1]',
+                 [ORBIT_INVARIANT], id="exclude-child-not-widened-to-its-orbit"),
     pytest.param("src/redic/solver.py", "    if t == 2:\n", "    if False:\n",
                  [ROOT_LITERAL], id="root-drops-the-open-twins"),
     pytest.param("src/redic/solver.py", "                forced |= m\n", "                pass\n",

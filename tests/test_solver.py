@@ -342,53 +342,60 @@ def plain(g):
     return Graph(g.n, g.adj)
 
 
+def counters(stats):
+    """Every counter of a search that does not depend on the clock: nodes,
+    forced, pruned, orbit_fixed and bound_fixed."""
+    return stats.nodes, stats.forced, stats.pruned, stats.orbit_fixed, stats.bound_fixed
+
+
 def test_pinned_node_counts():
     # the search is deterministic, so these counts are exact on every machine;
     # a change to them is a change to the search and must be re-baselined.
     # The graphs carry no provenance, so this is the plain search.
     red, ic = CodeKind.RED_IC, CodeKind.IC
-    for g, kind, k, nodes in [
-        (torus(4, 4), red, 10, 723),
-        (honeycomb_torus(4, 4), red, 11, 121),
-        (hypercube(4), ic, 7, 411),
-        (hypercube(4), red, 10, 733),
-        (hypercube(5), red, 12, 1_535),
+    for g, kind, k, pinned in [
+        (torus(4, 4), red, 10, (723, 1_145, 216, 0, 460)),
+        (honeycomb_torus(4, 4), red, 11, (121, 265, 39, 0, 71)),
+        (hypercube(4), ic, 7, (411, 337, 167, 0, 548)),
+        (hypercube(4), red, 10, (733, 1_134, 225, 0, 469)),
+        (hypercube(5), red, 12, (1_535, 1_504, 751, 0, 2_493)),
     ]:
         out = solve_min(plain(g), kind)
-        assert (out.k, out.stats.nodes) == (k, nodes), (g.meta, kind)
-        assert (out.stats.group_order, out.stats.orbit_fixed) == (1, 0)
-    for d, k, nodes in [(4, 9, 887), (5, 11, 1_077)]:
+        assert (out.k, counters(out.stats)) == (k, pinned), (g.meta, kind)
+        assert out.stats.group_order == 1
+    for d, k, pinned in [(4, 9, (887, 1_419, 224, 0, 464)), (5, 11, (1_077, 892, 539, 0, 1_452))]:
         res = feasible_at(plain(hypercube(d)), red, k)
         assert res.witness is None and res.exhaustive
-        assert res.stats.nodes == nodes, d
+        assert counters(res.stats) == pinned, d
 
 
 # the same instances as above and the lattice-search ones, built by their
 # named builders, so the search uses the group their provenance names:
-# (graph, kind, optimum, nodes, group order), then the refutations
-# (dimension, k, nodes) of feasible_at on the hypercube
+# (graph, kind, optimum, counters, group order), then the refutations
+# (dimension, k, counters) of feasible_at on the hypercube, where counters
+# are (nodes, forced, pruned, orbit_fixed, bound_fixed)
 ORBITAL_PINS = [
-    (torus(4, 4), CodeKind.RED_IC, 10, 177, 128),
-    (honeycomb_torus(4, 4), CodeKind.RED_IC, 11, 59, 32),
-    (hypercube(4), CodeKind.IC, 7, 37, 384),
-    (hypercube(4), CodeKind.RED_IC, 10, 105, 384),
-    (hypercube(5), CodeKind.RED_IC, 12, 195, 3_840),
-    (torus(6, 6), CodeKind.RED_IC, 18, 3_445, 288),
-    (honeycomb_torus(6, 6), CodeKind.RED_IC, 24, 7_305, 72),
-    (hypercube(5), CodeKind.IC, 10, 213, 3_840),
+    (torus(4, 4), CodeKind.RED_IC, 10, (177, 243, 52, 10, 122), 128),
+    (honeycomb_torus(4, 4), CodeKind.RED_IC, 11, (59, 133, 19, 1, 35), 32),
+    (hypercube(4), CodeKind.IC, 7, (37, 18, 11, 11, 46), 384),
+    (hypercube(4), CodeKind.RED_IC, 10, (105, 133, 31, 11, 71), 384),
+    (hypercube(5), CodeKind.RED_IC, 12, (195, 222, 91, 25, 431), 3_840),
+    (torus(6, 6), CodeKind.RED_IC, 18, (3_445, 5_348, 1_697, 8, 6_244), 288),
+    (honeycomb_torus(6, 6), CodeKind.RED_IC, 24, (7_305, 14_778, 3_379, 5, 8_372), 72),
+    (hypercube(5), CodeKind.IC, 10, (213, 140, 83, 45, 797), 3_840),
 ]
-ORBITAL_REFUTATIONS = [(4, 9, 121), (5, 11, 41)]
+ORBITAL_REFUTATIONS = [(4, 9, (121, 193, 29, 10, 71)), (5, 11, (41, 60, 19, 17, 42))]
 
 
 def test_pinned_node_counts_with_orbital_fixing():
-    for g, kind, k, nodes, order in ORBITAL_PINS:
+    for g, kind, k, pinned, order in ORBITAL_PINS:
         out = solve_min(g, kind)
-        assert (out.k, out.stats.nodes, out.stats.group_order) == (k, nodes, order), (g.meta, kind)
+        assert (out.k, counters(out.stats), out.stats.group_order) == (k, pinned, order), (g.meta, kind)
         assert verify(g, out.witness, kind) is None
-    for d, k, nodes in ORBITAL_REFUTATIONS:
+    for d, k, pinned in ORBITAL_REFUTATIONS:
         res = feasible_at(hypercube(d), CodeKind.RED_IC, k)
         assert res.witness is None and res.exhaustive
-        assert res.stats.nodes == nodes, d
+        assert counters(res.stats) == pinned, d
     assert automorphisms(torus(7, 7)).order == 392
 
 
@@ -424,7 +431,8 @@ def _check_against_plain(g):
 def test_stretch_torus_7x7_optimal_at_25():
     g = torus(7, 7)
     out = solve_min(g, CodeKind.RED_IC)
-    assert (out.status, out.k, out.stats.nodes, out.stats.group_order) == ("optimal", 25, 228_113, 392)
+    assert (out.status, out.k, out.stats.group_order) == ("optimal", 25, 392)
+    assert counters(out.stats) == (228_113, 362_837, 112_983, 16, 533_369)
     assert verify(g, out.witness, CodeKind.RED_IC) is None
 
 
@@ -522,7 +530,7 @@ class RescanSearch:
 
     def __init__(self, search: _Search):
         self.masks, self.req = search.masks, search.kind.req
-        self.n_dom, self.max_cover = search.n_dom, search.max_cover
+        self.n_dom, self.max_cover = search.g.n, search.max_cover
         self.full = search.g.full_mask()
         self.nodes = 0
         self.best = None
@@ -679,7 +687,7 @@ def rescanned_counters(search):
         "res": res,
         "cnt": [(m & free).bit_count() for m in search.masks],
         "active": {i for i, r in enumerate(res) if r > 0},
-        "dom_deficit": sum(r for r in res[: search.n_dom] if r > 0),
+        "dom_deficit": sum(r for r in res[: search.g.n] if r > 0),
     }
 
 
@@ -807,18 +815,21 @@ def test_interrupted_run_restores_the_root():
 
 
 class CountingSearch(_Search):
-    """Counts propagation passes, exclusions, and the packing bounds that
-    cut their node or leave vertices to fix."""
+    """Counts propagation passes, exclusions and those of them that leave an
+    active slack below 0, and the packing bounds that cut their node or
+    leave vertices to fix."""
 
-    forces = excludes = cuts = fixings = 0
+    forces = excludes = conflicts = cuts = fixings = 0
 
     def _force(self):
         self.forces += 1
         return super()._force()
 
-    def _exclude(self, x):
+    def _exclude_orbits(self, fix):
+        excluded = super()._exclude_orbits(fix)
         self.excludes += 1
-        return super()._exclude(x)
+        self.conflicts += excluded < 0
+        return excluded
 
     def _need(self, active, heavy, gap):
         bound = super()._need(active, heavy, gap)
@@ -849,9 +860,10 @@ def test_root_is_propagated_once():
         assert search.forces == 1
         search.cuts = search.fixings = 0
         assert search.run(cap=incumbent.bit_count(), stop_at_first=False)
-        # each fixing propagates once, unless a slack below 0 cuts its node,
-        # which counts as pruned without a bound cut
-        assert search.forces == 1 + search.excludes + search.fixings - (search.pruned - search.cuts)
+        # each exclusion propagates once, unless it leaves an active slack
+        # below 0; such a fixing counts as pruned without a bound cut
+        assert search.forces == 1 + search.excludes - search.conflicts
+        assert search.conflicts >= search.pruned - search.cuts
         excluded += search.excludes
         fixed += search.fixings
         slack_cuts += search.pruned - search.cuts
@@ -1004,8 +1016,9 @@ def test_two_byte_fields_on_a_wheel():
 # orbits, and their widened exclusions must keep the orbit invariant
 @pytest.mark.parametrize("g", [torus(4, 4), torus(3, 5), honeycomb_torus(4, 4), hypercube(4), hypercube(5)], ids=_name)
 def test_counters_hold_under_orbital_fixing(g):
-    # each member of an orbit is looked at again before it is excluded, so no
-    # vertex is excluded after propagation has included it
+    # an exclusion takes whole H-orbits of free vertices, or nothing when it
+    # would leave an active slack below 0, so the orbit invariant and the
+    # slack invariant both hold at every node
     for kind in (CodeKind.IC, CodeKind.RED_IC):
         search = search_for(g, kind, cls=CheckedSearch)
         incumbent = search.greedy()
@@ -1020,10 +1033,10 @@ def _outcomes():
     out = []
     for g, kind, *_ in ORBITAL_PINS:
         o = solve_min(g, kind)
-        out.append((o.k, o.witness, o.stats.nodes, o.stats.pruned, o.stats.forced))
+        out.append((o.k, o.witness, counters(o.stats)))
     for d, k, _ in ORBITAL_REFUTATIONS:
         r = feasible_at(hypercube(d), CodeKind.RED_IC, k)
-        out.append((r.witness, r.exhaustive, r.stats.nodes, r.stats.pruned, r.stats.forced))
+        out.append((r.witness, r.exhaustive, counters(r.stats)))
     return out
 
 
